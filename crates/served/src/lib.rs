@@ -24,8 +24,9 @@
 //!   land in the `BENCH_serve.json` smoke artifact.
 //!
 //! The [`Server`] type is library-level so tests can drive connections
-//! over in-memory readers and writers; the binary is a thin mode switch
-//! around it.
+//! over in-memory readers and writers or real sockets
+//! ([`Server::serve_listener`]); the binary is a thin mode switch around
+//! it.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -38,5 +39,5 @@ mod smoke;
 
 pub use config::{parse_arg_list, parse_args, Cli, Mode, ServeConfig, USAGE};
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use server::Server;
+pub use server::{split_connection, Server};
 pub use smoke::{run_smoke, SmokeSummary};

@@ -1,10 +1,8 @@
 //! The `served` binary: a thin mode switch over [`served::Server`].
 
 use served::{parse_args, run_smoke, Mode, Server, USAGE};
-use std::io::BufReader;
 use std::net::TcpListener;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 fn main() -> ExitCode {
     let cli = match parse_args() {
@@ -52,29 +50,7 @@ fn serve_tcp(config: served::ServeConfig, addr: &str) -> ExitCode {
         }
     };
     eprintln!("served: listening on {addr}");
-    let server = Arc::new(Server::start(config));
-    for stream in listener.incoming() {
-        let stream = match stream {
-            Ok(stream) => stream,
-            Err(error) => {
-                eprintln!("error: accept failed: {error}");
-                continue;
-            }
-        };
-        let reader = match stream.try_clone() {
-            Ok(clone) => BufReader::new(clone),
-            Err(error) => {
-                eprintln!("error: cannot clone connection: {error}");
-                continue;
-            }
-        };
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || {
-            if let Err(error) = server.serve_connection(reader, stream) {
-                eprintln!("error: connection failed: {error}");
-            }
-        });
-    }
+    Server::start(config).serve_listener(&listener);
     ExitCode::SUCCESS
 }
 

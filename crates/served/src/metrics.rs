@@ -3,11 +3,38 @@
 use engine::json::JsonValue;
 use engine::SharedCacheStats;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+
+/// Sub-buckets per power of two in the latency histogram: a bucket spans
+/// at most 1/8 of its lower bound, and values below 16 get a bucket each.
+const SUB_BUCKET_BITS: u32 = 3;
+const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
+/// Buckets covering every `u64`: exact buckets for `0..SUB_BUCKETS`, then
+/// `SUB_BUCKETS` per power of two from `SUB_BUCKETS` up to `2^64`.
+const LATENCY_BUCKETS: usize = (64 - SUB_BUCKET_BITS as usize + 1) * SUB_BUCKETS;
+
+/// The histogram bucket holding `value`.
+fn bucket_of(value: u64) -> usize {
+    if value < SUB_BUCKETS as u64 {
+        return value as usize;
+    }
+    let shift = 63 - value.leading_zeros() - SUB_BUCKET_BITS;
+    let sub = (value >> shift) as usize - SUB_BUCKETS;
+    (shift as usize + 1) * SUB_BUCKETS + sub
+}
+
+/// The largest value that falls into `bucket`.
+fn bucket_upper_bound(bucket: usize) -> u64 {
+    if bucket < SUB_BUCKETS {
+        return bucket as u64;
+    }
+    let shift = bucket / SUB_BUCKETS - 1;
+    let lower = ((SUB_BUCKETS + bucket % SUB_BUCKETS) as u64) << shift;
+    lower.saturating_add((1 << shift) - 1)
+}
 
 /// Process-wide service counters. All counters are statistics: they relax
 /// ordering and never feed back into results.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Metrics {
     /// Requests submitted to the queue (including ones refused at
     /// admission).
@@ -22,8 +49,26 @@ pub struct Metrics {
     batches: AtomicU64,
     /// Requests answered through those calls.
     batched_requests: AtomicU64,
-    /// Queue-to-answer latencies in microseconds.
-    latencies: Mutex<Vec<u64>>,
+    /// Queue-to-answer latencies in microseconds, counted per log bucket
+    /// (see [`bucket_of`]): fixed memory however many requests are answered.
+    latency_counts: [AtomicU64; LATENCY_BUCKETS],
+    /// The largest latency recorded, exactly.
+    latency_max: AtomicU64,
+}
+
+impl Default for Metrics {
+    fn default() -> Self {
+        Self {
+            requests: AtomicU64::default(),
+            ok: AtomicU64::default(),
+            errors: AtomicU64::default(),
+            overloaded: AtomicU64::default(),
+            batches: AtomicU64::default(),
+            batched_requests: AtomicU64::default(),
+            latency_counts: std::array::from_fn(|_| AtomicU64::default()),
+            latency_max: AtomicU64::default(),
+        }
+    }
 }
 
 impl Metrics {
@@ -44,7 +89,10 @@ impl Metrics {
         let counter = if ok { &self.ok } else { &self.errors };
         // ordering: Relaxed — statistics counter.
         counter.fetch_add(1, Ordering::Relaxed);
-        self.latencies.lock().unwrap_or_else(PoisonError::into_inner).push(latency_micros);
+        // ordering: Relaxed — statistics counter.
+        self.latency_counts[bucket_of(latency_micros)].fetch_add(1, Ordering::Relaxed);
+        // ordering: Relaxed — statistics counter.
+        self.latency_max.fetch_max(latency_micros, Ordering::Relaxed);
     }
 
     /// Counts a request refused as overloaded.
@@ -64,8 +112,6 @@ impl Metrics {
     /// A point-in-time snapshot of the counters.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut latencies = self.latencies.lock().unwrap_or_else(PoisonError::into_inner).clone();
-        latencies.sort_unstable();
         // ordering: Relaxed — statistics counters.
         let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         MetricsSnapshot {
@@ -75,12 +121,13 @@ impl Metrics {
             overloaded: read(&self.overloaded),
             batches: read(&self.batches),
             batched_requests: read(&self.batched_requests),
-            latencies,
+            latency_counts: self.latency_counts.iter().map(read).collect(),
+            latency_max: read(&self.latency_max),
         }
     }
 }
 
-/// A frozen view of the counters with sorted latencies, ready for
+/// A frozen view of the counters and the latency histogram, ready for
 /// percentile queries and artifact rendering.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
@@ -96,22 +143,32 @@ pub struct MetricsSnapshot {
     pub batches: u64,
     /// Requests answered through those calls.
     pub batched_requests: u64,
-    /// Sorted queue-to-answer latencies in microseconds.
-    pub latencies: Vec<u64>,
+    /// Queue-to-answer latency counts per log bucket (microseconds).
+    pub latency_counts: Vec<u64>,
+    /// The largest queue-to-answer latency recorded, in microseconds.
+    pub latency_max: u64,
 }
 
 impl MetricsSnapshot {
     /// The nearest-rank percentile of the recorded latencies (`p` in
-    /// `0..=100`), or 0 with no samples.
+    /// `0..=100`) at bucket resolution: the upper bound of the bucket that
+    /// holds the ranked sample, capped at the exact maximum. 0 with no
+    /// samples.
     #[must_use]
     pub fn latency_percentile(&self, p: u64) -> u64 {
-        if self.latencies.is_empty() {
+        let len: u64 = self.latency_counts.iter().sum();
+        if len == 0 {
             return 0;
         }
-        let len = self.latencies.len() as u64;
         let rank = (p * len).div_ceil(100).clamp(1, len);
-        let index = usize::try_from(rank - 1).unwrap_or(0);
-        self.latencies[index]
+        let mut seen = 0;
+        for (bucket, &count) in self.latency_counts.iter().enumerate() {
+            seen += count;
+            if seen >= rank {
+                return bucket_upper_bound(bucket).min(self.latency_max);
+            }
+        }
+        self.latency_max
     }
 
     /// Renders the `serve-bench-v1` artifact document.
@@ -132,7 +189,7 @@ impl MetricsSnapshot {
                     ("p50", count(self.latency_percentile(50))),
                     ("p90", count(self.latency_percentile(90))),
                     ("p99", count(self.latency_percentile(99))),
-                    ("max", count(self.latencies.last().copied().unwrap_or(0))),
+                    ("max", count(self.latency_max)),
                 ]),
             ),
             (
@@ -160,13 +217,37 @@ mod tests {
             metrics.answered(true, latency);
         }
         let snapshot = metrics.snapshot();
-        assert_eq!(snapshot.latencies, vec![10, 20, 30, 40, 50]);
-        assert_eq!(snapshot.latency_percentile(50), 30);
+        assert_eq!(snapshot.latency_counts.len(), LATENCY_BUCKETS);
+        assert_eq!(snapshot.latency_counts.iter().sum::<u64>(), 5);
+        assert_eq!(snapshot.latency_max, 50);
+        // Buckets: 10 is exact, 30 lies in 30..=31, 50 in 48..=51 (capped
+        // at the exact maximum).
+        assert_eq!(snapshot.latency_percentile(50), 31);
         assert_eq!(snapshot.latency_percentile(90), 50);
         assert_eq!(snapshot.latency_percentile(99), 50);
         assert_eq!(snapshot.latency_percentile(0), 10);
         assert_eq!(snapshot.latency_percentile(100), 50);
-        assert_eq!(MetricsSnapshot { latencies: vec![], ..snapshot }.latency_percentile(50), 0);
+        let empty = MetricsSnapshot { latency_counts: vec![0; LATENCY_BUCKETS], ..snapshot };
+        assert_eq!(empty.latency_percentile(50), 0);
+    }
+
+    #[test]
+    fn buckets_tile_the_u64_range_within_an_eighth() {
+        let mut values: Vec<u64> = (0..4096).collect();
+        values.extend((12..64).flat_map(|bit| {
+            let base = 1u64 << bit;
+            [base - 1, base, base + 1, base + base / 3]
+        }));
+        values.push(u64::MAX);
+        for value in values {
+            let bucket = bucket_of(value);
+            assert!(bucket < LATENCY_BUCKETS, "{value} overflows the histogram");
+            let upper = bucket_upper_bound(bucket);
+            let lower = if bucket == 0 { 0 } else { bucket_upper_bound(bucket - 1) + 1 };
+            assert!(lower <= value && value <= upper, "{value} outside {lower}..={upper}");
+            assert!(upper - lower <= lower / 8, "bucket {lower}..={upper} is too wide");
+        }
+        assert_eq!(bucket_upper_bound(LATENCY_BUCKETS - 1), u64::MAX);
     }
 
     #[test]

@@ -10,7 +10,8 @@ use engine::{
     WorkerCache,
 };
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
@@ -157,6 +158,29 @@ impl Server {
         }
     }
 
+    /// Accepts TCP connections on `listener` for as long as it yields them,
+    /// answering each on its own thread as one protocol stream (see
+    /// [`Server::serve_connection`]). Accept and connection failures are
+    /// logged to stderr and never stop the loop.
+    pub fn serve_listener(&self, listener: &TcpListener) {
+        std::thread::scope(|scope| {
+            for stream in listener.incoming() {
+                let (reader, writer) = match stream.and_then(split_connection) {
+                    Ok(halves) => halves,
+                    Err(error) => {
+                        eprintln!("error: cannot accept connection: {error}");
+                        continue;
+                    }
+                };
+                scope.spawn(move || {
+                    if let Err(error) = self.serve_connection(reader, writer) {
+                        eprintln!("error: connection failed: {error}");
+                    }
+                });
+            }
+        });
+    }
+
     /// Parses one raw line and either queues it or answers it immediately
     /// (parse failure, admission refusal, overload).
     fn submit_line(&self, line: &[u8], seq: u64, reply: &Sender<(u64, String)>) {
@@ -234,6 +258,22 @@ impl Server {
         let response = Response::failure(id, error);
         let _ = reply.send((seq, render_response(&response)));
     }
+}
+
+/// Readies an accepted TCP stream for the protocol and splits it into a
+/// buffered reader and a writer. Sets `TCP_NODELAY`, so a response leaves
+/// as soon as it is written instead of waiting for the peer to ACK the
+/// previous one; if that fails, the error is logged and the stream is
+/// served anyway.
+///
+/// # Errors
+///
+/// Returns the error of cloning the socket handle for the reader.
+pub fn split_connection(stream: TcpStream) -> std::io::Result<(BufReader<TcpStream>, TcpStream)> {
+    if let Err(error) = stream.set_nodelay(true) {
+        eprintln!("error: cannot set TCP_NODELAY: {error}");
+    }
+    Ok((BufReader::new(stream.try_clone()?), stream))
 }
 
 /// Whether the server told its workers to stop **and** the queue is empty.
@@ -338,36 +378,169 @@ fn read_limited_line<R: BufRead>(
     }
 }
 
+/// The byte count at which the in-order writer hands its buffer to the
+/// output mid-drain. A saturated connection is written in chunks of about
+/// this size, so its buffer never grows past one chunk plus one line.
+const WRITE_CHUNK_BYTES: usize = 64 * 1024;
+
 /// Receives `(seq, line)` pairs and writes the lines in sequence order,
-/// buffering out-of-order arrivals. On disconnect, anything still pending
-/// (gaps can only come from a dropped reply sender) is flushed in order so
-/// no response is silently lost.
+/// buffering out-of-order arrivals. Every reply already queued when the
+/// writer wakes is gathered into one buffer of whole lines and written at
+/// once: one write per drain instead of two per response, and never a
+/// lone terminator left waiting for the peer's ACK. On disconnect,
+/// anything still pending (gaps can only come from a dropped reply sender)
+/// is written in order so no response is silently lost.
 fn write_in_order<W: Write>(
     responses: mpsc::Receiver<(u64, String)>,
     mut output: W,
 ) -> std::io::Result<()> {
     let mut pending: BTreeMap<u64, String> = BTreeMap::new();
     let mut next: u64 = 0;
-    for (seq, line) in responses {
-        pending.insert(seq, line);
-        while let Some(line) = pending.remove(&next) {
-            output.write_all(line.as_bytes())?;
-            output.write_all(b"\n")?;
-            next += 1;
+    let mut buffer: Vec<u8> = Vec::new();
+    while let Ok(first) = responses.recv() {
+        for (seq, line) in std::iter::once(first).chain(responses.try_iter()) {
+            pending.insert(seq, line);
+            let mut chunk_written = false;
+            while let Some(line) = pending.remove(&next) {
+                chunk_written |= push_line(&mut buffer, &line, &mut output)?;
+                next += 1;
+            }
+            if chunk_written {
+                break; // end the drain at the cap; the next `recv` resumes it
+            }
         }
+        write_buffer(&mut buffer, &mut output)?;
         if pending.is_empty() {
             output.flush()?;
         }
     }
-    for (_, line) in pending {
-        output.write_all(line.as_bytes())?;
-        output.write_all(b"\n")?;
+    for line in pending.into_values() {
+        push_line(&mut buffer, &line, &mut output)?;
     }
+    write_buffer(&mut buffer, &mut output)?;
     output.flush()
+}
+
+/// Appends one response line and its terminator to `buffer`, writing the
+/// buffer out once it holds [`WRITE_CHUNK_BYTES`]. Returns whether it wrote.
+fn push_line<W: Write>(buffer: &mut Vec<u8>, line: &str, output: &mut W) -> std::io::Result<bool> {
+    buffer.extend_from_slice(line.as_bytes());
+    buffer.push(b'\n');
+    if buffer.len() < WRITE_CHUNK_BYTES {
+        return Ok(false);
+    }
+    write_buffer(buffer, output)?;
+    Ok(true)
+}
+
+/// Writes and clears `buffer` in one `write_all`, if it holds anything.
+fn write_buffer<W: Write>(buffer: &mut Vec<u8>, output: &mut W) -> std::io::Result<()> {
+    if !buffer.is_empty() {
+        output.write_all(buffer)?;
+        buffer.clear();
+    }
+    Ok(())
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An output that records the bytes of every `write` call.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Queues `replies` before the writer starts, drops the sender, and
+    /// returns every write the writer made.
+    fn writes_for(replies: &[(u64, String)]) -> Vec<Vec<u8>> {
+        let (reply, responses) = mpsc::channel();
+        for (seq, line) in replies {
+            reply.send((*seq, line.clone())).unwrap();
+        }
+        drop(reply);
+        let mut recorder = Recorder::default();
+        write_in_order(responses, &mut recorder).unwrap();
+        recorder.writes
+    }
+
+    fn numbered(seqs: &[u64]) -> Vec<(u64, String)> {
+        seqs.iter().map(|&seq| (seq, format!("line {seq}"))).collect()
+    }
+
+    fn text(writes: &[Vec<u8>]) -> String {
+        String::from_utf8(writes.concat()).unwrap()
+    }
+
+    #[test]
+    fn queued_replies_leave_in_one_write() {
+        let writes = writes_for(&numbered(&[0, 1, 2, 3, 4]));
+        assert_eq!(writes.len(), 1);
+        assert_eq!(text(&writes), "line 0\nline 1\nline 2\nline 3\nline 4\n");
+    }
+
+    #[test]
+    fn every_write_is_whole_lines_never_a_lone_terminator() {
+        let (reply, responses) = mpsc::channel();
+        let writer = std::thread::spawn(move || {
+            let mut recorder = Recorder::default();
+            write_in_order(responses, &mut recorder).unwrap();
+            recorder.writes
+        });
+        for seq in 0..50 {
+            reply.send((seq, format!("line {seq}"))).unwrap();
+        }
+        drop(reply);
+        let writes = writer.join().unwrap();
+        assert!(!writes.is_empty());
+        for write in &writes {
+            assert_ne!(write.as_slice(), b"\n");
+            assert_eq!(write.last(), Some(&b'\n'));
+        }
+        let expected: String = (0..50).map(|seq| format!("line {seq}\n")).collect();
+        assert_eq!(text(&writes), expected);
+    }
+
+    #[test]
+    fn out_of_order_replies_are_written_in_sequence() {
+        let writes = writes_for(&numbered(&[3, 1, 0, 2]));
+        assert_eq!(text(&writes), "line 0\nline 1\nline 2\nline 3\n");
+    }
+
+    #[test]
+    fn replies_past_the_chunk_cap_split_at_line_boundaries() {
+        let line = "x".repeat(WRITE_CHUNK_BYTES / 4);
+        let replies: Vec<(u64, String)> = (0..10).map(|seq| (seq, line.clone())).collect();
+        let writes = writes_for(&replies);
+        assert!(writes.len() > 1, "ten quarter-cap lines need more than one write");
+        for write in &writes {
+            assert!(write.len() <= WRITE_CHUNK_BYTES + line.len() + 1);
+            assert_eq!(write.len() % (line.len() + 1), 0, "a write split a line");
+        }
+        assert_eq!(text(&writes), format!("{line}\n").repeat(10));
+    }
+
+    #[test]
+    fn a_gap_left_by_a_dropped_sender_still_flushes_everything_in_order() {
+        let writes = writes_for(&numbered(&[4, 0, 2, 3]));
+        assert_eq!(text(&writes), "line 0\nline 2\nline 3\nline 4\n");
     }
 }

@@ -5,14 +5,17 @@
 //! line must get exactly one error response — with the parser's byte
 //! offset where one exists — and the server must keep answering the lines
 //! after it. Concurrent clients must each get their own responses, in
-//! their own request order, bit-identical to the batch engine.
+//! their own request order, bit-identical to the batch engine — over
+//! in-memory streams and over real loopback sockets.
 
 use engine::json::JsonValue;
 use engine::{
     run_grid, BackendKind, BatterySpec, DiscSpec, FleetDef, LoadSpec, PolicyKind, Scenario,
-    ScenarioSpec,
+    ScenarioResult, ScenarioSpec,
 };
-use served::{ServeConfig, Server};
+use served::{split_connection, ServeConfig, Server};
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use workload::paper_loads::TestLoad;
 
@@ -114,81 +117,140 @@ fn budget_exhaustion_is_answered_not_fatal() {
     server.shutdown();
 }
 
-#[test]
-fn concurrent_clients_get_their_own_answers_bit_identical_to_the_batch_engine() {
-    // The reference: a batch grid over loads × policies on 2 × B1.
-    let loads = [TestLoad::Cl500, TestLoad::Ils500, TestLoad::IlsAlt, TestLoad::Cl250];
-    let policies = [PolicyKind::Sequential, PolicyKind::RoundRobin, PolicyKind::BestOfTwo];
+/// The loads and policies the concurrent-client tests request on 2 × B1.
+const LOADS: [TestLoad; 4] = [TestLoad::Cl500, TestLoad::Ils500, TestLoad::IlsAlt, TestLoad::Cl250];
+const POLICIES: [PolicyKind; 3] =
+    [PolicyKind::Sequential, PolicyKind::RoundRobin, PolicyKind::BestOfTwo];
+const CLIENTS: usize = 4;
+
+/// The reference: a batch grid over loads × policies on 2 × B1.
+fn reference_grid() -> Vec<ScenarioResult> {
     let spec = ScenarioSpec {
         batteries: vec![BatterySpec::b1()],
         battery_counts: vec![2],
         fleets: vec![],
         discretizations: vec![DiscSpec::paper()],
-        loads: loads.iter().map(|l| LoadSpec::Paper(*l)).collect(),
-        policies: policies.to_vec(),
+        loads: LOADS.iter().map(|l| LoadSpec::Paper(*l)).collect(),
+        policies: POLICIES.to_vec(),
         backends: vec![BackendKind::Discretized],
     };
-    let reference = run_grid(&spec).expect("the reference grid runs");
+    run_grid(&spec).expect("the reference grid runs")
+}
 
-    let server = Arc::new(Server::start(ServeConfig::default()));
-    let mut clients = Vec::new();
-    for client in 0..4 {
-        let server = Arc::clone(&server);
-        clients.push(std::thread::spawn(move || {
-            let mut input = String::new();
-            for (index, load) in loads.iter().enumerate() {
-                let policy = policies[(index + client) % policies.len()];
-                input.push_str(&format!(
-                    "{{\"id\":{index},\"battery\":\"B1\",\"count\":2,\"load\":\"{}\",\
-                     \"policy\":\"{}\"}}\n",
-                    load.name(),
-                    policy.name(),
-                ));
-            }
-            let mut output = Vec::new();
-            server
-                .serve_connection(input.as_bytes(), &mut output)
-                .expect("in-memory I/O cannot fail");
-            (client, String::from_utf8(output).expect("responses are UTF-8"))
-        }));
+/// Client `client`'s request stream: one request per load, ids are the
+/// line index, policies rotated per client.
+fn client_input(client: usize) -> String {
+    let mut input = String::new();
+    for (index, load) in LOADS.iter().enumerate() {
+        let policy = POLICIES[(index + client) % POLICIES.len()];
+        input.push_str(&format!(
+            "{{\"id\":{index},\"battery\":\"B1\",\"count\":2,\"load\":\"{}\",\
+             \"policy\":\"{}\"}}\n",
+            load.name(),
+            policy.name(),
+        ));
     }
-    for handle in clients {
-        let (client, text) = handle.join().expect("client threads do not panic");
-        let responses: Vec<JsonValue> =
-            text.lines().map(|l| JsonValue::parse(l).expect("response parses")).collect();
-        assert_eq!(responses.len(), loads.len());
-        for (index, response) in responses.iter().enumerate() {
-            // Responses come back in request order: ids are the line index.
+    input
+}
+
+/// Checks that `text` answers [`client_input`] in request order with rows
+/// bit-identical to the batch engine's.
+fn check_client_answers(client: usize, text: &str, reference: &[ScenarioResult]) {
+    let responses: Vec<JsonValue> =
+        text.lines().map(|l| JsonValue::parse(l).expect("response parses")).collect();
+    assert_eq!(responses.len(), LOADS.len());
+    for (index, response) in responses.iter().enumerate() {
+        // Responses come back in request order: ids are the line index.
+        assert_eq!(
+            response.get("id").and_then(JsonValue::as_u64),
+            Some(index as u64),
+            "client {client} got responses out of order"
+        );
+        assert_eq!(status(response), "ok");
+        let scenario = Scenario {
+            fleet: FleetDef::uniform(BatterySpec::b1(), 2),
+            disc: DiscSpec::paper(),
+            load: LoadSpec::Paper(LOADS[index]),
+            policy: POLICIES[(index + client) % POLICIES.len()],
+            backend: BackendKind::Discretized,
+        };
+        let expected = reference
+            .iter()
+            .find(|r| r.scenario == scenario)
+            .expect("every served cell exists in the reference grid");
+        let result = response.get("result").expect("ok responses carry a result row");
+        // Bit-identical: compare the exact JSON number encodings of the
+        // result row against the batch engine's rendering.
+        let expected_json = expected.to_json_value();
+        for field in ["lifetime_minutes", "residual_charge", "switches", "decisions"] {
             assert_eq!(
-                response.get("id").and_then(JsonValue::as_u64),
-                Some(index as u64),
-                "client {client} got responses out of order"
+                result.get(field).map(|v| v.render().unwrap()),
+                expected_json.get(field).map(|v| v.render().unwrap()),
+                "client {client} request {index}: field {field} diverges from the batch engine"
             );
-            assert_eq!(status(response), "ok");
-            let policy = policies[(index + client) % policies.len()];
-            let scenario = Scenario {
-                fleet: FleetDef::uniform(BatterySpec::b1(), 2),
-                disc: DiscSpec::paper(),
-                load: LoadSpec::Paper(loads[index]),
-                policy,
-                backend: BackendKind::Discretized,
-            };
-            let expected = reference
-                .iter()
-                .find(|r| r.scenario == scenario)
-                .expect("every served cell exists in the reference grid");
-            let result = response.get("result").expect("ok responses carry a result row");
-            // Bit-identical: compare the exact JSON number encodings of the
-            // result row against the batch engine's rendering.
-            let expected_json = expected.to_json_value();
-            for field in ["lifetime_minutes", "residual_charge", "switches", "decisions"] {
-                assert_eq!(
-                    result.get(field).map(|v| v.render().unwrap()),
-                    expected_json.get(field).map(|v| v.render().unwrap()),
-                    "client {client} request {index}: field {field} diverges from the batch engine"
-                );
-            }
         }
+    }
+}
+
+#[test]
+fn concurrent_clients_get_their_own_answers_bit_identical_to_the_batch_engine() {
+    let reference = reference_grid();
+    let server = Arc::new(Server::start(ServeConfig::default()));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|client| {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || {
+                let mut output = Vec::new();
+                server
+                    .serve_connection(client_input(client).as_bytes(), &mut output)
+                    .expect("in-memory I/O cannot fail");
+                String::from_utf8(output).expect("responses are UTF-8")
+            })
+        })
+        .collect();
+    for (client, handle) in clients.into_iter().enumerate() {
+        let text = handle.join().expect("client threads do not panic");
+        check_client_answers(client, &text, &reference);
+    }
+    server.shutdown();
+}
+
+#[test]
+fn accepted_streams_send_without_delay() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("a loopback port is free");
+    let client = TcpStream::connect(listener.local_addr().unwrap()).expect("loopback connects");
+    let (accepted, _) = listener.accept().expect("the connection is accepted");
+    let (reader, writer) = split_connection(accepted).expect("the socket handle clones");
+    assert!(writer.nodelay().unwrap(), "the writer half must set TCP_NODELAY");
+    assert!(reader.get_ref().nodelay().unwrap(), "both halves share the socket option");
+    drop(client);
+}
+
+#[test]
+fn concurrent_tcp_clients_get_their_own_answers_bit_identical_to_the_batch_engine() {
+    let reference = reference_grid();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("a loopback port is free");
+    let addr = listener.local_addr().unwrap();
+    let server = Arc::new(Server::start(ServeConfig::default()));
+    let listening = Arc::clone(&server);
+    // The accept loop runs for the rest of the test process.
+    std::thread::spawn(move || listening.serve_listener(&listener));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|client| {
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("loopback connects");
+                stream.write_all(client_input(client).as_bytes()).expect("requests are sent");
+                // End of requests: the server answers them all, then closes.
+                stream.shutdown(Shutdown::Write).expect("the write half closes");
+                let mut text = String::new();
+                stream.read_to_string(&mut text).expect("answers are UTF-8");
+                text
+            })
+        })
+        .collect();
+    for (client, handle) in clients.into_iter().enumerate() {
+        let text = handle.join().expect("client threads do not panic");
+        check_client_answers(client, &text, &reference);
     }
     server.shutdown();
 }
