@@ -124,7 +124,7 @@ fn bench_figure6(filter: &[String]) {
 fn bench_scenario_grid(filter: &[String]) {
     let spec = engine::ScenarioSpec::paper_table5();
     bench(filter, "scenario_grid", "paper grid serial", || {
-        black_box(engine::run_grid_with_threads(&spec, 1).unwrap());
+        black_box(engine::GridRun::new(&spec).threads(1).collect().unwrap());
     });
     bench(filter, "scenario_grid", "paper grid parallel", || {
         black_box(engine::run_grid(&spec).unwrap());

@@ -16,8 +16,9 @@
 //!
 //! Output: a table on stdout and `BENCH_kernel.json` (override with a
 //! positional path). The document also carries a `bound_probes` section —
-//! the wall time (`bound_micros`) of the optimal search's root-bound probe
-//! on the coarse-grid alternating-load fleets, timed here because the
+//! the wall time (`bound_micros`) of the optimal search's root phase (warm
+//! start plus root bounds, the part of every search that runs before the
+//! first node) on the coarse-grid alternating-load fleets, timed here because the
 //! relaxation bound's column DP is itself a kernel on the hot path of the
 //! branch-and-bound search. `--smoke` shrinks the workload for CI.
 //! `--min-speedup X` exits non-zero if the batched path is below `X`×
@@ -303,12 +304,13 @@ fn measure_rv(cells: usize, cycles: u64) -> Row {
     }
 }
 
-/// Times the root-bound probe (charge + availability + relaxation bounds
-/// plus the warm-start policies) on the coarse-grid alternating-load
-/// fleets. The probe runs at every search root and the relaxation bound
-/// re-runs at interior nodes, so its wall time (`bound_micros`, matching
-/// the per-cell field the scenario grids record) belongs in the kernel
-/// trajectory next to the stepping throughput.
+/// Times the search's root phase (charge + availability + relaxation
+/// bounds plus the warm start) on the coarse-grid alternating-load fleets
+/// through [`OptimalScheduler::probe_root_bounds`]. Every search runs it
+/// once and the relaxation bound re-runs at interior nodes, so its wall
+/// time (`bound_micros`, matching the per-cell field the scenario grids
+/// record) belongs in the kernel trajectory next to the stepping
+/// throughput.
 fn measure_bound_probes(smoke: bool) -> JsonValue {
     let repeats = if smoke { 1 } else { 3 };
     let profile = TestLoad::IlsAlt.profile();

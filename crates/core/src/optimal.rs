@@ -51,7 +51,17 @@
 //!   fractional assignment ([`relax::max_coverage`]) rounded to one
 //!   battery per job epoch and replayed as a schedule — so the bounds are
 //!   maximally effective from node 0; [`OptimalOutcome::seeded_by`]
-//!   reports which policy provided the incumbent.
+//!   reports which schedule provided the incumbent.
+//!
+//! Every search starts with one **root phase**
+//! ([`OptimalScheduler::root_phase`]): the search is built against the
+//! fresh fleet with a zero incumbent, the three bounds are evaluated at the
+//! root ([`RootBounds`]), and the warm start runs — its LP-rounding seed
+//! reading the fresh fleet's full-horizon columns the root relaxation bound
+//! just put into the search's column cache, so the root column DP runs once
+//! per search. The incumbent is then installed and the exploration starts.
+//! [`OptimalScheduler::probe_root_bounds`] is the root phase without the
+//! exploration.
 //!
 //! The search runs on an explicit stack (no recursion) and is
 //! allocation-free per node in steady state: snapshots live in a pool
@@ -66,9 +76,8 @@
 //! trim them further. The availability bound alone sits ~2× above the
 //! true optimum at the root of the alternating loads; the relaxation
 //! bound's exact per-battery columns close most of that gap
-//! (`examples/frontier_probe.rs` and
-//! [`OptimalScheduler::probe_root_bounds`] measure the per-bound root
-//! tightness). The bench harness
+//! (`examples/frontier_probe.rs` reports the per-bound root tightness from
+//! [`OptimalScheduler::probe_root_bounds`]). The bench harness
 //! (`cargo run --release -p bench --bin scenarios -- --optimal`) prints the
 //! per-load node counts of both searches.
 //!
@@ -225,9 +234,10 @@ pub struct OptimalOutcome {
     /// service columns coupled only through the shared demand) after both
     /// cheaper bounds failed to fire.
     pub relax_bound_prunes: usize,
-    /// The deterministic policy whose simulated lifetime seeded the warm
-    /// start incumbent, or `None` if no policy produced a lifetime (the
-    /// load ended before the batteries died under every policy).
+    /// The warm-start schedule that seeded the incumbent: one of the four
+    /// deterministic policies or `"lp-rounding"` (the rounded relaxation
+    /// plan), or `None` if no warm-start schedule produced a lifetime (the
+    /// load ended before the batteries died under every one).
     pub seeded_by: Option<&'static str>,
 }
 
@@ -279,8 +289,9 @@ impl OptimalScheduler {
     }
 
     /// A reference scheduler with memoization, dominance pruning and the
-    /// availability bound disabled: the plain bounded search (charge
-    /// bound, symmetry and warm start only — the seed search).
+    /// availability and relaxation bounds disabled: the plain bounded
+    /// search (charge bound, symmetry and warm start only — the seed
+    /// search).
     /// Equivalence tests and the bench harness compare the pruned search
     /// against this one — both must return identical lifetimes, the
     /// pruned one in (far) fewer nodes.
@@ -367,8 +378,10 @@ impl OptimalScheduler {
     }
 
     /// Finds the optimal schedule against an arbitrary [`BatteryModel`]
-    /// backend. The model is reset before the search; it must have been
-    /// built for the same parameters and discretization as `config`.
+    /// backend: the root phase ([`OptimalScheduler::root_phase`]), then the
+    /// branch-and-bound exploration. The model is reset before the search;
+    /// it must have been built for the same parameters and discretization
+    /// as `config`.
     ///
     /// # Errors
     ///
@@ -379,22 +392,51 @@ impl OptimalScheduler {
         load: &DiscretizedLoad,
         model: &mut M,
     ) -> Result<OptimalOutcome, SchedError> {
-        let warm = warm_start(config, load, model)?;
-        let seeded_by = warm.seeded_by;
-        let mut search = Search::new(config, load, model, *self, warm);
-        search.explore()?;
+        self.root_phase(config, load, model)?.explore()
+    }
 
-        Ok(OptimalOutcome {
-            lifetime_steps: search.best_steps,
-            decisions: search.best_decisions,
-            nodes_explored: search.nodes,
-            memo_hits: search.memo_hits,
-            dominance_prunes: search.dominance_prunes,
-            charge_bound_prunes: search.charge_bound_prunes,
-            availability_bound_prunes: search.availability_bound_prunes,
-            relax_bound_prunes: search.relax_bound_prunes,
-            seeded_by,
-        })
+    /// Runs the root phase every search starts with, without exploring:
+    /// builds the search against the freshly reset model with a zero
+    /// incumbent, evaluates the charge, availability and relaxation bounds
+    /// at the root position, then runs the warm start — whose LP-rounding
+    /// seed reads the fresh fleet's service columns the relaxation bound
+    /// just cached — and installs its incumbent. [`RootPhase::explore`]
+    /// continues with the branch and bound.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation errors from the warm-start policies.
+    pub fn root_phase<'a, M: BatteryModel>(
+        &self,
+        config: &SystemConfig,
+        load: &'a DiscretizedLoad,
+        model: &'a mut M,
+    ) -> Result<RootPhase<'a, M>, SchedError> {
+        let mut search = Search::new(config, load, model, *self);
+        // Evaluated against the zero incumbent, so no bound early-exits at
+        // the pruning margin.
+        let charge = search.charge_bound(0, 0);
+        let availability = search.availability_bound(0, 0, u64::MAX);
+        let relaxation = search.relax_bound(0, 0, u64::MAX);
+        let seeded_by = search.warm_start(config, load)?;
+        let bounds = RootBounds { charge, availability, relaxation, warm_start: search.best_steps };
+        Ok(RootPhase { search, bounds, seeded_by })
+    }
+
+    /// Evaluates the search's upper bounds at the root position (fresh
+    /// fleet, start of load) without searching, plus the warm-start
+    /// incumbent: the root phase of a default scheduler. Diagnostic API
+    /// for bound-tightness tests and the bench harness.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation errors from the warm-start policies.
+    pub fn probe_root_bounds<M: BatteryModel>(
+        config: &SystemConfig,
+        load: &DiscretizedLoad,
+        model: &mut M,
+    ) -> Result<RootBounds, SchedError> {
+        Ok(OptimalScheduler::new().root_phase(config, load, model)?.bounds())
     }
 }
 
@@ -416,120 +458,48 @@ pub struct RootBounds {
     pub warm_start: u64,
 }
 
-impl OptimalScheduler {
-    /// Evaluates the search's upper bounds at the root position (fresh
-    /// fleet, start of load) without searching, plus the warm-start
-    /// incumbent. Diagnostic API for bound-tightness tests and the bench
-    /// harness.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors from the warm-start policies.
-    pub fn probe_root_bounds<M: BatteryModel>(
-        config: &SystemConfig,
-        load: &DiscretizedLoad,
-        model: &mut M,
-    ) -> Result<RootBounds, SchedError> {
-        let warm = warm_start(config, load, model)?;
-        let incumbent_steps = warm.steps;
-        // Bounds are probed against a zeroed incumbent so they never
-        // early-exit at the pruning margin.
-        let probe = WarmStart { steps: 0, decisions: Vec::new(), seeded_by: None };
-        let mut search = Search::new(config, load, model, OptimalScheduler::new(), probe);
-        let charge = search.charge_bound(0, 0);
-        let availability = search.availability_bound(0, 0, u64::MAX);
-        let relaxation = search.relax_bound(0, 0, u64::MAX);
-        Ok(RootBounds { charge, availability, relaxation, warm_start: incumbent_steps })
-    }
-}
-
-/// The warm-start incumbent: the best deterministic-policy schedule.
-struct WarmStart {
-    steps: u64,
-    decisions: Vec<usize>,
+/// A search whose root phase has run ([`OptimalScheduler::root_phase`]):
+/// root bounds evaluated, warm-start incumbent installed, model reset.
+pub struct RootPhase<'a, M: BatteryModel> {
+    search: Search<'a, M>,
+    bounds: RootBounds,
     seeded_by: Option<&'static str>,
 }
 
-/// Simulates every deterministic policy — plus the LP-rounding plan, when
-/// the backend can produce service columns — and returns the best lifetime
-/// as the search's initial incumbent, which makes the bounds maximally
-/// effective from the first node.
-fn warm_start<M: BatteryModel>(
-    config: &SystemConfig,
-    load: &DiscretizedLoad,
-    model: &mut M,
-) -> Result<WarmStart, SchedError> {
-    let mut warm = WarmStart { steps: 0, decisions: Vec::new(), seeded_by: None };
-    for (name, policy) in [
-        ("sequential", &mut Sequential::new() as &mut dyn SchedulingPolicy),
-        ("round robin", &mut RoundRobin::new()),
-        ("best of two", &mut BestAvailable::new()),
-        ("capacity-weighted round robin", &mut CapacityWeightedRoundRobin::new()),
-    ] {
-        let outcome = simulate_policy_with(config, load, policy, model)?;
-        if let Some(steps) = outcome.lifetime_steps() {
-            if steps > warm.steps {
-                warm.steps = steps;
-                warm.decisions = outcome.schedule().decisions();
-                warm.seeded_by = Some(name);
-            }
-        }
+impl<M: BatteryModel> std::fmt::Debug for RootPhase<'_, M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RootPhase").field("bounds", &self.bounds).finish_non_exhaustive()
     }
-    if let Some(mut policy) = lp_rounding_plan(load, model) {
-        let outcome = simulate_policy_with(config, load, &mut policy, model)?;
-        if let Some(steps) = outcome.lifetime_steps() {
-            if steps > warm.steps {
-                warm.steps = steps;
-                warm.decisions = outcome.schedule().decisions();
-                warm.seeded_by = Some("lp-rounding");
-            }
-        }
-    }
-    Ok(warm)
 }
 
-/// Builds the LP-rounding seed: solve the min-cost-flow relaxation over
-/// the fresh fleet's exact service columns ([`relax::max_coverage`], whose
-/// costs prefer early coverage and round-robin rotation), then round the
-/// fractional assignment to one battery per job epoch — the battery the
-/// relaxation gives the most units of that epoch to. `None` when the
-/// backend cannot produce columns (no relaxation to round).
-fn lp_rounding_plan<M: BatteryModel>(load: &DiscretizedLoad, model: &mut M) -> Option<PlanPolicy> {
-    model.reset();
-    let battery_count = model.battery_count();
-    if battery_count == 0 || battery_count > MAX_BOUND_BATTERIES {
-        return None;
+impl<M: BatteryModel> RootPhase<'_, M> {
+    /// The bounds evaluated at the root, and the warm-start incumbent.
+    #[must_use]
+    pub fn bounds(&self) -> RootBounds {
+        self.bounds
     }
-    let mut builder = ColumnBuilder::default();
-    let mut columns: Vec<Vec<u64>> = Vec::with_capacity(battery_count);
-    for battery in 0..battery_count {
-        let (state, params, recovery) = model.column_inputs(battery)?;
-        let mut column = ServiceColumn::default();
-        builder.build(state, params, recovery, load.epochs(), 0, &mut column);
-        columns.push(column.units);
-    }
-    let demands: Vec<u64> = load
-        .epochs()
-        .iter()
-        .filter(|epoch| !epoch.is_idle())
-        .map(DiscreteEpoch::total_units)
-        .collect();
-    let coverage = relax::max_coverage(&columns, &demands);
-    let plan = (0..demands.len())
-        .map(|e| {
-            let mut best = 0usize;
-            let mut best_units = 0u64;
-            for (battery, assigned) in coverage.assignment.iter().enumerate() {
-                let units = assigned.get(e).copied().unwrap_or(0);
-                if units > best_units {
-                    best_units = units;
-                    best = battery;
-                }
-            }
-            best
+
+    /// Runs the branch-and-bound exploration from the root.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchedError::SearchBudgetExceeded`] if the node budget is
+    /// exhausted, and propagates simulation errors.
+    pub fn explore(self) -> Result<OptimalOutcome, SchedError> {
+        let mut search = self.search;
+        search.explore()?;
+        Ok(OptimalOutcome {
+            lifetime_steps: search.best_steps,
+            decisions: search.best_decisions,
+            nodes_explored: search.nodes,
+            memo_hits: search.memo_hits,
+            dominance_prunes: search.dominance_prunes,
+            charge_bound_prunes: search.charge_bound_prunes,
+            availability_bound_prunes: search.availability_bound_prunes,
+            relax_bound_prunes: search.relax_bound_prunes,
+            seeded_by: self.seeded_by,
         })
-        .collect();
-    Some(PlanPolicy { plan })
+    }
 }
 
 /// Replays a per-job-epoch battery plan (the rounded LP assignment). When
@@ -652,13 +622,12 @@ struct Search<'a, M: BatteryModel> {
 
 impl<'a, M: BatteryModel> Search<'a, M> {
     /// Builds a search over `load` against a freshly reset `model`, with
-    /// the scheduler's pruning configuration and a warm-start incumbent.
+    /// the scheduler's pruning configuration and a zero incumbent.
     fn new(
         config: &SystemConfig,
         load: &'a DiscretizedLoad,
         model: &'a mut M,
         scheduler: OptimalScheduler,
-        warm: WarmStart,
     ) -> Self {
         // The largest single draw of the load ahead, for the service
         // envelopes (a battery's recovery state may overshoot its
@@ -682,8 +651,8 @@ impl<'a, M: BatteryModel> Search<'a, M> {
             charge_bound_prunes: 0,
             availability_bound_prunes: 0,
             relax_bound_prunes: 0,
-            best_steps: warm.steps,
-            best_decisions: warm.decisions,
+            best_steps: 0,
+            best_decisions: Vec::new(),
             current_decisions: Vec::new(),
             stack: Vec::new(),
             pool: Vec::new(),
@@ -1261,6 +1230,89 @@ impl<M: BatteryModel> Search<'_, M> {
         }
         steps
     }
+
+    /// Simulates every deterministic policy — plus the LP-rounding seed,
+    /// when the backend could produce service columns — from the fresh
+    /// fleet, installs the best lifetime as the incumbent (which makes the
+    /// bounds maximally effective from the first node) and resets the model
+    /// for the exploration. Returns the label of the schedule that set the
+    /// incumbent.
+    fn warm_start(
+        &mut self,
+        config: &SystemConfig,
+        load: &DiscretizedLoad,
+    ) -> Result<Option<&'static str>, SchedError> {
+        let mut plan = self.lp_rounding_plan();
+        let seed = plan.as_mut().map(|plan| ("lp-rounding", plan as &mut dyn SchedulingPolicy));
+        let mut seeded_by = None;
+        for (name, policy) in [
+            ("sequential", &mut Sequential::new() as &mut dyn SchedulingPolicy),
+            ("round robin", &mut RoundRobin::new()),
+            ("best of two", &mut BestAvailable::new()),
+            ("capacity-weighted round robin", &mut CapacityWeightedRoundRobin::new()),
+        ]
+        .into_iter()
+        .chain(seed)
+        {
+            let outcome = simulate_policy_with(config, load, policy, self.model)?;
+            if let Some(steps) = outcome.lifetime_steps() {
+                if steps > self.best_steps {
+                    self.best_steps = steps;
+                    self.best_decisions = outcome.schedule().decisions();
+                    seeded_by = Some(name);
+                }
+            }
+        }
+        self.model.reset();
+        Ok(seeded_by)
+    }
+
+    /// The fresh fleet's full-horizon service columns, as the root
+    /// relaxation bound cached them (the model must hold the fresh fleet);
+    /// `None` when that bound cached none (no column inputs, or more than
+    /// [`MAX_BOUND_BATTERIES`] batteries).
+    fn root_columns(&self) -> Option<Vec<&ServiceColumn>> {
+        (0..self.model.battery_count())
+            .map(|battery| {
+                let (state, _, _) = self.model.column_inputs(battery)?;
+                self.column_cache.get(&(self.model.type_of(battery), state.state_word(), 0, 0))
+            })
+            .collect::<Option<Vec<_>>>()
+            .filter(|columns| !columns.is_empty())
+    }
+
+    /// Builds the LP-rounding seed: solve the min-cost-flow relaxation over
+    /// the fresh fleet's exact service columns ([`relax::max_coverage`],
+    /// whose costs prefer early coverage and round-robin rotation), then
+    /// round the fractional assignment to one battery per job epoch — the
+    /// battery the relaxation gives the most units of that epoch to. `None`
+    /// when there are no root columns (no relaxation to round).
+    fn lp_rounding_plan(&self) -> Option<PlanPolicy> {
+        let columns: Vec<&[u64]> =
+            self.root_columns()?.into_iter().map(|column| column.units.as_slice()).collect();
+        let demands: Vec<u64> = self
+            .epochs
+            .iter()
+            .filter(|epoch| !epoch.is_idle())
+            .map(DiscreteEpoch::total_units)
+            .collect();
+        let coverage = relax::max_coverage(&columns, &demands);
+        let plan = (0..demands.len())
+            .map(|e| {
+                let mut best = 0usize;
+                let mut best_units = 0u64;
+                for (battery, assigned) in coverage.assignment.iter().enumerate() {
+                    let units = assigned.get(e).copied().unwrap_or(0);
+                    if units > best_units {
+                        best_units = units;
+                        best = battery;
+                    }
+                }
+                best
+            })
+            .collect();
+        Some(PlanPolicy { plan })
+    }
 }
 
 #[cfg(test)]
@@ -1424,6 +1476,50 @@ mod tests {
         let outcome =
             crate::system::simulate_policy_with(&config, &load, &mut replay, &mut model).unwrap();
         assert_eq!(outcome.lifetime_steps(), Some(optimal.lifetime_steps));
+    }
+
+    #[test]
+    fn root_columns_match_a_full_timeline_build() {
+        // The root relaxation bound builds columns only up to the last job
+        // epoch; the LP-rounding seed reads those cached columns in place
+        // of a build over the whole timeline, trailing idle time included.
+        let trailing_idle = LoadProfileBuilder::new()
+            .job(0.5, 1.0)
+            .idle(1.0)
+            .job(0.25, 2.0)
+            .idle(3.0)
+            .build_finite()
+            .unwrap();
+        let mixed = SystemConfig::from_fleet(
+            kibam::FleetSpec::new(vec![BatteryParams::itsy_b1(), BatteryParams::itsy_b2()])
+                .unwrap(),
+            Discretization::coarse(),
+        );
+        for (config, profile) in [
+            (coarse_config(), TestLoad::IlsAlt.profile()),
+            (coarse_config(), trailing_idle),
+            (mixed, TestLoad::Ils250.profile()),
+        ] {
+            let load = config.discretize(&profile).unwrap();
+            let mut model = config.discretized_model();
+            let root = OptimalScheduler::new().root_phase(&config, &load, &mut model).unwrap();
+            let cached = root.search.root_columns().expect("discretized fleets have columns");
+            assert_eq!(cached.len(), config.battery_count());
+            let mut builder = ColumnBuilder::default();
+            let mut fresh = ServiceColumn::default();
+            for (battery, column) in cached.iter().enumerate() {
+                let (state, params, recovery) = root.search.model.column_inputs(battery).unwrap();
+                builder.build(state, params, recovery, load.epochs(), 0, &mut fresh);
+                assert!(!fresh.is_empty());
+                assert_eq!(column.units, fresh.units, "battery {battery}: units diverged");
+                assert_eq!(column.full_epochs, fresh.full_epochs, "battery {battery}");
+            }
+        }
+        let config = coarse_config();
+        let load = config.discretize(&TestLoad::IlsAlt.profile()).unwrap();
+        let mut model = config.continuous_model();
+        let root = OptimalScheduler::new().root_phase(&config, &load, &mut model).unwrap();
+        assert!(root.search.root_columns().is_none(), "no column inputs, no LP seed");
     }
 
     #[test]

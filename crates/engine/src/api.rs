@@ -6,9 +6,9 @@
 //! service is an endless stream of them. This module is the single front
 //! door over the runner:
 //!
-//! - [`GridRun`] is the options builder every `run_grid*` entry point
-//!   delegates to — collected, streamed, sharded and shared-cache runs all
-//!   route through one code path;
+//! - [`GridRun`] is the options builder for grid runs — collected,
+//!   streamed, sharded and shared-cache runs all route through one code
+//!   path, and [`run_grid`](crate::run_grid) is its one-line default;
 //! - [`Request`]/[`Response`] are the line-protocol units the `served`
 //!   binary speaks: a request parses from one JSON object, and the response
 //!   carries either the same result row the batch engine emits or a typed
@@ -32,12 +32,11 @@ use std::io::Write;
 use std::sync::Arc;
 use workload::paper_loads::TestLoad;
 
-/// An options builder for grid execution: the one path behind [`run_grid`],
-/// [`run_grid_streaming`] and [`run_grid_streaming_sharded`].
+/// An options builder for grid execution: worker count, chunk size, shard
+/// and shared cache, then [`collect`](GridRun::collect) or
+/// [`stream`](GridRun::stream). [`run_grid`] is `GridRun::new(spec).collect()`.
 ///
 /// [`run_grid`]: crate::run_grid
-/// [`run_grid_streaming`]: crate::run_grid_streaming
-/// [`run_grid_streaming_sharded`]: crate::run_grid_streaming_sharded
 ///
 /// # Example
 ///
@@ -560,7 +559,7 @@ pub fn run_requests(requests: &[Request], cache: &mut WorkerCache) -> Vec<Respon
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_grid_with_threads, run_scenario};
+    use crate::runner::run_scenario;
 
     fn request_line(load: &str, policy: &str) -> String {
         format!(
@@ -717,7 +716,7 @@ mod tests {
     #[test]
     fn grid_run_with_shared_cache_matches_plain_grid() {
         let spec = ScenarioSpec::paper_table5();
-        let plain = run_grid_with_threads(&spec, 2).unwrap();
+        let plain = GridRun::new(&spec).threads(2).collect().unwrap();
         let shared = Arc::new(SharedSystemCache::new());
         let cached =
             GridRun::new(&spec).threads(2).shared_cache(Arc::clone(&shared)).collect().unwrap();

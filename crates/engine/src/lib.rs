@@ -69,9 +69,9 @@ mod spec;
 
 pub use api::{ErrorCode, GridRun, Request, RequestClass, Response, ServeError};
 pub use runner::{
-    results_from_json, results_to_json, run_grid, run_grid_streaming, run_grid_streaming_sharded,
-    run_grid_with_threads, run_scenario, run_scenario_with_cache, ScenarioResult, SearchStats,
-    SharedCacheStats, SharedSystemCache, StreamSummary, StreamingResultWriter, WorkerCache,
+    results_from_json, results_to_json, run_grid, run_scenario, run_scenario_with_cache,
+    ScenarioResult, SearchStats, SharedCacheStats, SharedSystemCache, StreamSummary,
+    StreamingResultWriter, WorkerCache,
 };
 pub use spec::{
     BackendKind, BatterySpec, DiscSpec, FleetDef, LoadSpec, PolicyKind, Scenario, ScenarioSpec,

@@ -10,12 +10,13 @@
 //! is reported.
 //!
 //! Results can be collected ([`run_grid`]) or **streamed** as JSON while the
-//! grid is still running ([`run_grid_streaming`]): each result is written as
+//! grid is still running ([`GridRun::stream`]): each result is written as
 //! one line the moment its grid-order turn arrives, so a 10⁵-cell sweep
 //! never materializes all results in memory. The streamed document is the
 //! same format [`results_to_json`] produces (modulo insignificant
 //! whitespace), so [`results_from_json`] parses both.
 
+use crate::api::GridRun;
 use crate::batch::{BatchDiscreteView, BatchRvView};
 use crate::json::JsonValue;
 use crate::spec::{BackendKind, PolicyKind, Scenario, ScenarioSpec};
@@ -193,7 +194,7 @@ pub fn results_to_json(
 }
 
 /// Parses the `results` half of a document produced by [`results_to_json`]
-/// or [`run_grid_streaming`] back into summary rows. Scenario descriptors in
+/// or [`GridRun::stream`] back into summary rows. Scenario descriptors in
 /// results are denormalized (name strings), so the parse returns the raw
 /// JSON objects for callers that want specific fields.
 ///
@@ -442,9 +443,10 @@ pub fn run_scenario_with_cache(
     execute_scalar(scenario, system, &load)
 }
 
-/// Probes the root bounds (timed — this is where the bound construction
-/// cost of an optimal cell lives) and then runs the search, on one backend.
-fn probe_and_search<M: BatteryModel>(
+/// Runs the optimal search on one backend, timing its root phase (warm
+/// start and root bounds — where the bound construction cost of an optimal
+/// cell lives) apart from the exploration.
+fn root_then_search<M: BatteryModel>(
     scheduler: &OptimalScheduler,
     config: &SystemConfig,
     load: &dkibam::DiscretizedLoad,
@@ -452,10 +454,10 @@ fn probe_and_search<M: BatteryModel>(
 ) -> Result<(RootBounds, u64, OptimalOutcome), battery_sched::SchedError> {
     // xlint: allow(clock) -- bound_micros is measurement-only, excluded from --compare
     let start = Instant::now();
-    let bounds = OptimalScheduler::probe_root_bounds(config, load, model)?;
+    let root = scheduler.root_phase(config, load, model)?;
     let bound_micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    let outcome = scheduler.find_optimal_with(config, load, model)?;
-    Ok((bounds, bound_micros, outcome))
+    let bounds = root.bounds();
+    Ok((bounds, bound_micros, root.explore()?))
 }
 
 /// Runs one prepared scenario on the cached scalar backend instances (the
@@ -474,16 +476,16 @@ fn execute_scalar(
                 let scheduler = OptimalScheduler::with_budget(budget);
                 let (bounds, bound_micros, optimal) = match scenario.backend {
                     BackendKind::Discretized => {
-                        probe_and_search(&scheduler, &system.config, load, &mut system.discretized)?
+                        root_then_search(&scheduler, &system.config, load, &mut system.discretized)?
                     }
                     BackendKind::Continuous => {
-                        probe_and_search(&scheduler, &system.config, load, &mut system.continuous)?
+                        root_then_search(&scheduler, &system.config, load, &mut system.continuous)?
                     }
                     BackendKind::Rv => {
-                        probe_and_search(&scheduler, &system.config, load, &mut system.rv)?
+                        root_then_search(&scheduler, &system.config, load, &mut system.rv)?
                     }
                     BackendKind::Ideal => {
-                        probe_and_search(&scheduler, &system.config, load, &mut system.ideal)?
+                        root_then_search(&scheduler, &system.config, load, &mut system.ideal)?
                     }
                 };
                 // Replay the optimal decision sequence to recover the residual
@@ -913,21 +915,7 @@ pub(crate) fn run_chunked(
 ///
 /// Returns the first scenario error encountered (in grid order).
 pub fn run_grid(spec: &ScenarioSpec) -> Result<Vec<ScenarioResult>, EngineError> {
-    crate::api::GridRun::new(spec).collect()
-}
-
-/// Like [`run_grid`] with an explicit worker count (1 runs inline). A
-/// failing cell poisons the grid: workers stop claiming chunks, and the
-/// first error in grid order is returned.
-///
-/// # Errors
-///
-/// Same as [`run_grid`].
-pub fn run_grid_with_threads(
-    spec: &ScenarioSpec,
-    threads: usize,
-) -> Result<Vec<ScenarioResult>, EngineError> {
-    crate::api::GridRun::new(spec).threads(threads).collect()
+    GridRun::new(spec).collect()
 }
 
 /// Summary of a streamed grid run.
@@ -997,60 +985,9 @@ impl<W: Write> StreamingResultWriter<W> {
     }
 }
 
-/// Runs the grid in parallel and **streams** results to `out` in grid order
-/// as they complete, without materializing the full result set: memory use
-/// is bounded by the out-of-order window (roughly `threads` chunks), not by
-/// the grid size. `chunk_size` of `None` uses the default; `Some(0)` asks
-/// for auto-sizing from the grid size and worker count (see
-/// `auto_chunk_size` in this module for the heuristic).
-///
-/// # Errors
-///
-/// Returns the first scenario error in grid order (the stream then holds a
-/// truncated, unterminated document), or [`EngineError::Io`] if writing
-/// fails.
-pub fn run_grid_streaming<W: Write>(
-    spec: &ScenarioSpec,
-    threads: usize,
-    chunk_size: Option<usize>,
-    out: W,
-) -> Result<StreamSummary, EngineError> {
-    run_grid_streaming_sharded(spec, threads, chunk_size, None, out)
-}
-
 /// The default worker count of a grid run: one per available CPU.
 pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism().map(usize::from).unwrap_or(1)
-}
-
-/// Like [`run_grid_streaming`], restricted to one **shard** of the grid:
-/// `Some((index, count))` runs the contiguous expanded-grid index range
-/// `[index·len/count, (index+1)·len/count)`, so `count` processes — each
-/// handed its own shard index — partition a grid with no coordination, and
-/// the concatenation of their result rows (in shard order) is exactly the
-/// unsharded grid in grid order. Every shard document carries the *full*
-/// grid spec, which is what lets a merge step verify the shards belong
-/// together. `None` runs the whole grid.
-///
-/// # Errors
-///
-/// Returns [`EngineError::InvalidSpec`] for an out-of-range shard
-/// (`index >= count` or `count == 0`); otherwise as [`run_grid_streaming`].
-pub fn run_grid_streaming_sharded<W: Write>(
-    spec: &ScenarioSpec,
-    threads: usize,
-    chunk_size: Option<usize>,
-    shard: Option<(usize, usize)>,
-    out: W,
-) -> Result<StreamSummary, EngineError> {
-    let mut run = crate::api::GridRun::new(spec).threads(threads);
-    if let Some(chunk) = chunk_size {
-        run = run.chunk(chunk);
-    }
-    if let Some((index, count)) = shard {
-        run = run.shard(index, count);
-    }
-    run.stream(out)
 }
 
 #[cfg(test)]
@@ -1079,8 +1016,8 @@ mod tests {
     #[test]
     fn grid_runs_in_parallel_and_matches_serial_execution() {
         let spec = small_grid();
-        let serial = run_grid_with_threads(&spec, 1).unwrap();
-        let parallel = run_grid_with_threads(&spec, 4).unwrap();
+        let serial = GridRun::new(&spec).threads(1).collect().unwrap();
+        let parallel = GridRun::new(&spec).threads(4).collect().unwrap();
         assert_eq!(serial.len(), 8);
         assert_eq!(parallel.len(), 8);
         for (a, b) in serial.iter().zip(&parallel) {
@@ -1281,9 +1218,9 @@ mod tests {
     #[test]
     fn streamed_grid_matches_collected_grid() {
         let spec = small_grid();
-        let collected = run_grid_with_threads(&spec, 4).unwrap();
+        let collected = GridRun::new(&spec).threads(4).collect().unwrap();
         let mut buffer = Vec::new();
-        let summary = run_grid_streaming(&spec, 4, Some(2), &mut buffer).unwrap();
+        let summary = GridRun::new(&spec).threads(4).chunk(2).stream(&mut buffer).unwrap();
         assert_eq!(summary.written, collected.len());
         let text = String::from_utf8(buffer).unwrap();
         let (spec_back, raw_results) = results_from_json(&text).unwrap();
@@ -1298,14 +1235,17 @@ mod tests {
     #[test]
     fn shards_partition_the_grid_exactly() {
         let spec = small_grid();
-        let unsharded = run_grid_with_threads(&spec, 2).unwrap();
+        let unsharded = GridRun::new(&spec).threads(2).collect().unwrap();
         // Three shards over eight scenarios: 2 + 3 + 3.
         let mut rows = Vec::new();
         for index in 0..3 {
             let mut buffer = Vec::new();
-            let summary =
-                run_grid_streaming_sharded(&spec, 2, Some(2), Some((index, 3)), &mut buffer)
-                    .unwrap();
+            let summary = GridRun::new(&spec)
+                .threads(2)
+                .chunk(2)
+                .shard(index, 3)
+                .stream(&mut buffer)
+                .unwrap();
             let text = String::from_utf8(buffer).unwrap();
             let (spec_back, shard_rows) = results_from_json(&text).unwrap();
             assert_eq!(spec_back, spec, "every shard carries the full grid spec");
@@ -1323,11 +1263,9 @@ mod tests {
             );
         }
         // Out-of-range shards are rejected up front.
-        let error =
-            run_grid_streaming_sharded(&spec, 1, None, Some((3, 3)), Vec::new()).unwrap_err();
+        let error = GridRun::new(&spec).threads(1).shard(3, 3).stream(Vec::new()).unwrap_err();
         assert!(error.to_string().contains("out of range"), "{error}");
-        let error =
-            run_grid_streaming_sharded(&spec, 1, None, Some((0, 0)), Vec::new()).unwrap_err();
+        let error = GridRun::new(&spec).threads(1).shard(0, 0).stream(Vec::new()).unwrap_err();
         assert!(error.to_string().contains("out of range"), "{error}");
     }
 
@@ -1340,7 +1278,7 @@ mod tests {
         // `Some(0)` through the public streaming API selects the heuristic.
         let spec = small_grid();
         let mut buffer = Vec::new();
-        let summary = run_grid_streaming(&spec, 4, Some(0), &mut buffer).unwrap();
+        let summary = GridRun::new(&spec).threads(4).chunk(0).stream(&mut buffer).unwrap();
         assert_eq!(summary.written, 8);
     }
 
@@ -1412,7 +1350,7 @@ mod tests {
             BatterySpec { name: "bad-b".into(), capacity: -7.0, c: 0.2, k_prime: 0.1 },
         ];
         for threads in [1, 4] {
-            let error = run_grid_with_threads(&spec, threads).unwrap_err();
+            let error = GridRun::new(&spec).threads(threads).collect().unwrap_err();
             assert!(error.to_string().contains("-5"), "got: {error}");
         }
     }

@@ -6,11 +6,16 @@
 //! backends (discretized KiBaM and RV diffusion). The kernel crates prove
 //! per-step state-word identity in their own lockstep suites; this suite
 //! proves the engine wiring (chunk grouping, lane packing, cache reuse)
-//! preserves it end to end.
+//! preserves it end to end. The last case pins the engine's optimal rows
+//! to direct calls into the core search the same way.
 
+use battery_sched::optimal::{OptimalOutcome, OptimalScheduler, RootBounds};
+use battery_sched::system::SystemConfig;
+use battery_sched::BatteryModel;
+use dkibam::DiscretizedLoad;
 use engine::{
-    run_grid_with_threads, run_scenario, BackendKind, BatterySpec, DiscSpec, FleetDef, LoadSpec,
-    PolicyKind, ScenarioResult, ScenarioSpec,
+    run_scenario, BackendKind, BatterySpec, DiscSpec, FleetDef, GridRun, LoadSpec, PolicyKind,
+    ScenarioResult, ScenarioSpec, SearchStats,
 };
 use workload::paper_loads::TestLoad;
 
@@ -53,7 +58,7 @@ fn assert_identical(batched: &ScenarioResult, scalar: &ScenarioResult, context: 
 /// Runs the grid through the chunked (batched) runner and re-runs every cell
 /// through the scalar single-scenario entry point, asserting bit-identity.
 fn assert_grid_matches_scalar(spec: &ScenarioSpec) {
-    let batched = run_grid_with_threads(spec, 1).expect("batched grid runs");
+    let batched = GridRun::new(spec).threads(1).collect().expect("batched grid runs");
     assert_eq!(batched.len(), spec.expand().len());
     for result in &batched {
         let scalar = run_scenario(&result.scenario).expect("scalar scenario runs");
@@ -88,10 +93,91 @@ fn thread_count_does_not_change_batched_results() {
     // every batch differs — the results must not.
     let loads = TestLoad::all().into_iter().map(LoadSpec::Paper).collect();
     let spec = spec_with(loads, vec![PolicyKind::RoundRobin, PolicyKind::BestOfTwo]);
-    let serial = run_grid_with_threads(&spec, 1).unwrap();
-    let parallel = run_grid_with_threads(&spec, 4).unwrap();
+    let serial = GridRun::new(&spec).threads(1).collect().unwrap();
+    let parallel = GridRun::new(&spec).threads(4).collect().unwrap();
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
         assert_identical(b, a, &a.scenario.label());
+    }
+}
+
+/// The root bounds and the search outcome of direct core calls, each on a
+/// freshly built model.
+fn direct_search<M: BatteryModel>(
+    config: &SystemConfig,
+    load: &DiscretizedLoad,
+    budget: usize,
+    fresh_model: impl Fn() -> M,
+) -> (RootBounds, OptimalOutcome) {
+    let bounds = OptimalScheduler::probe_root_bounds(config, load, &mut fresh_model())
+        .expect("the root phase runs");
+    let outcome = OptimalScheduler::with_budget(budget)
+        .find_optimal_with(config, load, &mut fresh_model())
+        .expect("the search finishes");
+    (bounds, outcome)
+}
+
+#[test]
+fn optimal_rows_match_direct_core_searches() {
+    // The engine times the search's root phase apart from its exploration;
+    // its rows must still carry exactly what the core API returns. Paper
+    // loads on both fleet shapes, plus a seeded random load the pair
+    // survives (the search then proves the whole load).
+    let grid = |fleet: FleetDef, loads: Vec<LoadSpec>| ScenarioSpec {
+        batteries: vec![],
+        battery_counts: vec![],
+        fleets: vec![fleet],
+        discretizations: vec![DiscSpec::coarse()],
+        loads,
+        policies: vec![PolicyKind::optimal()],
+        backends: vec![BackendKind::Discretized, BackendKind::Rv, BackendKind::Continuous],
+    };
+    let pair = FleetDef::uniform(BatterySpec::b1(), 2);
+    let mixed = FleetDef::mixed(vec![BatterySpec::b1(), BatterySpec::b2()]);
+    let mut rows = Vec::new();
+    for spec in [
+        grid(pair, vec![LoadSpec::Paper(TestLoad::IlsAlt), LoadSpec::random_paper_levels(3, 20)]),
+        grid(mixed, vec![LoadSpec::Paper(TestLoad::Cl500), LoadSpec::Paper(TestLoad::Ils500)]),
+    ] {
+        rows.extend(GridRun::new(&spec).threads(1).collect().expect("the optimal grid runs"));
+    }
+    assert_eq!(rows.len(), 12);
+    for row in &rows {
+        let scenario = &row.scenario;
+        let context = scenario.label();
+        let PolicyKind::Optimal { budget } = scenario.policy else {
+            panic!("{context}: every cell is optimal");
+        };
+        let config = SystemConfig::from_fleet(
+            scenario.fleet.to_fleet_spec().unwrap(),
+            scenario.disc.to_discretization().unwrap(),
+        );
+        let load = config.discretize(&scenario.load.profile().unwrap()).unwrap();
+        let (bounds, outcome) = match scenario.backend {
+            BackendKind::Discretized => {
+                direct_search(&config, &load, budget, || config.discretized_model())
+            }
+            BackendKind::Rv => direct_search(&config, &load, budget, || config.rv_model()),
+            BackendKind::Continuous => {
+                direct_search(&config, &load, budget, || config.continuous_model())
+            }
+            BackendKind::Ideal => unreachable!("{context}: the grid has no ideal cells"),
+        };
+        assert_eq!(row.root_bounds, Some(bounds), "{context}: root bounds diverged");
+        assert_eq!(row.seeded_by.as_deref(), outcome.seeded_by, "{context}: seed label diverged");
+        let stats = SearchStats {
+            nodes_explored: outcome.nodes_explored as u64,
+            memo_hits: outcome.memo_hits as u64,
+            dominance_prunes: outcome.dominance_prunes as u64,
+            charge_bound_prunes: outcome.charge_bound_prunes as u64,
+            availability_bound_prunes: outcome.availability_bound_prunes as u64,
+            relax_bound_prunes: outcome.relax_bound_prunes as u64,
+        };
+        assert_eq!(row.search, Some(stats), "{context}: search stats diverged");
+        assert_eq!(
+            row.lifetime_minutes.map(f64::to_bits),
+            Some(outcome.lifetime_minutes(&config).to_bits()),
+            "{context}: lifetime diverged"
+        );
     }
 }

@@ -129,6 +129,11 @@ pub struct FileReport {
     pub allows: Vec<Allow>,
     /// Atomic `Ordering::` sites carrying a `// ordering:` justification.
     pub ordering_documented: usize,
+    /// Lines on which a token starts outside `#[cfg(test)]` regions:
+    /// comment-only and blank lines do not count, and neither does a line
+    /// holding nothing but (part of) a string literal, because the lexer
+    /// emits no token for a literal.
+    pub code_lines: usize,
 }
 
 const INT_TYPES: [&str; 12] =
@@ -252,6 +257,14 @@ fn skip_item(tokens: &[Token], i: usize) -> usize {
     tokens.len()
 }
 
+/// Counts the distinct lines holding the start of an unmasked token.
+fn code_lines(tokens: &[Token], mask: &[bool]) -> usize {
+    let mut lines: Vec<u32> =
+        tokens.iter().zip(mask).filter(|(_, &masked)| !masked).map(|(t, _)| t.line).collect();
+    lines.dedup();
+    lines.len()
+}
+
 /// Lints one source file under the given crate context.
 #[must_use]
 pub fn lint_source(source: &str, ctx: CrateContext) -> FileReport {
@@ -262,6 +275,7 @@ pub fn lint_source(source: &str, ctx: CrateContext) -> FileReport {
     let mut report = FileReport::default();
 
     detect(&lexed, &mask, ctx, &mut raw, &mut report);
+    report.code_lines = code_lines(&lexed.tokens, &mask);
 
     // Escape filtering: a finding is suppressed by a matching, well-formed
     // escape on its own line or the line directly above.

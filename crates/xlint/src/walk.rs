@@ -27,6 +27,11 @@ pub struct Report {
     pub allows: Vec<(String, Allow)>,
     /// Atomic `Ordering::` sites carrying a `// ordering:` comment.
     pub ordering_documented: usize,
+    /// Code lines of each crate's `src/` tree, keyed by crate directory
+    /// name: lines outside comments and `#[cfg(test)]` regions
+    /// ([`crate::FileReport::code_lines`]). Integration tests, examples and
+    /// benches are not counted.
+    pub code_lines: BTreeMap<String, usize>,
 }
 
 impl Report {
@@ -84,7 +89,12 @@ impl Report {
                 rule, stats.violations, stats.allows
             ));
         }
-        out.push_str("\n  }\n}\n");
+        let crates: Vec<String> = self
+            .code_lines
+            .iter()
+            .map(|(name, lines)| format!("    \"{name}\": {lines}"))
+            .collect();
+        out.push_str(&format!("\n  }},\n  \"code_lines\": {{\n{}\n  }}\n}}\n", crates.join(",\n")));
         out
     }
 }
@@ -145,12 +155,14 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
+/// Lints `files` into `report` and returns their summed code lines.
 fn lint_files(
     root: &Path,
     files: &[PathBuf],
     ctx: CrateContext,
     report: &mut Report,
-) -> io::Result<()> {
+) -> io::Result<usize> {
+    let mut code_lines = 0;
     for path in files {
         let source = fs::read_to_string(path)?;
         let label = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
@@ -165,8 +177,9 @@ fn lint_files(
         report.ordering_documented += file_report.ordering_documented;
         report.findings.extend(file_report.findings.into_iter().map(|f| (label.clone(), f)));
         report.allows.extend(file_report.allows.into_iter().map(|a| (label.clone(), a)));
+        code_lines += file_report.code_lines;
     }
-    Ok(())
+    Ok(code_lines)
 }
 
 /// Lints every crate under `<root>/crates` plus the workspace-level
@@ -185,7 +198,8 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
 
         let mut src_files = Vec::new();
         collect_rs(&crate_dir.join("src"), &mut src_files)?;
-        lint_files(root, &src_files, ctx, &mut report)?;
+        let code_lines = lint_files(root, &src_files, ctx, &mut report)?;
+        report.code_lines.insert(name, code_lines);
 
         // Integration tests, examples, and benches are auxiliary: only
         // the always-on rules apply there.

@@ -6,6 +6,7 @@ use xlint::rules::{lint_source, CrateContext, RuleId};
 use xlint::walk::{baseline_regressions, context_for_crate, lint_workspace, parse_stats_allows};
 
 const FIXTURE: &str = include_str!("fixtures/bad.rs");
+const CODE_LINES_FIXTURE: &str = include_str!("fixtures/code_lines.rs");
 
 fn full() -> CrateContext {
     CrateContext { deterministic: true, panic_free: true, cast_audit: true, long_running: true }
@@ -128,4 +129,28 @@ fn baseline_diff_catches_new_allow_escapes() {
     assert_eq!(regressions.len(), inflated.len(), "{regressions:?}");
     // A non-stats document is rejected rather than treated as all-zeros.
     assert!(parse_stats_allows("{\"schema\": \"serve-bench-v1\"}").is_none());
+}
+
+#[test]
+fn code_lines_skip_comments_blank_lines_and_test_regions() {
+    // The fixture's code lines: the constant, `fn greeting` and its
+    // closing brace, `fn main`, the `let` and main's closing brace. Every
+    // comment, blank line and the `#[cfg(test)]` module are skipped, and so
+    // are the two lines of the string literal: the lexer emits no token
+    // for a literal.
+    assert_eq!(lint_source(CODE_LINES_FIXTURE, full()).code_lines, 6);
+    assert_eq!(lint_source("", full()).code_lines, 0);
+}
+
+#[test]
+fn stats_json_records_code_lines_per_crate() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
+    let report = lint_workspace(&root).expect("workspace walk");
+    for name in ["core", "engine", "xlint"] {
+        let lines = report.code_lines.get(name).copied().unwrap_or(0);
+        assert!(lines > 100, "crate `{name}` counted {lines} code lines");
+    }
+    let json = report.stats_json();
+    assert!(json.contains("\"code_lines\": {"), "{json}");
+    assert!(json.contains(&format!("\"core\": {}", report.code_lines["core"])), "{json}");
 }
