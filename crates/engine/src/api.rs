@@ -92,9 +92,10 @@ impl<'a> GridRun<'a> {
         self
     }
 
-    /// Attaches a process-wide system cache: workers clone prototypes from
-    /// it instead of rebuilding recovery/service/RV step tables, so repeated
-    /// runs over the same systems build tables exactly once per process.
+    /// Attaches a process-wide system cache: workers take prototypes from
+    /// it instead of rebuilding recovery/service/RV step tables (batched
+    /// cells borrow them, scalar cells copy them), so repeated runs over
+    /// the same systems build tables exactly once per process.
     #[must_use]
     pub fn shared_cache(mut self, cache: Arc<SharedSystemCache>) -> Self {
         self.shared = Some(cache);
@@ -545,7 +546,7 @@ impl Response {
 /// one call.
 #[must_use]
 pub fn run_requests(requests: &[Request], cache: &mut WorkerCache) -> Vec<Response> {
-    let scenarios: Vec<Scenario> = requests.iter().map(|r| r.scenario.clone()).collect();
+    let scenarios: Vec<&Scenario> = requests.iter().map(|r| &r.scenario).collect();
     runner::run_cells(&scenarios, cache)
         .into_iter()
         .zip(requests)

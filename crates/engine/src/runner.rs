@@ -19,7 +19,7 @@
 use crate::api::GridRun;
 use crate::batch::{BatchDiscreteView, BatchRvView};
 use crate::json::JsonValue;
-use crate::spec::{BackendKind, PolicyKind, Scenario, ScenarioSpec};
+use crate::spec::{BackendKind, LoadSpec, PolicyKind, Scenario, ScenarioSpec};
 use crate::EngineError;
 use battery_sched::optimal::{OptimalOutcome, OptimalScheduler, RootBounds};
 use battery_sched::policy::FixedSchedule;
@@ -243,9 +243,10 @@ impl SystemKey {
 /// A validated system configuration with ready-built backends. The
 /// discretized backend owns the recovery table, which is the expensive part
 /// (`O(N)` log evaluations); grids that sweep loads or policies against one
-/// battery setup reuse it across every cell a worker claims. Cloning copies
-/// the tables but never recomputes them, which is what lets the shared cache
-/// hand out working copies of a prototype built exactly once.
+/// battery setup reuse it across every cell a worker claims. Batched cells
+/// only read it, so they borrow a shared prototype; the scalar path drives
+/// the backends themselves and works on a copy (cloning copies the tables
+/// but never recomputes them).
 #[derive(Debug, Clone)]
 struct CachedSystem {
     config: SystemConfig,
@@ -379,12 +380,14 @@ impl SharedSystemCache {
 /// costliest — the recovery table for every cell; workers hold one of these
 /// so large grids that vary only load/policy/backend pay table construction
 /// once per worker instead of once per cell. A worker cache attached to a
-/// [`SharedSystemCache`] goes one step further: its misses clone a shared
+/// [`SharedSystemCache`] goes one step further: its misses take the shared
 /// prototype instead of rebuilding tables, so construction happens once per
-/// system across the whole process.
+/// system across the whole process. Batched cells read that prototype in
+/// place; only the scalar path (optimal searches and the continuous/ideal
+/// backends) copies it, once per worker cache, on its first mutable use.
 #[derive(Debug, Default)]
 pub struct WorkerCache {
-    systems: BTreeMap<SystemKey, CachedSystem>,
+    systems: BTreeMap<SystemKey, Arc<CachedSystem>>,
     shared: Option<Arc<SharedSystemCache>>,
 }
 
@@ -402,17 +405,30 @@ impl WorkerCache {
         Self { systems: BTreeMap::new(), shared: Some(shared) }
     }
 
-    fn system(&mut self, scenario: &Scenario) -> Result<&mut CachedSystem, EngineError> {
+    fn entry(&mut self, scenario: &Scenario) -> Result<&mut Arc<CachedSystem>, EngineError> {
         match self.systems.entry(SystemKey::of(scenario)) {
             Entry::Occupied(entry) => Ok(entry.into_mut()),
             Entry::Vacant(entry) => {
                 let system = match &self.shared {
-                    Some(shared) => (*shared.get_or_build(entry.key(), scenario)?).clone(),
-                    None => build_system(scenario)?,
+                    Some(shared) => shared.get_or_build(entry.key(), scenario)?,
+                    None => Arc::new(build_system(scenario)?),
                 };
                 Ok(entry.insert(system))
             }
         }
+    }
+
+    /// The system of `scenario` for reading: a shared prototype is borrowed,
+    /// never copied.
+    fn system(&mut self, scenario: &Scenario) -> Result<&CachedSystem, EngineError> {
+        self.entry(scenario).map(|system| &**system)
+    }
+
+    /// The system of `scenario` for driving its backends: the first such use
+    /// copies a shared prototype into this worker (`Arc::make_mut`), so the
+    /// prototype itself is never mutated.
+    fn system_mut(&mut self, scenario: &Scenario) -> Result<&mut CachedSystem, EngineError> {
+        Ok(Arc::make_mut(self.entry(scenario)?))
     }
 }
 
@@ -438,7 +454,7 @@ pub fn run_scenario_with_cache(
     cache: &mut WorkerCache,
 ) -> Result<ScenarioResult, EngineError> {
     let profile = scenario.load.profile()?;
-    let system = cache.system(scenario)?;
+    let system = cache.system_mut(scenario)?;
     let load = system.config.discretize(&profile)?;
     execute_scalar(scenario, system, &load)
 }
@@ -599,15 +615,15 @@ fn deterministic_result(
 /// kernels step all cells of a system through shared per-type tables. Writes
 /// each member's outcome at its chunk offset.
 fn run_batched_group(
-    scenarios: &[Scenario],
-    loads: &[Option<(dkibam::DiscretizedLoad, bool)>],
+    scenarios: &[&Scenario],
+    loads: &[Option<&dkibam::DiscretizedLoad>],
     backend: BackendKind,
     members: &[usize],
     cache: &mut WorkerCache,
     outcomes: &mut [Option<Result<ScenarioResult, EngineError>>],
 ) {
-    let system = match cache.system(&scenarios[members[0]]) {
-        Ok(system) => &*system,
+    let system = match cache.system(scenarios[members[0]]) {
+        Ok(system) => system,
         Err(error) => {
             // Unreachable in practice: the prepare pass already built and
             // cached this system. Keep the chunk sound anyway.
@@ -632,8 +648,8 @@ fn run_batched_group(
             let lanes: Vec<_> = members.iter().map(|_| batch.push_fleet(fleet)).collect();
             for (&offset, lanes) in members.iter().zip(lanes) {
                 // Members are drawn from prepared cells, so the load exists.
-                let Some((load, _)) = &loads[offset] else { continue };
-                let scenario = &scenarios[offset];
+                let Some(load) = loads[offset] else { continue };
+                let scenario = scenarios[offset];
                 // xlint: allow(clock) -- wall_micros is measurement-only, excluded from --compare
                 let start = Instant::now();
                 let mut policy =
@@ -651,8 +667,8 @@ fn run_batched_group(
             let lanes: Vec<_> = members.iter().map(|_| batch.push_fleet(fleet)).collect();
             for (&offset, lanes) in members.iter().zip(lanes) {
                 // Members are drawn from prepared cells, so the load exists.
-                let Some((load, _)) = &loads[offset] else { continue };
-                let scenario = &scenarios[offset];
+                let Some(load) = loads[offset] else { continue };
+                let scenario = scenarios[offset];
                 // xlint: allow(clock) -- wall_micros is measurement-only, excluded from --compare
                 let start = Instant::now();
                 let mut policy =
@@ -671,50 +687,96 @@ fn run_batched_group(
     }
 }
 
+/// A discretized load prepared once per [`run_cells`] call and borrowed by
+/// every cell with the same load spec, discretization and charge horizon
+/// (the horizon belongs to the key because cyclic loads are truncated at
+/// the fleet's own horizon).
+struct PreparedLoad<'a> {
+    horizon: u64,
+    time_step: u64,
+    charge_unit: u64,
+    spec: &'a LoadSpec,
+    load: dkibam::DiscretizedLoad,
+}
+
+/// Prepares the load of one cell: validates its system (building and
+/// caching the tables) and returns the index of its discretized load in
+/// `loads`, discretizing only when no earlier cell of the slice prepared an
+/// equal one. The profile is built ahead of the system lookup unless an
+/// equal spec already proved it valid, so a failing cell reports the same
+/// error as a fresh [`run_scenario`].
+fn prepare_load<'a>(
+    scenario: &'a Scenario,
+    cache: &mut WorkerCache,
+    loads: &mut Vec<PreparedLoad<'a>>,
+) -> Result<usize, EngineError> {
+    let known = loads.iter().any(|prepared| *prepared.spec == scenario.load);
+    let profile = if known { None } else { Some(scenario.load.profile()?) };
+    let config = &cache.system(scenario)?.config;
+    let horizon = config.charge_horizon().to_bits();
+    let time_step = scenario.disc.time_step.to_bits();
+    let charge_unit = scenario.disc.charge_unit.to_bits();
+    if let Some(index) = loads.iter().position(|prepared| {
+        prepared.horizon == horizon
+            && prepared.time_step == time_step
+            && prepared.charge_unit == charge_unit
+            && *prepared.spec == scenario.load
+    }) {
+        return Ok(index);
+    }
+    let profile = match profile {
+        Some(profile) => profile,
+        None => scenario.load.profile()?,
+    };
+    let load = config.discretize(&profile)?;
+    loads.push(PreparedLoad { horizon, time_step, charge_unit, spec: &scenario.load, load });
+    Ok(loads.len() - 1)
+}
+
 /// Runs every scenario of a slice against the worker's cache, each cell
 /// **independently**: one failing cell does not stop its siblings. This is
 /// the execution core shared by the grid path (which truncates at the first
 /// error, see [`run_chunk`]) and the request path ([`crate::api`], where
 /// every request deserves its own answer).
 ///
-/// Loads and system tables are prepared per cell first, then batchable
-/// scenarios are grouped by `(system, backend)` and stepped on shared
-/// struct-of-arrays batches — this grouping is also what micro-batches
-/// compatible service requests into one kernel pass — while the rest run on
-/// the scalar path. Results come back in slice order, one per scenario.
+/// The prepare pass validates each cell's system and prepares **one
+/// discretized load per distinct (load spec, discretization, charge
+/// horizon)** in the slice, which every cell sharing it borrows; a load
+/// that fails to prepare is that cell's own error. Batchable scenarios are
+/// then grouped by `(system, backend)` and stepped on shared
+/// struct-of-arrays batches that read the cached system in place — this
+/// grouping is also what micro-batches compatible service requests into one
+/// kernel pass — while the rest run on the scalar path. Results come back
+/// in slice order, one per scenario.
 pub(crate) fn run_cells(
-    scenarios: &[Scenario],
+    scenarios: &[&Scenario],
     cache: &mut WorkerCache,
 ) -> Vec<Result<ScenarioResult, EngineError>> {
-    // Prepare pass: validate the system (building and caching its tables)
-    // and discretize the load; a setup failure becomes that cell's result.
     let mut outcomes: Vec<Option<Result<ScenarioResult, EngineError>>> =
         (0..scenarios.len()).map(|_| None).collect();
-    let mut prepared: Vec<Option<(dkibam::DiscretizedLoad, bool)>> =
-        Vec::with_capacity(scenarios.len());
+    let mut loads: Vec<PreparedLoad> = Vec::new();
+    let mut indices: Vec<Option<usize>> = Vec::with_capacity(scenarios.len());
     for (offset, scenario) in scenarios.iter().enumerate() {
-        let load = scenario.load.profile().and_then(|profile| {
-            let system = cache.system(scenario)?;
-            Ok(system.config.discretize(&profile)?)
-        });
-        match load {
-            Ok(load) => prepared.push(Some((load, is_batchable(scenario)))),
+        match prepare_load(scenario, cache, &mut loads) {
+            Ok(index) => indices.push(Some(index)),
             Err(error) => {
                 outcomes[offset] = Some(Err(error));
-                prepared.push(None);
+                indices.push(None);
             }
         }
     }
+    let cell_loads: Vec<Option<&dkibam::DiscretizedLoad>> =
+        indices.iter().map(|index| index.map(|index| &loads[index].load)).collect();
 
     // Execute pass. Scalar scenarios first (each borrows the cache mutably),
     // then the batched groups.
     for (offset, scenario) in scenarios.iter().enumerate() {
-        let Some((load, batchable)) = &prepared[offset] else { continue };
-        if *batchable {
+        let Some(load) = cell_loads[offset] else { continue };
+        if is_batchable(scenario) {
             continue;
         }
         let outcome =
-            cache.system(scenario).and_then(|system| execute_scalar(scenario, system, load));
+            cache.system_mut(scenario).and_then(|system| execute_scalar(scenario, system, load));
         outcomes[offset] = Some(outcome);
     }
     // Group by cached system and backend, in first-appearance order; chunks
@@ -722,7 +784,7 @@ pub(crate) fn run_cells(
     // stay similarly small), so a linear scan is cheaper than hashing.
     let mut groups: Vec<(SystemKey, BackendKind, Vec<usize>)> = Vec::new();
     for (offset, scenario) in scenarios.iter().enumerate() {
-        if !matches!(&prepared[offset], Some((_, true))) {
+        if cell_loads[offset].is_none() || !is_batchable(scenario) {
             continue;
         }
         let key = SystemKey::of(scenario);
@@ -732,7 +794,7 @@ pub(crate) fn run_cells(
         }
     }
     for (_, backend, members) in groups {
-        run_batched_group(scenarios, &prepared, backend, &members, cache, &mut outcomes);
+        run_batched_group(scenarios, &cell_loads, backend, &members, cache, &mut outcomes);
     }
 
     outcomes
@@ -748,9 +810,10 @@ pub(crate) fn run_cells(
 /// order up to the first error, so the grid-order contract of the runner is
 /// preserved exactly.
 fn run_chunk(scenarios: &[Scenario], cache: &mut WorkerCache) -> ChunkOutput {
+    let cells: Vec<&Scenario> = scenarios.iter().collect();
     let mut results = Vec::with_capacity(scenarios.len());
     let mut error = None;
-    for (offset, outcome) in run_cells(scenarios, cache).into_iter().enumerate() {
+    for (offset, outcome) in run_cells(&cells, cache).into_iter().enumerate() {
         match outcome {
             Ok(result) => results.push(result),
             Err(e) => {
@@ -1213,6 +1276,80 @@ mod tests {
         }
         // All cells share one battery/disc/count triple.
         assert_eq!(cache.systems.len(), 1);
+    }
+
+    #[test]
+    fn batched_cells_borrow_the_prototype_and_the_scalar_path_copies_it() {
+        use crate::api::{run_requests, Request};
+        let cell = |load: LoadSpec, policy, backend| Scenario {
+            fleet: FleetDef::uniform(BatterySpec::b1(), 2),
+            disc: DiscSpec::paper(),
+            load,
+            policy,
+            backend,
+        };
+        let deterministic: Vec<Scenario> = [PolicyKind::RoundRobin, PolicyKind::BestOfTwo]
+            .into_iter()
+            .flat_map(|policy| {
+                [BackendKind::Discretized, BackendKind::Rv]
+                    .map(|backend| cell(LoadSpec::Paper(TestLoad::IlsAlt), policy, backend))
+            })
+            .collect();
+        let batched: Vec<Request> =
+            deterministic.iter().cloned().map(Request::of_scenario).collect();
+        let key = SystemKey::of(&deterministic[0]);
+        let shared = Arc::new(SharedSystemCache::new());
+        let prototype = |shared: &SharedSystemCache| {
+            shared.get_or_build(&key, &deterministic[0]).expect("the system builds")
+        };
+
+        let mut worker = WorkerCache::with_shared(Arc::clone(&shared));
+        for response in run_requests(&batched, &mut worker) {
+            assert!(response.is_ok(), "{:?}", response.outcome);
+        }
+        assert!(
+            Arc::ptr_eq(&worker.systems[&key], &prototype(&shared)),
+            "batched cells read the shared prototype without copying it"
+        );
+
+        let scalar = [
+            cell(
+                LoadSpec::random_paper_levels(3, 4),
+                PolicyKind::optimal(),
+                BackendKind::Discretized,
+            ),
+            cell(
+                LoadSpec::Paper(TestLoad::IlsAlt),
+                PolicyKind::RoundRobin,
+                BackendKind::Continuous,
+            ),
+        ];
+        for scenario in &scalar {
+            let cells = run_cells(&[scenario], &mut worker);
+            assert!(cells[0].is_ok(), "{}: {:?}", scenario.label(), cells[0]);
+            assert!(
+                !Arc::ptr_eq(&worker.systems[&key], &prototype(&shared)),
+                "{}: the scalar path works on a private copy",
+                scenario.label()
+            );
+        }
+
+        // A later worker still sees an untouched prototype.
+        let mut fresh = WorkerCache::with_shared(Arc::clone(&shared));
+        let responses = run_requests(&batched, &mut fresh);
+        assert!(Arc::ptr_eq(&fresh.systems[&key], &prototype(&shared)));
+        for (scenario, response) in deterministic.iter().zip(&responses) {
+            let row = response.outcome.as_ref().expect("deterministic cells succeed");
+            let expected = run_scenario(scenario).unwrap();
+            assert_eq!(
+                row.lifetime_minutes.map(f64::to_bits),
+                expected.lifetime_minutes.map(f64::to_bits),
+                "{}",
+                scenario.label()
+            );
+            assert_eq!(row.residual_charge.to_bits(), expected.residual_charge.to_bits());
+            assert_eq!((row.switches, row.decisions), (expected.switches, expected.decisions));
+        }
     }
 
     #[test]

@@ -6,16 +6,18 @@
 //! backends (discretized KiBaM and RV diffusion). The kernel crates prove
 //! per-step state-word identity in their own lockstep suites; this suite
 //! proves the engine wiring (chunk grouping, lane packing, cache reuse)
-//! preserves it end to end. The last case pins the engine's optimal rows
-//! to direct calls into the core search the same way.
+//! preserves it end to end, including the one load preparation that the
+//! cells of a chunk or micro-batch share. The last case pins the engine's
+//! optimal rows to direct calls into the core search the same way.
 
 use battery_sched::optimal::{OptimalOutcome, OptimalScheduler, RootBounds};
 use battery_sched::system::SystemConfig;
 use battery_sched::BatteryModel;
 use dkibam::DiscretizedLoad;
+use engine::api::run_requests;
 use engine::{
     run_scenario, BackendKind, BatterySpec, DiscSpec, FleetDef, GridRun, LoadSpec, PolicyKind,
-    ScenarioResult, ScenarioSpec, SearchStats,
+    Request, Scenario, ScenarioResult, ScenarioSpec, SearchStats, ServeError, WorkerCache,
 };
 use workload::paper_loads::TestLoad;
 
@@ -99,6 +101,71 @@ fn thread_count_does_not_change_batched_results() {
     for (a, b) in serial.iter().zip(&parallel) {
         assert_identical(b, a, &a.scenario.label());
     }
+}
+
+#[test]
+fn shared_load_preparation_keys_on_the_charge_horizon() {
+    // Cells that share a load spec share one discretized load per chunk or
+    // micro-batch — but a cyclic load is truncated at each fleet's own
+    // charge horizon, so 2xB1 and 4xB1 on `ILs 250` must not share one (4xB1
+    // round robin draws 14.9 A·min, past the 13.75 A·min 2xB1 horizon).
+    let cyclic = LoadSpec::Paper(TestLoad::Ils250);
+    let spec = ScenarioSpec {
+        batteries: vec![],
+        battery_counts: vec![],
+        fleets: vec![
+            FleetDef::uniform(BatterySpec::b1(), 2),
+            FleetDef::uniform(BatterySpec::b1(), 4),
+        ],
+        discretizations: vec![DiscSpec::paper()],
+        loads: vec![cyclic.clone(), LoadSpec::random_paper_levels(7, 12), cyclic.clone()],
+        policies: PolicyKind::deterministic().to_vec(),
+        backends: vec![BackendKind::Discretized, BackendKind::Rv],
+    };
+    let scenarios = spec.expand();
+    // 24 cells per fleet: the second 16-cell chunk holds the last 2xB1
+    // `ILs 250` block and the first 4xB1 one.
+    assert_eq!(scenarios.len(), 48);
+    let middle = &scenarios[16..32];
+    assert!(middle.iter().all(|s| s.load == cyclic));
+    assert_ne!(middle[0].fleet, middle[15].fleet);
+    let rows = GridRun::new(&spec).threads(1).chunk(16).collect().expect("the grid runs");
+    assert_eq!(rows.len(), scenarios.len());
+    for row in &rows {
+        let scalar = run_scenario(&row.scenario).expect("scalar scenario runs");
+        assert_identical(row, &scalar, &row.scenario.label());
+    }
+
+    // One micro-batch alternating the fleets cell by cell, with a load that
+    // cannot be prepared twice: both copies answer with its error, and
+    // their neighbours are unaffected.
+    let broken =
+        LoadSpec::Custom { name: "broken".into(), epochs: vec![(0.5, -1.0)], cyclic: false };
+    let mut cells: Vec<Scenario> = Vec::new();
+    for (pair, quad) in scenarios[..24].iter().zip(&scenarios[24..]) {
+        cells.extend([pair.clone(), quad.clone()]);
+    }
+    for at in [1, 30] {
+        let mut bad = cells[at].clone();
+        bad.load = broken.clone();
+        cells.insert(at, bad);
+    }
+    let requests: Vec<Request> = cells.iter().cloned().map(Request::of_scenario).collect();
+    let responses = run_requests(&requests, &mut WorkerCache::new());
+    assert_eq!(responses.len(), 50);
+    for (cell, response) in cells.iter().zip(&responses) {
+        match run_scenario(cell) {
+            Ok(scalar) => {
+                let row = response.outcome.as_ref().expect("a preparable cell answers");
+                assert_identical(row, &scalar, &cell.label());
+            }
+            Err(error) => {
+                assert_eq!(cell.load, broken, "{}: only the broken load fails", cell.label());
+                assert_eq!(response.outcome, Err(ServeError::from_engine(&error)));
+            }
+        }
+    }
+    assert_eq!(responses.iter().filter(|r| !r.is_ok()).count(), 2);
 }
 
 /// The root bounds and the search outcome of direct core calls, each on a

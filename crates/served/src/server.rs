@@ -286,9 +286,12 @@ fn drained(state: &ServerState, queue: &VecDeque<Job>) -> bool {
 /// the engine's micro-batching request API, repeat until shutdown.
 ///
 /// Each batch gets a **fresh** worker cache over the process-wide shared
-/// cache: tables are cloned from the shared prototypes (never recomputed),
-/// worker memory stays bounded for a long-running process, and every
-/// batch's reuse is visible in the shared hit counters.
+/// cache: batched requests read the shared prototypes in place, only
+/// searches and the continuous/ideal backends copy them (never recomputing
+/// a table), worker memory stays bounded for a long-running process, and
+/// every batch's reuse is visible in the shared hit counters. Requests are
+/// moved out of their jobs, so the only copy of a request is the scenario
+/// its result row carries.
 fn worker_loop(state: &ServerState) {
     loop {
         let jobs = {
@@ -302,16 +305,17 @@ fn worker_loop(state: &ServerState) {
             let take = queue.len().min(state.config.batch_max);
             queue.drain(..take).collect::<Vec<Job>>()
         };
-        let requests: Vec<Request> = jobs.iter().map(|job| job.request.clone()).collect();
+        let (requests, replies): (Vec<Request>, Vec<_>) =
+            jobs.into_iter().map(|job| (job.request, (job.seq, job.queued, job.reply))).unzip();
         let mut cache = WorkerCache::with_shared(Arc::clone(&state.cache));
         let mut responses = run_requests(&requests, &mut cache);
-        state.metrics.batch(jobs.len() as u64);
-        for (job, response) in jobs.iter().zip(responses.iter_mut()) {
+        state.metrics.batch(requests.len() as u64);
+        for ((seq, queued, reply), response) in replies.into_iter().zip(responses.iter_mut()) {
             // Latency is measurement-only; it never enters the result row.
-            let elapsed = job.queued.elapsed().as_micros();
+            let elapsed = queued.elapsed().as_micros();
             response.latency_micros = Some(u64::try_from(elapsed).unwrap_or(u64::MAX));
             state.metrics.answered(response.is_ok(), response.latency_micros.unwrap_or(0));
-            let _ = job.reply.send((job.seq, render_response(response)));
+            let _ = reply.send((seq, render_response(response)));
         }
     }
 }
