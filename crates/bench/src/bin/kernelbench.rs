@@ -1,5 +1,6 @@
-//! Stepping-kernel throughput: scalar per-system state vs the batched
-//! struct-of-arrays kernels, at N ∈ {1, 8, 64, 512} cells, per backend.
+//! Stepping-kernel throughput: the scalar reference stepping vs the
+//! struct-of-arrays batch kernels, at N ∈ {1, 8, 64, 512} cells, per
+//! backend.
 //!
 //! The workload is the engine's hot loop in miniature: N cells are grouped
 //! into four-battery systems (N = 1 keeps a single-battery system), and
@@ -7,7 +8,7 @@
 //! *serve each battery in turn → idle* with the paper's B1 cell on the
 //! paper grid — drain rates chosen so no cell empties inside a cycle, so
 //! scalar and batched paths execute identical step counts. The scalar
-//! side is the pre-batching engine representation
+//! side is the reference the backends are held bit-identical to
 //! ([`dkibam::multi::MultiBatteryState`] per system, one [`rv::RvCell`] vector per
 //! system); the batched side packs all systems into one
 //! [`dkibam::DiscreteBatch`] / [`rv::RvBatch`]. After timing, the final
@@ -141,10 +142,9 @@ fn measure_discretized(cells: usize, cycles: u64) -> Row {
     let systems = cells / lanes_per_system;
     let disc = Discretization::paper_default();
     let fleet = DiscreteFleet::uniform(&BatteryParams::itsy_b1(), &disc, lanes_per_system);
-    let type_params: Vec<BatteryParams> =
-        (0..fleet.spec().type_count()).map(|t| *fleet.spec().type_params(t)).collect();
+    let type_params = fleet.spec().types();
 
-    // Scalar: one MultiBatteryState per system (the pre-batching engine).
+    // Scalar: one MultiBatteryState per system (the reference stepping).
     let mut scalar: Vec<MultiBatteryState> =
         (0..systems).map(|_| MultiBatteryState::new_full(&fleet)).collect();
     let scalar_throughput = time_throughput(cells, lanes_per_system, cycles, |cycles| {
@@ -172,7 +172,7 @@ fn measure_discretized(cells: usize, cycles: u64) -> Row {
     let ranges: Vec<_> = (0..systems).map(|_| batch.push_fleet(&fleet)).collect();
     let batched_throughput = time_throughput(cells, lanes_per_system, cycles, |cycles| {
         for _ in 0..cycles {
-            batch.reset_range(0..cells, &type_params, fleet.disc());
+            batch.reset_range(0..cells, type_params, fleet.disc());
             for _ in 0..ROUNDS_PER_CYCLE {
                 for range in &ranges {
                     for active in range.clone() {
@@ -183,7 +183,7 @@ fn measure_discretized(cells: usize, cycles: u64) -> Row {
                                 SERVE_STEPS,
                                 DRAW_INTERVAL,
                                 UNITS_PER_DRAW,
-                                &type_params,
+                                type_params,
                                 fleet.type_tables(),
                             )
                             .expect("active lane is in range");

@@ -1,24 +1,32 @@
-//! The discretized-KiBaM backend: a thin [`BatteryModel`] wrapper around
-//! [`dkibam::multi::MultiBatteryState`] driven by a [`DiscreteFleet`].
+//! The discretized-KiBaM backend: the dKiBaM of Section 2.3 stepped by its
+//! struct-of-arrays batch kernel.
+//!
+//! The backend owns one [`DiscreteBatch`] lane per battery and reads the
+//! fleet's static data — parameters, discretization, per-type recovery and
+//! service-rate tables — through a shared [`Arc<DiscreteFleet>`], so a copy
+//! of a built system costs the lanes alone. The scalar
+//! [`dkibam::multi::MultiBatteryState`] stays the reference these kernels
+//! are held bit-identical to (the lockstep tests of this module's parent).
 
 use crate::model::{BatteryModel, ModelAdvance, StateKey};
 use crate::schedule::BatteryCharge;
 use crate::SchedError;
-use dkibam::multi::MultiBatteryState;
-use dkibam::{DiscreteFleet, Discretization};
+use dkibam::{DiscreteBatch, DiscreteBattery, DiscreteFleet, Discretization};
 use kibam::{BatteryParams, FleetSpec};
+use std::sync::Arc;
 
 /// The discretized KiBaM of Section 2.3 as a [`BatteryModel`] backend.
 ///
 /// Holds the static data (the fleet: per-battery parameters,
-/// discretization, per-type recovery tables) next to the dynamic
-/// [`MultiBatteryState`], so that searches can snapshot just the dynamic
-/// part. Fleets may be heterogeneous; [`DiscretizedKibam::new`] is the
+/// discretization, per-type recovery tables) behind an `Arc` next to the
+/// dynamic lanes, so that searches snapshot just the lanes and clones share
+/// the tables. Fleets may be heterogeneous; [`DiscretizedKibam::new`] is the
 /// uniform convenience constructor the paper's systems use.
 #[derive(Debug, Clone)]
 pub struct DiscretizedKibam {
-    fleet: DiscreteFleet,
-    state: MultiBatteryState,
+    fleet: Arc<DiscreteFleet>,
+    /// Lane `i` is battery `i`.
+    lanes: DiscreteBatch,
 }
 
 impl DiscretizedKibam {
@@ -41,19 +49,15 @@ impl DiscretizedKibam {
     }
 
     fn from_fleet_data(fleet: DiscreteFleet) -> Self {
-        let state = MultiBatteryState::new_full(&fleet);
-        Self { fleet, state }
+        let mut lanes = DiscreteBatch::with_capacity(fleet.len());
+        lanes.push_fleet(&fleet);
+        Self { fleet: Arc::new(fleet), lanes }
     }
 
-    /// The current joint discrete state.
+    /// The static fleet data (per-battery parameters and recovery tables),
+    /// shared by every clone of this system.
     #[must_use]
-    pub fn state(&self) -> &MultiBatteryState {
-        &self.state
-    }
-
-    /// The static fleet data (per-battery parameters and recovery tables).
-    #[must_use]
-    pub fn fleet(&self) -> &DiscreteFleet {
+    pub fn fleet(&self) -> &Arc<DiscreteFleet> {
         &self.fleet
     }
 
@@ -65,14 +69,14 @@ impl DiscretizedKibam {
 }
 
 impl BatteryModel for DiscretizedKibam {
-    type State = MultiBatteryState;
+    type State = Vec<DiscreteBattery>;
 
     fn backend_name(&self) -> &'static str {
         "discretized"
     }
 
     fn battery_count(&self) -> usize {
-        self.fleet.len()
+        self.lanes.len()
     }
 
     fn type_of(&self, index: usize) -> usize {
@@ -80,53 +84,40 @@ impl BatteryModel for DiscretizedKibam {
     }
 
     fn reset(&mut self) {
-        self.state = MultiBatteryState::new_full(&self.fleet);
+        self.lanes.reset_range(0..self.fleet.len(), self.fleet.spec().types(), self.fleet.disc());
     }
 
-    fn save_state(&self) -> MultiBatteryState {
-        self.state.clone()
+    fn save_state(&self) -> Vec<DiscreteBattery> {
+        (0..self.lanes.len()).map(|lane| self.lanes.lane(lane)).collect()
     }
 
-    fn save_state_into(&self, out: &mut MultiBatteryState) {
-        out.copy_from(&self.state);
+    fn save_state_into(&self, out: &mut Vec<DiscreteBattery>) {
+        out.clear();
+        out.extend((0..self.lanes.len()).map(|lane| self.lanes.lane(lane)));
     }
 
-    fn restore_state(&mut self, state: &MultiBatteryState) {
-        self.state.copy_from(state);
+    fn restore_state(&mut self, state: &Vec<DiscreteBattery>) {
+        for (lane, battery) in state.iter().enumerate() {
+            self.lanes.set_lane(lane, battery);
+        }
     }
 
     fn is_empty(&self, index: usize) -> bool {
-        self.state.batteries()[index].is_empty(self.fleet.params_of(index))
-    }
-
-    fn available(&self) -> Vec<usize> {
-        self.state.available(&self.fleet)
-    }
-
-    fn available_into(&self, out: &mut Vec<usize>) {
-        self.state.available_into(&self.fleet, out);
-    }
-
-    fn any_available(&self) -> bool {
-        self.state.any_available(&self.fleet)
+        self.lanes.lane_is_empty(index, self.fleet.spec().types())
     }
 
     fn memo_key(&self) -> Option<StateKey> {
         StateKey::from_typed_words(
-            self.state
-                .batteries()
-                .iter()
-                .enumerate()
-                .map(|(i, b)| (self.fleet.type_of(i), b.state_word())),
+            (0..self.lanes.len()).map(|i| (self.fleet.type_of(i), self.lanes.state_word(i))),
         )
     }
 
     fn key_dominates(&self, a: &StateKey, b: &StateKey) -> bool {
-        a.dominates_pairwise(b, dkibam::DiscreteBattery::word_dominates)
+        a.dominates_pairwise(b, DiscreteBattery::word_dominates)
     }
 
     fn charge(&self, index: usize) -> BatteryCharge {
-        let battery = &self.state.batteries()[index];
+        let battery = self.lanes.lane(index);
         BatteryCharge {
             total: battery.total_charge(self.fleet.disc()),
             available: battery.available_charge(self.fleet.params_of(index), self.fleet.disc()),
@@ -134,15 +125,18 @@ impl BatteryModel for DiscretizedKibam {
     }
 
     fn total_charge(&self) -> f64 {
-        self.state.total_charge(&self.fleet)
+        // One multiply over the integer unit sum, not a sum of per-battery
+        // products (the reference's `total_charge_units` accounting).
+        let units: u64 = (0..self.lanes.len()).map(|l| u64::from(self.lanes.charge_units(l))).sum();
+        #[allow(clippy::cast_precision_loss)]
+        let units = units as f64;
+        units * self.fleet.disc().charge_unit()
     }
 
     fn usable_charge(&self) -> f64 {
-        self.state
-            .batteries()
-            .iter()
-            .filter(|b| !b.is_observed_empty())
-            .map(|b| f64::from(b.charge_units()) * self.fleet.disc().charge_unit())
+        (0..self.lanes.len())
+            .filter(|&lane| !self.lanes.is_retired(lane))
+            .map(|lane| f64::from(self.lanes.charge_units(lane)) * self.fleet.disc().charge_unit())
             .sum()
     }
 
@@ -152,7 +146,7 @@ impl BatteryModel for DiscretizedKibam {
         max_units_per_draw: u32,
         out: &mut dkibam::ServiceEnvelope,
     ) -> Option<&dkibam::ServiceRateTable> {
-        let battery = &self.state.batteries()[index];
+        let battery = self.lanes.lane(index);
         let table = self.fleet.service_of(index);
         // A retired battery serves nothing, ever: build from zero charge.
         let charge = if battery.is_observed_empty() { 0 } else { battery.charge_units() };
@@ -163,18 +157,16 @@ impl BatteryModel for DiscretizedKibam {
     fn column_inputs(
         &self,
         index: usize,
-    ) -> Option<(dkibam::DiscreteBattery, &kibam::BatteryParams, &dkibam::RecoveryTable)> {
-        let battery = self.state.batteries()[index];
-        Some((battery, self.fleet.params_of(index), self.fleet.table_of(index)))
+    ) -> Option<(DiscreteBattery, &BatteryParams, &dkibam::RecoveryTable)> {
+        Some((self.lanes.lane(index), self.fleet.params_of(index), self.fleet.table_of(index)))
     }
 
     fn states_identical(&self, a: usize, b: usize) -> bool {
-        self.fleet.type_of(a) == self.fleet.type_of(b)
-            && self.state.batteries()[a] == self.state.batteries()[b]
+        self.fleet.type_of(a) == self.fleet.type_of(b) && self.lanes.lane(a) == self.lanes.lane(b)
     }
 
     fn advance_idle(&mut self, steps: u64) {
-        self.state.advance_idle(steps, &self.fleet);
+        self.lanes.recover_range(0..self.lanes.len(), steps, self.fleet.type_tables());
     }
 
     fn advance_job(
@@ -184,12 +176,14 @@ impl BatteryModel for DiscretizedKibam {
         draw_interval_steps: u32,
         units_per_draw: u32,
     ) -> Result<ModelAdvance, SchedError> {
-        let advance = self.state.advance_job(
+        let advance = self.lanes.advance_job_range(
+            0..self.lanes.len(),
             active,
             steps,
             draw_interval_steps,
             units_per_draw,
-            &self.fleet,
+            self.fleet.spec().types(),
+            self.fleet.type_tables(),
         )?;
         Ok(ModelAdvance { steps_consumed: advance.steps_consumed, completed: advance.completed })
     }
@@ -206,13 +200,13 @@ mod tests {
     }
 
     #[test]
-    fn tracks_the_underlying_multi_battery_state() {
+    fn tracks_charge_units_through_a_job() {
         let params = BatteryParams::itsy_b1();
         let disc = Discretization::paper_default();
         let mut model = DiscretizedKibam::new(&params, &disc, 2);
-        assert_eq!(model.state().total_charge_units(), 1100);
+        assert!((model.total_charge() - 11.0).abs() < 1e-12);
         model.advance_job(0, 100, 2, 1).unwrap();
-        assert_eq!(model.state().total_charge_units(), 1050);
+        assert!((model.total_charge() - 10.5).abs() < 1e-12);
         assert_eq!(model.backend_name(), "discretized");
         assert!((model.usable_charge() - 10.5).abs() < 1e-12);
     }

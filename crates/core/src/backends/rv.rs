@@ -1,12 +1,15 @@
 //! The Rakhmatov–Vrudhula diffusion backend: cross-model validation.
 //!
-//! Wraps the discretized RV stepping form of the [`rv`] crate as a
-//! [`BatteryModel`] backend, the way [`super::DiscretizedKibam`] wraps
-//! `dkibam`. RV parameters are fitted per battery *type* from the fleet's
-//! KiBaM parameters ([`rv::RvParams::from_kibam`]: shared capacity,
-//! matched steady-state recovery gain), and the per-type correction tables
-//! live in a static [`rv::RvFleet`] so that search snapshots carry only the
-//! dynamic [`RvCell`]s.
+//! Steps the discretized RV form of the [`rv`] crate with its
+//! struct-of-arrays kernel ([`RvBatch`], one lane per battery), the way
+//! [`super::DiscretizedKibam`] steps `dkibam`. RV parameters are fitted per
+//! battery *type* from the fleet's KiBaM parameters
+//! ([`rv::RvParams::from_kibam`]: shared capacity, matched steady-state
+//! recovery gain), and the per-type correction tables live in a static
+//! [`rv::RvFleet`] behind an `Arc`, so that search snapshots carry only the
+//! dynamic [`RvCell`]s and clones share the tables. Scalar [`RvCell`]
+//! stepping (`RvStepTable::serve`/`recover`) stays the reference the kernel
+//! is held bit-identical to (the lockstep tests of this module's parent).
 //!
 //! The backend is a full search citizen: cells keep integer consumed units
 //! and *grid-aligned* fixed-point diffusion moments, so canonical
@@ -29,13 +32,15 @@ use crate::schedule::BatteryCharge;
 use crate::SchedError;
 use dkibam::Discretization;
 use kibam::{BatteryParams, FleetSpec};
-use rv::{RvCell, RvFleet};
+use rv::{RvBatch, RvCell, RvFleet};
+use std::sync::Arc;
 
 /// The Rakhmatov–Vrudhula diffusion model as a [`BatteryModel`] backend.
 #[derive(Debug, Clone)]
 pub struct RvDiffusion {
-    fleet: RvFleet,
-    cells: Vec<RvCell>,
+    fleet: Arc<RvFleet>,
+    /// Lane `i` is battery `i`.
+    lanes: RvBatch,
 }
 
 impl RvDiffusion {
@@ -58,30 +63,16 @@ impl RvDiffusion {
     #[must_use]
     pub fn from_fleet(fleet: &FleetSpec, disc: &Discretization) -> Self {
         let fleet = RvFleet::new(fleet.clone(), *disc);
-        let cells = (0..fleet.len()).map(|i| fleet.table_of(i).fresh_cell()).collect();
-        Self { fleet, cells }
+        let mut lanes = RvBatch::with_capacity(fleet.len());
+        lanes.push_fleet(&fleet);
+        Self { fleet: Arc::new(fleet), lanes }
     }
 
-    /// The per-battery states, in index order.
+    /// The static fleet data (fitted parameters and correction tables),
+    /// shared by every clone of this system.
     #[must_use]
-    pub fn cells(&self) -> &[RvCell] {
-        &self.cells
-    }
-
-    /// The static fleet data (fitted parameters and correction tables).
-    #[must_use]
-    pub fn fleet(&self) -> &RvFleet {
+    pub fn fleet(&self) -> &Arc<RvFleet> {
         &self.fleet
-    }
-
-    /// Lets every battery except `active` (pass `None` for an idle period)
-    /// recover for `steps` time steps.
-    fn recover_others(&mut self, active: Option<usize>, steps: u64) {
-        for (index, cell) in self.cells.iter_mut().enumerate() {
-            if Some(index) != active {
-                self.fleet.table_of(index).recover(cell, steps);
-            }
-        }
     }
 }
 
@@ -93,7 +84,7 @@ impl BatteryModel for RvDiffusion {
     }
 
     fn battery_count(&self) -> usize {
-        self.cells.len()
+        self.lanes.len()
     }
 
     fn type_of(&self, index: usize) -> usize {
@@ -101,38 +92,38 @@ impl BatteryModel for RvDiffusion {
     }
 
     fn reset(&mut self) {
-        for (index, cell) in self.cells.iter_mut().enumerate() {
-            *cell = self.fleet.table_of(index).fresh_cell();
-        }
+        self.lanes.reset_range(0..self.lanes.len());
     }
 
     fn save_state(&self) -> Vec<RvCell> {
-        self.cells.clone()
+        (0..self.lanes.len()).map(|lane| self.lanes.lane(lane)).collect()
     }
 
     fn save_state_into(&self, out: &mut Vec<RvCell>) {
         out.clear();
-        out.extend_from_slice(&self.cells);
+        out.extend((0..self.lanes.len()).map(|lane| self.lanes.lane(lane)));
     }
 
     fn restore_state(&mut self, state: &Vec<RvCell>) {
-        self.cells.clone_from(state);
+        for (lane, cell) in state.iter().enumerate() {
+            self.lanes.set_lane(lane, cell);
+        }
     }
 
     fn is_empty(&self, index: usize) -> bool {
-        self.fleet.table_of(index).is_empty(&self.cells[index])
+        self.lanes.lane_is_empty(index, self.fleet.type_tables())
     }
 
     fn memo_key(&self) -> Option<StateKey> {
         let mut words = [(0usize, 0u128); crate::model::MAX_KEY_BATTERIES];
-        if self.cells.len() > words.len() {
+        if self.lanes.len() > words.len() {
             return None;
         }
-        for (index, cell) in self.cells.iter().enumerate() {
-            let word = self.fleet.table_of(index).state_word(cell)?;
-            words[index] = (self.fleet.type_of(index), word);
+        for (index, slot) in words.iter_mut().enumerate().take(self.lanes.len()) {
+            let word = self.lanes.state_word(index, self.fleet.type_tables())?;
+            *slot = (self.fleet.type_of(index), word);
         }
-        StateKey::from_typed_words(words.into_iter().take(self.cells.len()))
+        StateKey::from_typed_words(words.into_iter().take(self.lanes.len()))
     }
 
     fn key_dominates(&self, a: &StateKey, b: &StateKey) -> bool {
@@ -141,20 +132,18 @@ impl BatteryModel for RvDiffusion {
 
     fn charge(&self, index: usize) -> BatteryCharge {
         let table = self.fleet.table_of(index);
-        let cell = &self.cells[index];
+        let cell = self.lanes.lane(index);
         // Policies decide on `available`, which for the RV model is the
         // apparent remaining charge α - σ: it shrinks under load faster
         // than the true charge and recovers when idle, exactly the signal
         // best-of-two needs.
-        BatteryCharge { total: table.total_charge(cell), available: table.apparent_charge(cell) }
+        BatteryCharge { total: table.total_charge(&cell), available: table.apparent_charge(&cell) }
     }
 
     fn usable_charge(&self) -> f64 {
-        self.cells
-            .iter()
-            .enumerate()
-            .filter(|(_, cell)| !cell.is_observed_empty())
-            .map(|(index, cell)| self.fleet.table_of(index).total_charge(cell))
+        (0..self.lanes.len())
+            .filter(|&lane| !self.lanes.is_retired(lane))
+            .map(|lane| self.fleet.table_of(lane).total_charge(&self.lanes.lane(lane)))
             .sum()
     }
 
@@ -165,11 +154,11 @@ impl BatteryModel for RvDiffusion {
     // charge bound — the same explicit opt-out as the continuous backend.
 
     fn states_identical(&self, a: usize, b: usize) -> bool {
-        self.fleet.type_of(a) == self.fleet.type_of(b) && self.cells[a] == self.cells[b]
+        self.fleet.type_of(a) == self.fleet.type_of(b) && self.lanes.lane(a) == self.lanes.lane(b)
     }
 
     fn advance_idle(&mut self, steps: u64) {
-        self.recover_others(None, steps);
+        self.lanes.recover_range(0..self.lanes.len(), steps, self.fleet.type_tables());
     }
 
     fn advance_job(
@@ -179,23 +168,18 @@ impl BatteryModel for RvDiffusion {
         draw_interval_steps: u32,
         units_per_draw: u32,
     ) -> Result<ModelAdvance, SchedError> {
-        if active >= self.cells.len() {
-            return Err(SchedError::InvalidBatteryIndex { index: active, count: self.cells.len() });
+        let count = self.lanes.len();
+        if active >= count {
+            return Err(SchedError::InvalidBatteryIndex { index: active, count });
         }
-        if draw_interval_steps == 0 || units_per_draw == 0 {
-            // Degenerate "job" that draws nothing: just idle time.
-            self.advance_idle(steps);
-            return Ok(ModelAdvance { steps_consumed: steps, completed: true });
-        }
-        if self.is_empty(active) {
-            self.cells[active].mark_observed_empty();
-            return Ok(ModelAdvance { steps_consumed: 0, completed: false });
-        }
-
-        let table = self.fleet.table_of(active);
-        let advance =
-            table.serve(&mut self.cells[active], steps, draw_interval_steps, units_per_draw);
-        self.recover_others(Some(active), advance.steps_consumed);
+        let advance = self.lanes.advance_job_range(
+            0..count,
+            active,
+            steps,
+            draw_interval_steps,
+            units_per_draw,
+            self.fleet.type_tables(),
+        );
         Ok(ModelAdvance { steps_consumed: advance.steps_consumed, completed: advance.completed })
     }
 }

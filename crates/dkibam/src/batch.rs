@@ -30,9 +30,9 @@ use std::ops::Range;
 /// N independent discretized-KiBaM cells in struct-of-arrays form.
 ///
 /// Lanes are appended with [`push`](DiscreteBatch::push) /
-/// [`push_fleet`](DiscreteBatch::push_fleet) and addressed by index; a
-/// simulation driver typically owns one contiguous lane range per scenario
-/// system and steps it with the `_range` kernels.
+/// [`push_fleet`](DiscreteBatch::push_fleet) and addressed by index; the
+/// discretized backend of `battery-sched` holds one lane per battery of its
+/// system and steps them with the `_range` kernels.
 #[derive(Debug, Clone, Default)]
 pub struct DiscreteBatch {
     /// Remaining total charge, in charge units, per lane.

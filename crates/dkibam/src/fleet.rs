@@ -1,14 +1,14 @@
 //! Static per-fleet data of the discretized model.
 //!
 //! The discretized KiBaM separates a multi-battery system into *dynamic*
-//! state ([`crate::multi::MultiBatteryState`], snapshotted and restored by
-//! search schedulers at every node) and *static* data, which never changes
+//! state (the lanes of a [`crate::DiscreteBatch`], snapshotted and restored
+//! by search schedulers at every node) and *static* data, which never changes
 //! during a simulation: the per-battery [`BatteryParams`] of the
 //! [`FleetSpec`], the [`Discretization`], and one precomputed
 //! [`RecoveryTable`] per battery *type group* (identical batteries share a
 //! table, so a `2×B1 + 1×B2` fleet builds two tables, not three). A
-//! [`DiscreteFleet`] bundles that static side; every state-advancing method
-//! of `MultiBatteryState` takes one.
+//! [`DiscreteFleet`] bundles that static side, which every copy of a system
+//! can share read-only.
 
 use crate::{Discretization, RecoveryTable, ServiceRateTable};
 use kibam::{BatteryParams, FleetSpec};

@@ -33,13 +33,12 @@
 //! * [`DiscreteFleet`] — the static side of a (possibly heterogeneous)
 //!   multi-battery system: per-battery parameters from a
 //!   [`kibam::FleetSpec`] plus one recovery table per battery type;
-//! * [`MultiBatteryState`](multi::MultiBatteryState) — the multi-battery
-//!   discrete state on which the schedulers of the `battery-sched` crate
-//!   (including the optimal one) operate;
-//! * [`DiscreteBatch`] — the same dynamics over N independent cells in
-//!   struct-of-arrays form, stepped by batch kernels that are bit-identical
-//!   to the scalar path (grid sweeps pack many scenario systems into one
-//!   batch).
+//! * [`DiscreteBatch`] — the multi-battery dynamics in struct-of-arrays
+//!   form, one lane per battery: the stepping kernel behind the
+//!   schedulers of the `battery-sched` crate (including the optimal one);
+//! * [`MultiBatteryState`](multi::MultiBatteryState) — the same dynamics
+//!   stepped battery by battery: the scalar reference the batch kernel is
+//!   held bit-identical to.
 //!
 //! # Example
 //!

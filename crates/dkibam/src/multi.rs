@@ -1,12 +1,15 @@
-//! Multi-battery discrete state.
+//! Multi-battery discrete state: the scalar reference stepping.
 //!
 //! Battery scheduling operates on several batteries at once: at any instant
 //! one battery serves the load while the others recover. This module holds
 //! the joint integer state of all batteries and advances it through idle
-//! periods and (portions of) jobs. The schedulers in the `battery-sched`
-//! crate — including the optimal, search-based one — drive exactly this
-//! state, which makes it the discrete analogue of the network of
-//! total-charge / height-difference automata of Figure 5.
+//! periods and (portions of) jobs the plain way — every battery recovers at
+//! every draw instant — which makes it the direct discrete analogue of the
+//! network of total-charge / height-difference automata of Figure 5. The
+//! schedulers of the `battery-sched` crate step the same dynamics through
+//! the [`DiscreteBatch`](crate::DiscreteBatch) kernel; this state is the
+//! reference that kernel is held bit-identical to, in lockstep tests and in
+//! the kernel benchmark.
 //!
 //! The state is purely dynamic; all static data — per-battery parameters,
 //! discretization, per-type recovery tables — lives in a
@@ -33,8 +36,7 @@ pub struct JobAdvance {
 ///
 /// Per-battery state is a [`DiscreteBattery`]; per-battery parameters come
 /// from the [`DiscreteFleet`] passed to each method (the paper's systems are
-/// uniform fleets, but any mix is supported). The type is `Eq + Hash` so
-/// optimal-schedule searches can memoize visited states.
+/// uniform fleets, but any mix is supported).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MultiBatteryState {
@@ -58,13 +60,6 @@ impl MultiBatteryState {
         Self { batteries }
     }
 
-    /// Overwrites this state with `other`, reusing the existing allocation
-    /// (derived `Clone` cannot; search schedulers restore states millions of
-    /// times).
-    pub fn copy_from(&mut self, other: &MultiBatteryState) {
-        self.batteries.clone_from(&other.batteries);
-    }
-
     /// The number of batteries in the system.
     #[must_use]
     pub fn battery_count(&self) -> usize {
@@ -77,70 +72,12 @@ impl MultiBatteryState {
         &self.batteries
     }
 
-    /// The state of battery `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DkibamError::BatteryIndexOutOfRange`] if `index` is not a
-    /// valid battery index.
-    pub fn battery(&self, index: usize) -> Result<&DiscreteBattery, DkibamError> {
-        self.batteries
-            .get(index)
-            .ok_or(DkibamError::BatteryIndexOutOfRange { index, count: self.batteries.len() })
-    }
-
-    /// Indices of the batteries that can still serve a job: not yet observed
-    /// empty and not currently satisfying the emptiness criterion.
-    #[must_use]
-    pub fn available(&self, fleet: &DiscreteFleet) -> Vec<usize> {
-        self.batteries
-            .iter()
-            .enumerate()
-            .filter(|&(i, b)| !b.is_empty(fleet.params_of(i)))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Fills `out` with the indices of the batteries that can still serve a
-    /// job, reusing its allocation. Search schedulers query availability at
-    /// every node; this keeps the hot path allocation-free.
-    pub fn available_into(&self, fleet: &DiscreteFleet, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(
-            self.batteries
-                .iter()
-                .enumerate()
-                .filter(|&(i, b)| !b.is_empty(fleet.params_of(i)))
-                .map(|(i, _)| i),
-        );
-    }
-
-    /// Whether at least one battery can still serve a job (the negation of
-    /// [`MultiBatteryState::all_empty`], without building an index list).
-    #[must_use]
-    pub fn any_available(&self, fleet: &DiscreteFleet) -> bool {
-        self.batteries.iter().enumerate().any(|(i, b)| !b.is_empty(fleet.params_of(i)))
-    }
-
-    /// Whether every battery is empty (the system has reached the end of its
-    /// lifetime).
-    #[must_use]
-    pub fn all_empty(&self, fleet: &DiscreteFleet) -> bool {
-        self.batteries.iter().enumerate().all(|(i, b)| b.is_empty(fleet.params_of(i)))
-    }
-
     /// Total remaining charge units over all batteries. This is exactly the
     /// quantity the paper's maximum-finder automaton converts into a cost:
     /// the longest-lived schedule leaves the least charge behind.
     #[must_use]
     pub fn total_charge_units(&self) -> u64 {
         self.batteries.iter().map(|b| u64::from(b.charge_units())).sum()
-    }
-
-    /// Total remaining charge in A·min.
-    #[must_use]
-    pub fn total_charge(&self, fleet: &DiscreteFleet) -> f64 {
-        self.total_charge_units() as f64 * fleet.disc().charge_unit()
     }
 
     /// Lets every battery recover for `steps` time steps (an idle period of
@@ -258,9 +195,6 @@ mod tests {
         let state = MultiBatteryState::new_full(&fleet);
         assert_eq!(state.battery_count(), 2);
         assert_eq!(state.total_charge_units(), 1100);
-        assert!((state.total_charge(&fleet) - 11.0).abs() < 1e-12);
-        assert_eq!(state.available(&fleet), vec![0, 1]);
-        assert!(!state.all_empty(&fleet));
     }
 
     #[test]
@@ -269,19 +203,7 @@ mod tests {
         let state = MultiBatteryState::new_full(&fleet);
         assert_eq!(state.batteries()[0].charge_units(), 550);
         assert_eq!(state.batteries()[1].charge_units(), 1100);
-        assert!((state.total_charge(&fleet) - 16.5).abs() < 1e-12);
-        assert_eq!(state.available(&fleet), vec![0, 1]);
-    }
-
-    #[test]
-    fn battery_access_is_bounds_checked() {
-        let fleet = two_b1();
-        let state = MultiBatteryState::new_full(&fleet);
-        assert!(state.battery(1).is_ok());
-        assert!(matches!(
-            state.battery(2),
-            Err(DkibamError::BatteryIndexOutOfRange { index: 2, count: 2 })
-        ));
+        assert_eq!(state.total_charge_units(), 1650);
     }
 
     #[test]
@@ -317,8 +239,7 @@ mod tests {
         assert!(advance.steps_consumed < 200);
         assert!(state.batteries()[0].is_observed_empty());
         // The other battery is still usable, so the system is not dead yet.
-        assert!(!state.all_empty(&fleet));
-        assert_eq!(state.available(&fleet), vec![1]);
+        assert!(!state.batteries()[1].is_empty(fleet.params_of(1)));
     }
 
     #[test]
@@ -357,23 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn available_into_matches_available() {
-        let fleet =
-            DiscreteFleet::uniform(&BatteryParams::itsy_b1(), &Discretization::paper_default(), 3);
-        let mut state = MultiBatteryState::new_full(&fleet);
-        let mut buf = vec![7usize; 5];
-        state.available_into(&fleet, &mut buf);
-        assert_eq!(buf, state.available(&fleet));
-        assert!(state.any_available(&fleet));
-        // Retire battery 1 and check the reduced set.
-        let advance = state.advance_job(1, 10_000, 2, 1, &fleet).unwrap();
-        assert!(!advance.completed);
-        state.available_into(&fleet, &mut buf);
-        assert_eq!(buf, vec![0, 2]);
-        assert!(state.any_available(&fleet));
-    }
-
-    #[test]
     fn mixed_fleet_emptiness_uses_per_battery_parameters() {
         // Drain the B1 of a B1+B2 fleet dry: the (larger) B2 keeps serving.
         let fleet = b1_plus_b2();
@@ -381,7 +285,7 @@ mod tests {
         let advance = state.advance_job(0, 100_000, 2, 1, &fleet).unwrap();
         assert!(!advance.completed);
         assert!(state.batteries()[0].is_observed_empty());
-        assert_eq!(state.available(&fleet), vec![1]);
+        assert!(!state.batteries()[1].is_empty(fleet.params_of(1)));
         let advance = state.advance_job(1, 100, 2, 1, &fleet).unwrap();
         assert!(advance.completed);
     }

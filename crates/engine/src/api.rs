@@ -14,9 +14,8 @@
 //!   carries either the same result row the batch engine emits or a typed
 //!   [`ServeError`];
 //! - [`run_requests`] answers a batch of requests **independently** (one
-//!   failing request does not poison its neighbors), micro-batching
-//!   compatible requests into one struct-of-arrays kernel pass exactly like
-//!   grid workers do.
+//!   failing request does not poison its neighbors), preparing each
+//!   distinct load once per batch exactly like grid workers do per chunk.
 
 use crate::json::JsonValue;
 use crate::runner::{
@@ -56,16 +55,16 @@ pub struct GridRun<'a> {
     threads: Option<usize>,
     chunk: Option<usize>,
     shard: Option<(usize, usize)>,
-    shared: Option<Arc<SharedSystemCache>>,
+    cache: WorkerCache,
 }
 
 impl<'a> GridRun<'a> {
     /// Starts a run over `spec` with default options: one worker per
-    /// available CPU, the default chunk size, no shard restriction and no
-    /// shared cache.
+    /// available CPU, the default chunk size, no shard restriction and a
+    /// system cache private to the run.
     #[must_use]
     pub fn new(spec: &'a ScenarioSpec) -> Self {
-        Self { spec, threads: None, chunk: None, shard: None, shared: None }
+        Self { spec, threads: None, chunk: None, shard: None, cache: WorkerCache::new() }
     }
 
     /// Sets the worker count (`1` runs inline on the calling thread).
@@ -92,13 +91,13 @@ impl<'a> GridRun<'a> {
         self
     }
 
-    /// Attaches a process-wide system cache: workers take prototypes from
-    /// it instead of rebuilding recovery/service/RV step tables (batched
-    /// cells borrow them, scalar cells copy them), so repeated runs over
-    /// the same systems build tables exactly once per process.
+    /// Attaches a process-wide system cache: workers look systems up in it
+    /// instead of building recovery/service/RV step tables for this run
+    /// alone (every cell reads the cached tables in place), so repeated runs
+    /// over the same systems build tables exactly once per process.
     #[must_use]
     pub fn shared_cache(mut self, cache: Arc<SharedSystemCache>) -> Self {
-        self.shared = Some(cache);
+        self.cache = WorkerCache::with_shared(cache);
         self
     }
 
@@ -143,7 +142,7 @@ impl<'a> GridRun<'a> {
             scenarios,
             self.effective_threads(),
             self.effective_chunk(),
-            self.shared.as_ref(),
+            &self.cache,
             |result| {
                 results.push(result);
                 true
@@ -173,7 +172,7 @@ impl<'a> GridRun<'a> {
             scenarios,
             self.effective_threads(),
             self.effective_chunk(),
-            self.shared.as_ref(),
+            &self.cache,
             |result| {
                 match writer.push(&result) {
                     Ok(()) => true,
@@ -539,13 +538,13 @@ impl Response {
 
 /// Answers a batch of requests against a worker cache, each request
 /// **independently** — a failing request yields an error response instead
-/// of poisoning the batch. Compatible requests (same system key and
-/// backend, deterministic policy) are grouped into one struct-of-arrays
-/// kernel pass, exactly like grid workers batch their chunks; this is the
-/// micro-batching a serving loop gets for free by draining its queue into
-/// one call.
+/// of poisoning the batch. Every request looks its system up once and runs
+/// on a copy of the cached backend that reads the cached tables in place;
+/// requests with an equal load share one load preparation, exactly like
+/// the cells of a grid chunk. This is the micro-batching a serving loop
+/// gets for free by draining its queue into one call.
 #[must_use]
-pub fn run_requests(requests: &[Request], cache: &mut WorkerCache) -> Vec<Response> {
+pub fn run_requests(requests: &[Request], cache: &WorkerCache) -> Vec<Response> {
     let scenarios: Vec<&Scenario> = requests.iter().map(|r| &r.scenario).collect();
     runner::run_cells(&scenarios, cache)
         .into_iter()
@@ -648,8 +647,8 @@ mod tests {
             },
         };
         let good2 = Request::from_line(&request_line("CL 500", "best-of-two")).unwrap();
-        let mut cache = WorkerCache::new();
-        let responses = run_requests(&[good.clone(), bad, good2.clone()], &mut cache);
+        let cache = WorkerCache::new();
+        let responses = run_requests(&[good.clone(), bad, good2.clone()], &cache);
         assert_eq!(responses.len(), 3);
         assert!(responses[0].is_ok(), "a bad sibling must not poison request 0");
         assert!(responses[2].is_ok(), "a bad sibling must not poison request 2");
@@ -669,8 +668,8 @@ mod tests {
         let line = "{\"battery\":\"B1\",\"count\":2,\"disc\":\"coarse\",\"load\":\"ILs alt\",\
                     \"policy\":{\"kind\":\"optimal\",\"budget\":1}}";
         let request = Request::from_line(line).unwrap();
-        let mut cache = WorkerCache::new();
-        let responses = run_requests(&[request], &mut cache);
+        let cache = WorkerCache::new();
+        let responses = run_requests(&[request], &cache);
         let error = responses[0].outcome.as_ref().unwrap_err();
         assert_eq!(error.code, ErrorCode::Budget);
     }
@@ -678,8 +677,8 @@ mod tests {
     #[test]
     fn response_json_carries_result_or_typed_error() {
         let request = Request::from_line(&request_line("ILs 500", "round-robin")).unwrap();
-        let mut cache = WorkerCache::new();
-        let mut responses = run_requests(&[request], &mut cache);
+        let cache = WorkerCache::new();
+        let mut responses = run_requests(&[request], &cache);
         let mut response = responses.remove(0);
         response.latency_micros = Some(42);
         let json = response.to_json_value().render().unwrap();
@@ -701,13 +700,13 @@ mod tests {
     fn shared_cache_builds_each_system_once_across_workers() {
         let request = Request::from_line(&request_line("ILs 500", "round-robin")).unwrap();
         let shared = Arc::new(SharedSystemCache::new());
-        let mut first = WorkerCache::with_shared(Arc::clone(&shared));
-        let mut second = WorkerCache::with_shared(Arc::clone(&shared));
-        let a = run_requests(std::slice::from_ref(&request), &mut first);
-        let b = run_requests(std::slice::from_ref(&request), &mut second);
+        let first = WorkerCache::with_shared(Arc::clone(&shared));
+        let second = WorkerCache::with_shared(Arc::clone(&shared));
+        let a = run_requests(std::slice::from_ref(&request), &first);
+        let b = run_requests(std::slice::from_ref(&request), &second);
         let stats = shared.stats();
         assert_eq!(stats.builds, 1, "tables are built once per process, not once per worker");
-        assert_eq!(stats.hits, 1, "the second worker's miss is a shared hit");
+        assert_eq!(stats.hits, 1, "the second worker's lookup is a shared hit");
         assert_eq!(stats.systems, 1);
         let (a, b) = (a[0].outcome.as_ref().unwrap(), b[0].outcome.as_ref().unwrap());
         assert_eq!(a.lifetime_minutes, b.lifetime_minutes);

@@ -8,7 +8,9 @@
 //!    discretizations × loads × policies × backends;
 //! 2. [`run_grid`] expands the grid and executes every cell **in parallel**
 //!    on scoped worker threads, through the backend-agnostic
-//!    [`battery_sched::model::BatteryModel`] simulation path;
+//!    [`battery_sched::model::BatteryModel`] simulation path — each cell on
+//!    a copy of the one cached system for its fleet and discretization,
+//!    which shares that system's tables;
 //! 3. results (and the spec itself) **round-trip through JSON** via the
 //!    built-in writer/parser in [`json`], so sweeps can be scripted,
 //!    archived and diffed (`BENCH_scenarios.json` in the bench crate).
@@ -62,7 +64,6 @@
 #![forbid(unsafe_code)]
 
 pub mod api;
-mod batch;
 pub mod json;
 mod runner;
 mod spec;

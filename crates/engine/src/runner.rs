@@ -2,12 +2,12 @@
 //!
 //! The runner distributes scenarios over a fixed pool of scoped worker
 //! threads in **contiguous chunks**: workers claim a chunk of grid indices
-//! from an atomic cursor, run it against per-worker cached system
-//! configurations (battery tables are built once per worker, not once per
-//! cell) and send the finished chunk back to the coordinating thread, which
-//! re-assembles grid order incrementally. A grid error poisons the cursor so
-//! workers stop claiming new chunks, and the first error **in grid order**
-//! is reported.
+//! from an atomic cursor, run it against one cache of system
+//! configurations shared by the run (battery tables are built once per
+//! system, not once per cell) and send the finished chunk back to the
+//! coordinating thread, which re-assembles grid order incrementally. A grid
+//! error poisons the cursor so workers stop claiming new chunks, and the
+//! first error **in grid order** is reported.
 //!
 //! Results can be collected ([`run_grid`]) or **streamed** as JSON while the
 //! grid is still running ([`GridRun::stream`]): each result is written as
@@ -17,16 +17,13 @@
 //! whitespace), so [`results_from_json`] parses both.
 
 use crate::api::GridRun;
-use crate::batch::{BatchDiscreteView, BatchRvView};
 use crate::json::JsonValue;
 use crate::spec::{BackendKind, LoadSpec, PolicyKind, Scenario, ScenarioSpec};
 use crate::EngineError;
-use battery_sched::optimal::{OptimalOutcome, OptimalScheduler, RootBounds};
+use battery_sched::optimal::{OptimalScheduler, RootBounds};
 use battery_sched::policy::FixedSchedule;
 use battery_sched::system::{simulate_policy_with, SystemConfig, SystemOutcome};
 use battery_sched::BatteryModel;
-use kibam::BatteryParams;
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -34,8 +31,8 @@ use std::sync::{mpsc, Arc, PoisonError, RwLock};
 use std::time::Instant;
 
 /// Scenarios per work chunk. Large enough to amortize the claim, the
-/// per-chunk channel send and the batch-kernel packing, small enough to keep
-/// workers balanced and the streaming reorder window shallow.
+/// per-chunk channel send and the shared load preparation, small enough to
+/// keep workers balanced and the streaming reorder window shallow.
 pub(crate) const DEFAULT_CHUNK_SIZE: usize = 16;
 
 /// Scenarios per chunk when the caller asks for auto-sizing (`chunk_size`
@@ -43,7 +40,7 @@ pub(crate) const DEFAULT_CHUNK_SIZE: usize = 16;
 /// four chunks per worker so the atomic cursor can re-balance stragglers,
 /// clamped to `1..=DEFAULT_CHUNK_SIZE` — small grids shrink to one scenario
 /// per claim (maximum balance), huge grids stop at the default so the
-/// streaming reorder window and the per-chunk batch stay shallow.
+/// streaming reorder window stays shallow.
 pub(crate) fn auto_chunk_size(grid: usize, workers: usize) -> usize {
     grid.div_ceil(workers.max(1) * 4).clamp(1, DEFAULT_CHUNK_SIZE)
 }
@@ -217,7 +214,7 @@ pub fn results_from_json(text: &str) -> Result<(ScenarioSpec, Vec<JsonValue>), E
 
 /// Key of a cached system configuration: the per-battery parameters of the
 /// fleet plus the discretization, all by exact bit pattern (hence `Ord`:
-/// the cache is a `BTreeMap`, so worker behavior is order-deterministic).
+/// the cache shards are `BTreeMap`s, so lookups are order-deterministic).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) struct SystemKey {
     batteries: Vec<(u64, u64, u64)>,
@@ -240,14 +237,12 @@ impl SystemKey {
     }
 }
 
-/// A validated system configuration with ready-built backends. The
-/// discretized backend owns the recovery table, which is the expensive part
-/// (`O(N)` log evaluations); grids that sweep loads or policies against one
-/// battery setup reuse it across every cell a worker claims. Batched cells
-/// only read it, so they borrow a shared prototype; the scalar path drives
-/// the backends themselves and works on a copy (cloning copies the tables
-/// but never recomputes them).
-#[derive(Debug, Clone)]
+/// A validated system configuration with ready-built backends. The tables
+/// are the expensive part (the recovery table alone is `O(N)` log
+/// evaluations); the discretized and RV backends hold theirs behind an
+/// `Arc`, so every cell runs on a clone of the backend it needs — its own
+/// battery state over the prototype's tables, read in place.
+#[derive(Debug)]
 struct CachedSystem {
     config: SystemConfig,
     discretized: battery_sched::backends::DiscretizedKibam,
@@ -291,14 +286,14 @@ pub struct SharedCacheStats {
 /// A process-wide concurrent cache of validated systems, sharded by the
 /// fleet/discretization bit-pattern key.
 ///
-/// Per-worker [`WorkerCache`]s attached via [`WorkerCache::with_shared`]
-/// consult it before building tables, so recovery tables, service-rate
-/// tables and RV step tables are computed **once per `(fleet,
-/// discretization)` across all requests ever**, no matter how many workers
-/// or connections ask. Readers share an `RwLock` per shard; a miss builds
-/// under the shard's write lock, which is what guarantees the once-ever
-/// property the hit/build counters advertise.
-#[derive(Debug, Default)]
+/// Every [`WorkerCache`] is a handle on one of these, and each cell looks
+/// its system up here once, so recovery tables, service-rate tables and RV
+/// step tables are computed **once per `(fleet, discretization)` across all
+/// requests ever**, no matter how many workers or connections ask. Readers
+/// share an `RwLock` per shard; a miss builds under the shard's write lock,
+/// which is what guarantees the once-ever property the hit/build counters
+/// advertise.
+#[derive(Debug)]
 pub struct SharedSystemCache {
     shards: Vec<RwLock<BTreeMap<SystemKey, Arc<CachedSystem>>>>,
     hits: AtomicU64,
@@ -326,24 +321,21 @@ impl SharedSystemCache {
         usize::try_from(acc % CACHE_SHARDS as u64).unwrap_or(0)
     }
 
-    /// Returns the cached prototype for `key`, building it (once, under the
-    /// shard write lock) on the first request.
-    fn get_or_build(
-        &self,
-        key: &SystemKey,
-        scenario: &Scenario,
-    ) -> Result<Arc<CachedSystem>, EngineError> {
-        let shard = &self.shards[Self::shard_of(key)];
+    /// Returns the cached system of `scenario`, building it (once, under
+    /// the shard write lock) on the first request.
+    fn get_or_build(&self, scenario: &Scenario) -> Result<Arc<CachedSystem>, EngineError> {
+        let key = SystemKey::of(scenario);
+        let shard = &self.shards[Self::shard_of(&key)];
         {
             let guard = shard.read().unwrap_or_else(PoisonError::into_inner);
-            if let Some(system) = guard.get(key) {
+            if let Some(system) = guard.get(&key) {
                 // ordering: Relaxed — statistics counter, not a synchronization edge.
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(Arc::clone(system));
             }
         }
         let mut guard = shard.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(system) = guard.get(key) {
+        if let Some(system) = guard.get(&key) {
             // Another worker built it between our read and write locks.
             // ordering: Relaxed — statistics counter, not a synchronization edge.
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -352,7 +344,7 @@ impl SharedSystemCache {
         let system = Arc::new(build_system(scenario)?);
         // ordering: Relaxed — statistics counter, not a synchronization edge.
         self.builds.fetch_add(1, Ordering::Relaxed);
-        guard.insert(key.clone(), Arc::clone(&system));
+        guard.insert(key, Arc::clone(&system));
         Ok(system)
     }
 
@@ -374,61 +366,43 @@ impl SharedSystemCache {
     }
 }
 
-/// Per-worker cache of validated system configurations.
+impl Default for SharedSystemCache {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// A handle on the [`SharedSystemCache`] a worker's cells look their
+/// systems up in.
 ///
 /// [`run_scenario`] rebuilds battery parameters, discretization and —
-/// costliest — the recovery table for every cell; workers hold one of these
-/// so large grids that vary only load/policy/backend pay table construction
-/// once per worker instead of once per cell. A worker cache attached to a
-/// [`SharedSystemCache`] goes one step further: its misses take the shared
-/// prototype instead of rebuilding tables, so construction happens once per
-/// system across the whole process. Batched cells read that prototype in
-/// place; only the scalar path (optimal searches and the continuous/ideal
-/// backends) copies it, once per worker cache, on its first mutable use.
+/// costliest — the recovery table for every cell; cells run through a
+/// cache pay table construction once per distinct system instead.
+/// [`WorkerCache::new`] owns a private shared cache; a grid run without a
+/// [`GridRun::shared_cache`] shares one such cache between its workers, and
+/// [`WorkerCache::with_shared`] attaches to a process-wide one, so
+/// construction happens once per system across every worker and request.
 #[derive(Debug, Default)]
 pub struct WorkerCache {
-    systems: BTreeMap<SystemKey, Arc<CachedSystem>>,
-    shared: Option<Arc<SharedSystemCache>>,
+    shared: Arc<SharedSystemCache>,
 }
 
 impl WorkerCache {
-    /// Creates an empty cache.
+    /// Creates a handle on a new, private cache.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty cache backed by a process-wide shared cache: local
-    /// misses consult (and fill) `shared` before building tables.
+    /// Creates a handle on a process-wide shared cache.
     #[must_use]
     pub fn with_shared(shared: Arc<SharedSystemCache>) -> Self {
-        Self { systems: BTreeMap::new(), shared: Some(shared) }
+        Self { shared }
     }
 
-    fn entry(&mut self, scenario: &Scenario) -> Result<&mut Arc<CachedSystem>, EngineError> {
-        match self.systems.entry(SystemKey::of(scenario)) {
-            Entry::Occupied(entry) => Ok(entry.into_mut()),
-            Entry::Vacant(entry) => {
-                let system = match &self.shared {
-                    Some(shared) => shared.get_or_build(entry.key(), scenario)?,
-                    None => Arc::new(build_system(scenario)?),
-                };
-                Ok(entry.insert(system))
-            }
-        }
-    }
-
-    /// The system of `scenario` for reading: a shared prototype is borrowed,
-    /// never copied.
-    fn system(&mut self, scenario: &Scenario) -> Result<&CachedSystem, EngineError> {
-        self.entry(scenario).map(|system| &**system)
-    }
-
-    /// The system of `scenario` for driving its backends: the first such use
-    /// copies a shared prototype into this worker (`Arc::make_mut`), so the
-    /// prototype itself is never mutated.
-    fn system_mut(&mut self, scenario: &Scenario) -> Result<&mut CachedSystem, EngineError> {
-        Ok(Arc::make_mut(self.entry(scenario)?))
+    /// The cached system of `scenario`, built on the cache's first request.
+    fn system(&self, scenario: &Scenario) -> Result<Arc<CachedSystem>, EngineError> {
+        self.shared.get_or_build(scenario)
     }
 }
 
@@ -439,143 +413,107 @@ impl WorkerCache {
 ///
 /// Propagates spec-validation, simulation and search-budget errors.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioResult, EngineError> {
-    run_scenario_with_cache(scenario, &mut WorkerCache::new())
+    run_scenario_with_cache(scenario, &WorkerCache::new())
 }
 
-/// Runs a single scenario, reusing validated configurations and recovery
-/// tables from `cache` (backends are reset before every simulation, so
-/// reuse cannot leak state between cells).
+/// Runs a single scenario on the cached system of `cache` (the cell steps
+/// its own copy of the backend, so reuse cannot leak state between cells).
 ///
 /// # Errors
 ///
 /// Same as [`run_scenario`].
 pub fn run_scenario_with_cache(
     scenario: &Scenario,
-    cache: &mut WorkerCache,
+    cache: &WorkerCache,
 ) -> Result<ScenarioResult, EngineError> {
     let profile = scenario.load.profile()?;
-    let system = cache.system_mut(scenario)?;
+    let system = cache.system(scenario)?;
     let load = system.config.discretize(&profile)?;
-    execute_scalar(scenario, system, &load)
+    execute(scenario, &system, &load)
 }
 
-/// Runs the optimal search on one backend, timing its root phase (warm
-/// start and root bounds — where the bound construction cost of an optimal
-/// cell lives) apart from the exploration.
-fn root_then_search<M: BatteryModel>(
-    scheduler: &OptimalScheduler,
+/// Runs one prepared scenario on a copy of the cached system's backend: the
+/// copy owns its battery state and shares the prototype's tables.
+fn execute(
+    scenario: &Scenario,
+    system: &CachedSystem,
+    load: &dkibam::DiscretizedLoad,
+) -> Result<ScenarioResult, EngineError> {
+    let config = &system.config;
+    match scenario.backend {
+        BackendKind::Discretized => run_on(scenario, config, load, system.discretized.clone()),
+        BackendKind::Continuous => run_on(scenario, config, load, system.continuous.clone()),
+        BackendKind::Rv => run_on(scenario, config, load, system.rv.clone()),
+        BackendKind::Ideal => run_on(scenario, config, load, system.ideal.clone()),
+    }
+}
+
+/// Runs one scenario's policy — or its optimal search, timing the root
+/// phase (warm start and root bounds) apart from the exploration — on
+/// `model`.
+fn run_on<M: BatteryModel>(
+    scenario: &Scenario,
     config: &SystemConfig,
     load: &dkibam::DiscretizedLoad,
-    model: &mut M,
-) -> Result<(RootBounds, u64, OptimalOutcome), battery_sched::SchedError> {
-    // xlint: allow(clock) -- bound_micros is measurement-only, excluded from --compare
-    let start = Instant::now();
-    let root = scheduler.root_phase(config, load, model)?;
-    let bound_micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    let bounds = root.bounds();
-    Ok((bounds, bound_micros, root.explore()?))
-}
-
-/// Runs one prepared scenario on the cached scalar backend instances (the
-/// non-batched path: optimal searches and the continuous/ideal backends, and
-/// the reference the batched path is held bit-identical to).
-fn execute_scalar(
-    scenario: &Scenario,
-    system: &mut CachedSystem,
-    load: &dkibam::DiscretizedLoad,
+    mut model: M,
 ) -> Result<ScenarioResult, EngineError> {
     // xlint: allow(clock) -- wall_micros is measurement-only, excluded from --compare
     let start = Instant::now();
-    let (outcome, lifetime_minutes, search, seeded_by, root_bounds, bound_micros) =
-        match scenario.policy {
-            PolicyKind::Optimal { budget } => {
-                let scheduler = OptimalScheduler::with_budget(budget);
-                let (bounds, bound_micros, optimal) = match scenario.backend {
-                    BackendKind::Discretized => {
-                        root_then_search(&scheduler, &system.config, load, &mut system.discretized)?
-                    }
-                    BackendKind::Continuous => {
-                        root_then_search(&scheduler, &system.config, load, &mut system.continuous)?
-                    }
-                    BackendKind::Rv => {
-                        root_then_search(&scheduler, &system.config, load, &mut system.rv)?
-                    }
-                    BackendKind::Ideal => {
-                        root_then_search(&scheduler, &system.config, load, &mut system.ideal)?
-                    }
-                };
-                // Replay the optimal decision sequence to recover the residual
-                // charge and switch counts the deterministic cells report.
-                let mut replay = FixedSchedule::new(optimal.decisions.clone());
-                let outcome = simulate_on_backend(system, scenario.backend, load, &mut replay)?;
-                let stats = SearchStats {
-                    nodes_explored: optimal.nodes_explored as u64,
-                    memo_hits: optimal.memo_hits as u64,
-                    dominance_prunes: optimal.dominance_prunes as u64,
-                    charge_bound_prunes: optimal.charge_bound_prunes as u64,
-                    availability_bound_prunes: optimal.availability_bound_prunes as u64,
-                    relax_bound_prunes: optimal.relax_bound_prunes as u64,
-                };
-                let minutes = optimal.lifetime_minutes(&system.config);
-                let seeded_by = optimal.seeded_by.map(str::to_owned);
-                (outcome, Some(minutes), Some(stats), seeded_by, Some(bounds), Some(bound_micros))
-            }
-            _ => {
-                let mut policy =
-                // xlint: allow(panic) -- every non-optimal PolicyKind constructs infallibly
-                scenario.policy.build().expect("non-optimal policies always instantiate");
-                let outcome = simulate_on_backend(system, scenario.backend, load, policy.as_mut())?;
-                let minutes = outcome.lifetime_minutes();
-                (outcome, minutes, None, None, None, None)
-            }
-        };
-    let wall_micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-
+    let PolicyKind::Optimal { budget } = scenario.policy else {
+        let mut policy =
+            // xlint: allow(panic) -- every non-optimal PolicyKind constructs infallibly
+            scenario.policy.build().expect("non-optimal policies always instantiate");
+        let outcome = simulate_policy_with(config, load, policy.as_mut(), &mut model)?;
+        return Ok(result_row(scenario, &outcome, outcome.lifetime_minutes(), start));
+    };
+    let scheduler = OptimalScheduler::with_budget(budget);
+    // xlint: allow(clock) -- bound_micros is measurement-only, excluded from --compare
+    let root_start = Instant::now();
+    let root = scheduler.root_phase(config, load, &mut model)?;
+    let bound_micros = u64::try_from(root_start.elapsed().as_micros()).unwrap_or(u64::MAX);
+    let bounds = root.bounds();
+    let optimal = root.explore()?;
+    // Replay the optimal decision sequence to recover the residual charge
+    // and switch counts the deterministic cells report.
+    let mut replay = FixedSchedule::new(optimal.decisions.clone());
+    let outcome = simulate_policy_with(config, load, &mut replay, &mut model)?;
+    let stats = SearchStats {
+        nodes_explored: optimal.nodes_explored as u64,
+        memo_hits: optimal.memo_hits as u64,
+        dominance_prunes: optimal.dominance_prunes as u64,
+        charge_bound_prunes: optimal.charge_bound_prunes as u64,
+        availability_bound_prunes: optimal.availability_bound_prunes as u64,
+        relax_bound_prunes: optimal.relax_bound_prunes as u64,
+    };
     Ok(ScenarioResult {
+        search: Some(stats),
+        seeded_by: optimal.seeded_by.map(str::to_owned),
+        root_bounds: Some(bounds),
+        bound_micros: Some(bound_micros),
+        ..result_row(scenario, &outcome, Some(optimal.lifetime_minutes(config)), start)
+    })
+}
+
+/// The result row of a finished simulation, without search fields;
+/// `wall_micros` runs from `start` to now.
+fn result_row(
+    scenario: &Scenario,
+    outcome: &SystemOutcome,
+    lifetime_minutes: Option<f64>,
+    start: Instant,
+) -> ScenarioResult {
+    ScenarioResult {
         scenario: scenario.clone(),
         lifetime_minutes,
         residual_charge: outcome.residual_charge(),
         switches: outcome.schedule().switches() as u64,
         decisions: outcome.schedule().assignments.len() as u64,
-        wall_micros,
-        search,
-        seeded_by,
-        root_bounds,
-        bound_micros,
-    })
-}
-
-/// Runs a policy simulation against the cached backend instance selected by
-/// `backend` (the simulation loop is generic over the backend type, so the
-/// dispatch happens here, once per cell).
-fn simulate_on_backend(
-    system: &mut CachedSystem,
-    backend: BackendKind,
-    load: &dkibam::DiscretizedLoad,
-    policy: &mut dyn battery_sched::policy::SchedulingPolicy,
-) -> Result<SystemOutcome, EngineError> {
-    Ok(match backend {
-        BackendKind::Discretized => {
-            simulate_policy_with(&system.config, load, policy, &mut system.discretized)?
-        }
-        BackendKind::Continuous => {
-            simulate_policy_with(&system.config, load, policy, &mut system.continuous)?
-        }
-        BackendKind::Rv => simulate_policy_with(&system.config, load, policy, &mut system.rv)?,
-        BackendKind::Ideal => {
-            simulate_policy_with(&system.config, load, policy, &mut system.ideal)?
-        }
-    })
-}
-
-/// Whether a scenario can run on the batched struct-of-arrays kernels: the
-/// deterministic policies on the discretized and RV backends (the hot cells
-/// of large sweeps). Optimal searches drive their backend through
-/// snapshot/restore from inside the scheduler, and the continuous/ideal
-/// backends have no batch form, so those stay on the scalar path.
-fn is_batchable(scenario: &Scenario) -> bool {
-    !matches!(scenario.policy, PolicyKind::Optimal { .. })
-        && matches!(scenario.backend, BackendKind::Discretized | BackendKind::Rv)
+        wall_micros: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
+        search: None,
+        seeded_by: None,
+        root_bounds: None,
+        bound_micros: None,
+    }
 }
 
 /// One executed chunk: results in chunk order up to the first error, and
@@ -583,108 +521,6 @@ fn is_batchable(scenario: &Scenario) -> bool {
 struct ChunkOutput {
     results: Vec<ScenarioResult>,
     error: Option<(usize, EngineError)>,
-}
-
-/// Builds the deterministic-policy result row from a finished simulation
-/// (shared by the scalar and batched paths, so the rows are assembled
-/// identically).
-fn deterministic_result(
-    scenario: &Scenario,
-    outcome: Result<SystemOutcome, battery_sched::SchedError>,
-    start: Instant,
-) -> Result<ScenarioResult, EngineError> {
-    let outcome = outcome?;
-    let wall_micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    Ok(ScenarioResult {
-        scenario: scenario.clone(),
-        lifetime_minutes: outcome.lifetime_minutes(),
-        residual_charge: outcome.residual_charge(),
-        switches: outcome.schedule().switches() as u64,
-        decisions: outcome.schedule().assignments.len() as u64,
-        wall_micros,
-        search: None,
-        seeded_by: None,
-        root_bounds: None,
-        bound_micros: None,
-    })
-}
-
-/// Runs the batchable scenarios of one `(system, backend)` group: every
-/// member's fleet is packed as a lane range of one shared struct-of-arrays
-/// batch, and each member is simulated through a lane-range view — the batch
-/// kernels step all cells of a system through shared per-type tables. Writes
-/// each member's outcome at its chunk offset.
-fn run_batched_group(
-    scenarios: &[&Scenario],
-    loads: &[Option<&dkibam::DiscretizedLoad>],
-    backend: BackendKind,
-    members: &[usize],
-    cache: &mut WorkerCache,
-    outcomes: &mut [Option<Result<ScenarioResult, EngineError>>],
-) {
-    let system = match cache.system(scenarios[members[0]]) {
-        Ok(system) => system,
-        Err(error) => {
-            // Unreachable in practice: the prepare pass already built and
-            // cached this system. Keep the chunk sound anyway.
-            let mut members = members.iter();
-            if let Some(&first) = members.next() {
-                outcomes[first] = Some(Err(error));
-            }
-            for &offset in members {
-                outcomes[offset] = Some(Err(EngineError::InvalidSpec(
-                    "system vanished from the worker cache".into(),
-                )));
-            }
-            return;
-        }
-    };
-    match backend {
-        BackendKind::Discretized => {
-            let fleet = system.discretized.fleet();
-            let type_params: Vec<BatteryParams> =
-                (0..fleet.spec().type_count()).map(|t| *fleet.spec().type_params(t)).collect();
-            let mut batch = dkibam::DiscreteBatch::with_capacity(fleet.len() * members.len());
-            let lanes: Vec<_> = members.iter().map(|_| batch.push_fleet(fleet)).collect();
-            for (&offset, lanes) in members.iter().zip(lanes) {
-                // Members are drawn from prepared cells, so the load exists.
-                let Some(load) = loads[offset] else { continue };
-                let scenario = scenarios[offset];
-                // xlint: allow(clock) -- wall_micros is measurement-only, excluded from --compare
-                let start = Instant::now();
-                let mut policy =
-                    // xlint: allow(panic) -- batching already filtered out optimal-policy cells
-                    scenario.policy.build().expect("batched cells never run the optimal policy");
-                let mut view = BatchDiscreteView::new(&mut batch, lanes, fleet, &type_params);
-                let outcome =
-                    simulate_policy_with(&system.config, load, policy.as_mut(), &mut view);
-                outcomes[offset] = Some(deterministic_result(scenario, outcome, start));
-            }
-        }
-        BackendKind::Rv => {
-            let fleet = system.rv.fleet();
-            let mut batch = rv::RvBatch::with_capacity(fleet.len() * members.len());
-            let lanes: Vec<_> = members.iter().map(|_| batch.push_fleet(fleet)).collect();
-            for (&offset, lanes) in members.iter().zip(lanes) {
-                // Members are drawn from prepared cells, so the load exists.
-                let Some(load) = loads[offset] else { continue };
-                let scenario = scenarios[offset];
-                // xlint: allow(clock) -- wall_micros is measurement-only, excluded from --compare
-                let start = Instant::now();
-                let mut policy =
-                    // xlint: allow(panic) -- batching already filtered out optimal-policy cells
-                    scenario.policy.build().expect("batched cells never run the optimal policy");
-                let mut view = BatchRvView::new(&mut batch, lanes, fleet);
-                let outcome =
-                    simulate_policy_with(&system.config, load, policy.as_mut(), &mut view);
-                outcomes[offset] = Some(deterministic_result(scenario, outcome, start));
-            }
-        }
-        BackendKind::Continuous | BackendKind::Ideal => {
-            // xlint: allow(panic) -- the grouping pass admits only batchable backends
-            unreachable!("only discretized/rv scenarios are grouped for batching")
-        }
-    }
 }
 
 /// A discretized load prepared once per [`run_cells`] call and borrowed by
@@ -699,21 +535,21 @@ struct PreparedLoad<'a> {
     load: dkibam::DiscretizedLoad,
 }
 
-/// Prepares the load of one cell: validates its system (building and
-/// caching the tables) and returns the index of its discretized load in
-/// `loads`, discretizing only when no earlier cell of the slice prepared an
-/// equal one. The profile is built ahead of the system lookup unless an
-/// equal spec already proved it valid, so a failing cell reports the same
-/// error as a fresh [`run_scenario`].
-fn prepare_load<'a>(
+/// Prepares one cell: looks its system up (building and caching the tables
+/// on the cache's first request) and returns it with the index of its
+/// discretized load in `loads`, discretizing only when no earlier cell of
+/// the slice prepared an equal one. The profile is built ahead of the
+/// system lookup unless an equal spec already proved it valid, so a failing
+/// cell reports the same error as a fresh [`run_scenario`].
+fn prepare_cell<'a>(
     scenario: &'a Scenario,
-    cache: &mut WorkerCache,
+    cache: &WorkerCache,
     loads: &mut Vec<PreparedLoad<'a>>,
-) -> Result<usize, EngineError> {
+) -> Result<(Arc<CachedSystem>, usize), EngineError> {
     let known = loads.iter().any(|prepared| *prepared.spec == scenario.load);
     let profile = if known { None } else { Some(scenario.load.profile()?) };
-    let config = &cache.system(scenario)?.config;
-    let horizon = config.charge_horizon().to_bits();
+    let system = cache.system(scenario)?;
+    let horizon = system.config.charge_horizon().to_bits();
     let time_step = scenario.disc.time_step.to_bits();
     let charge_unit = scenario.disc.charge_unit.to_bits();
     if let Some(index) = loads.iter().position(|prepared| {
@@ -722,15 +558,15 @@ fn prepare_load<'a>(
             && prepared.charge_unit == charge_unit
             && *prepared.spec == scenario.load
     }) {
-        return Ok(index);
+        return Ok((system, index));
     }
     let profile = match profile {
         Some(profile) => profile,
         None => scenario.load.profile()?,
     };
-    let load = config.discretize(&profile)?;
+    let load = system.config.discretize(&profile)?;
     loads.push(PreparedLoad { horizon, time_step, charge_unit, spec: &scenario.load, load });
-    Ok(loads.len() - 1)
+    Ok((system, loads.len() - 1))
 }
 
 /// Runs every scenario of a slice against the worker's cache, each cell
@@ -739,69 +575,21 @@ fn prepare_load<'a>(
 /// error, see [`run_chunk`]) and the request path ([`crate::api`], where
 /// every request deserves its own answer).
 ///
-/// The prepare pass validates each cell's system and prepares **one
-/// discretized load per distinct (load spec, discretization, charge
-/// horizon)** in the slice, which every cell sharing it borrows; a load
-/// that fails to prepare is that cell's own error. Batchable scenarios are
-/// then grouped by `(system, backend)` and stepped on shared
-/// struct-of-arrays batches that read the cached system in place — this
-/// grouping is also what micro-batches compatible service requests into one
-/// kernel pass — while the rest run on the scalar path. Results come back
-/// in slice order, one per scenario.
+/// Each cell looks its system up once and runs on a copy of the cached
+/// backend; the slice prepares **one discretized load per distinct (load
+/// spec, discretization, charge horizon)**, which every cell sharing it
+/// borrows, and a load that fails to prepare is that cell's own error.
+/// Results come back in slice order, one per scenario.
 pub(crate) fn run_cells(
     scenarios: &[&Scenario],
-    cache: &mut WorkerCache,
+    cache: &WorkerCache,
 ) -> Vec<Result<ScenarioResult, EngineError>> {
-    let mut outcomes: Vec<Option<Result<ScenarioResult, EngineError>>> =
-        (0..scenarios.len()).map(|_| None).collect();
     let mut loads: Vec<PreparedLoad> = Vec::new();
-    let mut indices: Vec<Option<usize>> = Vec::with_capacity(scenarios.len());
-    for (offset, scenario) in scenarios.iter().enumerate() {
-        match prepare_load(scenario, cache, &mut loads) {
-            Ok(index) => indices.push(Some(index)),
-            Err(error) => {
-                outcomes[offset] = Some(Err(error));
-                indices.push(None);
-            }
-        }
-    }
-    let cell_loads: Vec<Option<&dkibam::DiscretizedLoad>> =
-        indices.iter().map(|index| index.map(|index| &loads[index].load)).collect();
-
-    // Execute pass. Scalar scenarios first (each borrows the cache mutably),
-    // then the batched groups.
-    for (offset, scenario) in scenarios.iter().enumerate() {
-        let Some(load) = cell_loads[offset] else { continue };
-        if is_batchable(scenario) {
-            continue;
-        }
-        let outcome =
-            cache.system_mut(scenario).and_then(|system| execute_scalar(scenario, system, load));
-        outcomes[offset] = Some(outcome);
-    }
-    // Group by cached system and backend, in first-appearance order; chunks
-    // hold at most DEFAULT_CHUNK_SIZE scenarios (and service micro-batches
-    // stay similarly small), so a linear scan is cheaper than hashing.
-    let mut groups: Vec<(SystemKey, BackendKind, Vec<usize>)> = Vec::new();
-    for (offset, scenario) in scenarios.iter().enumerate() {
-        if cell_loads[offset].is_none() || !is_batchable(scenario) {
-            continue;
-        }
-        let key = SystemKey::of(scenario);
-        match groups.iter_mut().find(|(k, b, _)| *k == key && *b == scenario.backend) {
-            Some((_, _, members)) => members.push(offset),
-            None => groups.push((key, scenario.backend, vec![offset])),
-        }
-    }
-    for (_, backend, members) in groups {
-        run_batched_group(scenarios, &cell_loads, backend, &members, cache, &mut outcomes);
-    }
-
-    outcomes
-        .into_iter()
-        .map(|outcome| {
-            // xlint: allow(panic) -- the prepare/scalar/batched passes above fill every slot
-            outcome.expect("every scenario is executed")
+    scenarios
+        .iter()
+        .map(|scenario| {
+            let (system, load) = prepare_cell(scenario, cache, &mut loads)?;
+            execute(scenario, &system, &loads[load].load)
         })
         .collect()
 }
@@ -809,7 +597,7 @@ pub(crate) fn run_cells(
 /// Runs one chunk of scenarios with **grid semantics**: results in chunk
 /// order up to the first error, so the grid-order contract of the runner is
 /// preserved exactly.
-fn run_chunk(scenarios: &[Scenario], cache: &mut WorkerCache) -> ChunkOutput {
+fn run_chunk(scenarios: &[Scenario], cache: &WorkerCache) -> ChunkOutput {
     let cells: Vec<&Scenario> = scenarios.iter().collect();
     let mut results = Vec::with_capacity(scenarios.len());
     let mut error = None;
@@ -846,26 +634,17 @@ pub(crate) struct ChunkedOutcome {
     pub(crate) error: Option<EngineError>,
 }
 
-/// Builds the worker-local cache for one grid worker: attached to the
-/// process-wide cache when the run carries one, standalone otherwise.
-fn worker_cache(shared: Option<&Arc<SharedSystemCache>>) -> WorkerCache {
-    match shared {
-        Some(shared) => WorkerCache::with_shared(Arc::clone(shared)),
-        None => WorkerCache::new(),
-    }
-}
-
 /// Runs `scenarios` on `threads` workers in contiguous chunks, feeding
 /// completed results to `sink` **in grid order** as soon as their turn
 /// arrives. The sink returns whether to keep going: a `false` (e.g. the
 /// output stream died) poisons the claim cursor exactly like a scenario
 /// error does. On poison, in-flight chunks finish, no new chunks start, and
-/// the sink stops receiving.
+/// the sink stops receiving. Every worker looks its systems up in `cache`.
 pub(crate) fn run_chunked(
     scenarios: &[Scenario],
     threads: usize,
     chunk_size: usize,
-    shared: Option<&Arc<SharedSystemCache>>,
+    cache: &WorkerCache,
     mut sink: impl FnMut(ScenarioResult) -> bool,
 ) -> ChunkedOutcome {
     let workers = threads.max(1).min(scenarios.len().max(1));
@@ -873,11 +652,11 @@ pub(crate) fn run_chunked(
         if chunk_size == 0 { auto_chunk_size(scenarios.len(), workers) } else { chunk_size };
     if workers <= 1 || scenarios.len() <= chunk_size {
         // Inline execution: grid order is the execution order. Chunks still
-        // apply so the inline path batches exactly like workers do.
-        let mut cache = worker_cache(shared);
+        // apply so the inline path shares load preparation exactly like
+        // workers do.
         let mut executed = 0;
         for chunk in scenarios.chunks(chunk_size) {
-            let output = run_chunk(chunk, &mut cache);
+            let output = run_chunk(chunk, cache);
             executed += output.results.len() + usize::from(output.error.is_some());
             for result in output.results {
                 if !sink(result) {
@@ -901,9 +680,7 @@ pub(crate) fn run_chunked(
             let sender = sender.clone();
             let next = &next;
             let poison = &poison;
-            let shared = shared.map(Arc::clone);
             scope.spawn(move || {
-                let mut cache = worker_cache(shared.as_ref());
                 loop {
                     // ordering: Acquire pairs with the poison Release stores below.
                     if poison.load(Ordering::Acquire) {
@@ -915,7 +692,7 @@ pub(crate) fn run_chunked(
                         break;
                     }
                     let end = (start + chunk_size).min(scenarios.len());
-                    let output = run_chunk(&scenarios[start..end], &mut cache);
+                    let output = run_chunk(&scenarios[start..end], cache);
                     let failed = output.error.is_some();
                     if failed {
                         // ordering: Release pairs with the Acquire load in the claim loop.
@@ -1267,19 +1044,21 @@ mod tests {
     fn worker_cache_reuses_systems_without_changing_results() {
         let spec = small_grid();
         let scenarios = spec.expand();
-        let mut cache = WorkerCache::new();
+        let cache = WorkerCache::new();
         for scenario in &scenarios {
-            let cached = run_scenario_with_cache(scenario, &mut cache).unwrap();
+            let cached = run_scenario_with_cache(scenario, &cache).unwrap();
             let fresh = run_scenario(scenario).unwrap();
             assert_eq!(cached.lifetime_minutes, fresh.lifetime_minutes);
             assert_eq!(cached.switches, fresh.switches);
         }
-        // All cells share one battery/disc/count triple.
-        assert_eq!(cache.systems.len(), 1);
+        // All cells share one battery/disc/count triple: one build, and
+        // every later cell's single lookup is a hit.
+        let hits = scenarios.len() as u64 - 1;
+        assert_eq!(cache.shared.stats(), SharedCacheStats { systems: 1, hits, builds: 1 });
     }
 
     #[test]
-    fn batched_cells_borrow_the_prototype_and_the_scalar_path_copies_it() {
+    fn optimal_and_continuous_cells_read_the_cached_tables_in_place() {
         use crate::api::{run_requests, Request};
         let cell = |load: LoadSpec, policy, backend| Scenario {
             fleet: FleetDef::uniform(BatterySpec::b1(), 2),
@@ -1288,31 +1067,7 @@ mod tests {
             policy,
             backend,
         };
-        let deterministic: Vec<Scenario> = [PolicyKind::RoundRobin, PolicyKind::BestOfTwo]
-            .into_iter()
-            .flat_map(|policy| {
-                [BackendKind::Discretized, BackendKind::Rv]
-                    .map(|backend| cell(LoadSpec::Paper(TestLoad::IlsAlt), policy, backend))
-            })
-            .collect();
-        let batched: Vec<Request> =
-            deterministic.iter().cloned().map(Request::of_scenario).collect();
-        let key = SystemKey::of(&deterministic[0]);
-        let shared = Arc::new(SharedSystemCache::new());
-        let prototype = |shared: &SharedSystemCache| {
-            shared.get_or_build(&key, &deterministic[0]).expect("the system builds")
-        };
-
-        let mut worker = WorkerCache::with_shared(Arc::clone(&shared));
-        for response in run_requests(&batched, &mut worker) {
-            assert!(response.is_ok(), "{:?}", response.outcome);
-        }
-        assert!(
-            Arc::ptr_eq(&worker.systems[&key], &prototype(&shared)),
-            "batched cells read the shared prototype without copying it"
-        );
-
-        let scalar = [
+        let cells = [
             cell(
                 LoadSpec::random_paper_levels(3, 4),
                 PolicyKind::optimal(),
@@ -1324,22 +1079,18 @@ mod tests {
                 BackendKind::Continuous,
             ),
         ];
-        for scenario in &scalar {
-            let cells = run_cells(&[scenario], &mut worker);
-            assert!(cells[0].is_ok(), "{}: {:?}", scenario.label(), cells[0]);
-            assert!(
-                !Arc::ptr_eq(&worker.systems[&key], &prototype(&shared)),
-                "{}: the scalar path works on a private copy",
-                scenario.label()
-            );
-        }
-
-        // A later worker still sees an untouched prototype.
-        let mut fresh = WorkerCache::with_shared(Arc::clone(&shared));
-        let responses = run_requests(&batched, &mut fresh);
-        assert!(Arc::ptr_eq(&fresh.systems[&key], &prototype(&shared)));
-        for (scenario, response) in deterministic.iter().zip(&responses) {
-            let row = response.outcome.as_ref().expect("deterministic cells succeed");
+        let shared = Arc::new(SharedSystemCache::new());
+        let prototype = shared.get_or_build(&cells[0]).expect("the system builds");
+        let worker = WorkerCache::with_shared(Arc::clone(&shared));
+        let requests: Vec<Request> = cells.iter().cloned().map(Request::of_scenario).collect();
+        let responses = run_requests(&requests, &worker);
+        assert_eq!(
+            shared.stats(),
+            SharedCacheStats { systems: 1, hits: 2, builds: 1 },
+            "each cell looks the prototype up once and never rebuilds it"
+        );
+        for (scenario, response) in cells.iter().zip(&responses) {
+            let row = response.outcome.as_ref().expect("both cells succeed");
             let expected = run_scenario(scenario).unwrap();
             assert_eq!(
                 row.lifetime_minutes.map(f64::to_bits),
@@ -1349,6 +1100,14 @@ mod tests {
             );
             assert_eq!(row.residual_charge.to_bits(), expected.residual_charge.to_bits());
             assert_eq!((row.switches, row.decisions), (expected.switches, expected.decisions));
+            // The system a cell runs on is the prototype itself, and the
+            // backend copy it steps shares the prototype's tables.
+            let system = worker.system(scenario).unwrap();
+            assert!(Arc::ptr_eq(&system, &prototype), "{}", scenario.label());
+            let stepped = system.discretized.clone();
+            assert!(Arc::ptr_eq(stepped.fleet(), prototype.discretized.fleet()));
+            let stepped = system.rv.clone();
+            assert!(Arc::ptr_eq(stepped.fleet(), prototype.rv.fleet()));
         }
     }
 
@@ -1432,13 +1191,13 @@ mod tests {
 
         // Single worker: exactly one cell executes before the poison stops
         // the claim loop.
-        let outcome = run_chunked(&scenarios, 1, 16, None, |_| true);
+        let outcome = run_chunked(&scenarios, 1, 16, &WorkerCache::new(), |_| true);
         assert!(outcome.error.is_some());
         assert_eq!(outcome.executed, 1);
 
         // Multiple workers: in-flight chunks may finish, but the grid never
         // runs to completion.
-        let outcome = run_chunked(&scenarios, 4, 16, None, |_| true);
+        let outcome = run_chunked(&scenarios, 4, 16, &WorkerCache::new(), |_| true);
         assert!(outcome.error.is_some());
         assert!(
             outcome.executed < scenarios.len() / 2,
@@ -1457,7 +1216,7 @@ mod tests {
 
         // Inline path: execution stops within the chunk whose first result
         // is refused (scenarios are executed one chunk at a time).
-        let outcome = run_chunked(&scenarios, 1, 16, None, |_| false);
+        let outcome = run_chunked(&scenarios, 1, 16, &WorkerCache::new(), |_| false);
         assert!(outcome.error.is_none());
         assert!(
             outcome.executed <= 16,
@@ -1467,7 +1226,7 @@ mod tests {
 
         // Parallel path: in-flight chunks may finish, but the grid never
         // runs to completion.
-        let outcome = run_chunked(&scenarios, 4, 16, None, |_| false);
+        let outcome = run_chunked(&scenarios, 4, 16, &WorkerCache::new(), |_| false);
         assert!(outcome.error.is_none());
         assert!(
             outcome.executed < scenarios.len() / 2,

@@ -1,14 +1,16 @@
-//! Batched-vs-scalar equivalence: the struct-of-arrays chunk kernels the
-//! grid runner packs scenarios into must be **bit-identical** to the scalar
-//! per-scenario path — same lifetimes (to the last mantissa bit), same
-//! residual charge, same switch and decision counts — across uniform and
-//! mixed fleets, every paper load, seeded random loads and both batchable
-//! backends (discretized KiBaM and RV diffusion). The kernel crates prove
-//! per-step state-word identity in their own lockstep suites; this suite
-//! proves the engine wiring (chunk grouping, lane packing, cache reuse)
-//! preserves it end to end, including the one load preparation that the
-//! cells of a chunk or micro-batch share. The last case pins the engine's
-//! optimal rows to direct calls into the core search the same way.
+//! Grid-vs-single-cell equivalence: the chunked grid runner and the
+//! request path — which share one load preparation among the cells of a
+//! chunk or micro-batch and run every cell on a copy of one cached system —
+//! must give rows **bit-identical** to a fresh single-scenario run: same
+//! lifetimes (to the last mantissa bit), same residual charge, same switch
+//! and decision counts — across uniform and mixed fleets, every paper load,
+//! seeded random loads and both table-driven backends (discretized KiBaM
+//! and RV diffusion). Each backend has one stepping path: the identity of
+//! its batch kernel with the scalar reference is proved step by step in the
+//! backends' lockstep tests, and the committed `BENCH_*.json` documents
+//! (`scenarios --compare` in CI) pin the result bits themselves. This suite
+//! pins the engine wiring; the last case pins the engine's optimal rows to
+//! direct calls into the core search the same way.
 
 use battery_sched::optimal::{OptimalOutcome, OptimalScheduler, RootBounds};
 use battery_sched::system::SystemConfig;
@@ -22,7 +24,7 @@ use engine::{
 use workload::paper_loads::TestLoad;
 
 /// Both fleet shapes of the paper experiments: the uniform pair and the
-/// heterogeneous B1+B2 mix (two type groups sharing one batch).
+/// heterogeneous B1+B2 mix (two type groups).
 fn spec_with(loads: Vec<LoadSpec>, policies: Vec<PolicyKind>) -> ScenarioSpec {
     ScenarioSpec {
         batteries: vec![BatterySpec::b1()],
@@ -35,36 +37,36 @@ fn spec_with(loads: Vec<LoadSpec>, policies: Vec<PolicyKind>) -> ScenarioSpec {
     }
 }
 
-fn assert_identical(batched: &ScenarioResult, scalar: &ScenarioResult, context: &str) {
-    assert_eq!(batched.scenario, scalar.scenario, "{context}: scenario mismatch");
+fn assert_identical(grid: &ScenarioResult, single: &ScenarioResult, context: &str) {
+    assert_eq!(grid.scenario, single.scenario, "{context}: scenario mismatch");
     assert_eq!(
-        batched.lifetime_minutes.map(f64::to_bits),
-        scalar.lifetime_minutes.map(f64::to_bits),
+        grid.lifetime_minutes.map(f64::to_bits),
+        single.lifetime_minutes.map(f64::to_bits),
         "{context}: lifetime diverged ({:?} vs {:?})",
-        batched.lifetime_minutes,
-        scalar.lifetime_minutes
+        grid.lifetime_minutes,
+        single.lifetime_minutes
     );
     assert_eq!(
-        batched.residual_charge.to_bits(),
-        scalar.residual_charge.to_bits(),
+        grid.residual_charge.to_bits(),
+        single.residual_charge.to_bits(),
         "{context}: residual charge diverged ({} vs {})",
-        batched.residual_charge,
-        scalar.residual_charge
+        grid.residual_charge,
+        single.residual_charge
     );
-    assert_eq!(batched.switches, scalar.switches, "{context}: switch count diverged");
-    assert_eq!(batched.decisions, scalar.decisions, "{context}: decision count diverged");
-    assert_eq!(batched.search, scalar.search, "{context}: search stats diverged");
-    assert_eq!(batched.seeded_by, scalar.seeded_by, "{context}: seed label diverged");
+    assert_eq!(grid.switches, single.switches, "{context}: switch count diverged");
+    assert_eq!(grid.decisions, single.decisions, "{context}: decision count diverged");
+    assert_eq!(grid.search, single.search, "{context}: search stats diverged");
+    assert_eq!(grid.seeded_by, single.seeded_by, "{context}: seed label diverged");
 }
 
-/// Runs the grid through the chunked (batched) runner and re-runs every cell
-/// through the scalar single-scenario entry point, asserting bit-identity.
-fn assert_grid_matches_scalar(spec: &ScenarioSpec) {
-    let batched = GridRun::new(spec).threads(1).collect().expect("batched grid runs");
-    assert_eq!(batched.len(), spec.expand().len());
-    for result in &batched {
-        let scalar = run_scenario(&result.scenario).expect("scalar scenario runs");
-        assert_identical(result, &scalar, &result.scenario.label());
+/// Runs the grid through the chunked runner and re-runs every cell through
+/// the single-scenario entry point on a fresh cache, asserting bit-identity.
+fn assert_grid_matches_single_runs(spec: &ScenarioSpec) {
+    let grid = GridRun::new(spec).threads(1).collect().expect("the grid runs");
+    assert_eq!(grid.len(), spec.expand().len());
+    for result in &grid {
+        let single = run_scenario(&result.scenario).expect("the single scenario runs");
+        assert_identical(result, &single, &result.scenario.label());
     }
 }
 
@@ -72,27 +74,27 @@ fn assert_grid_matches_scalar(spec: &ScenarioSpec) {
 fn all_paper_loads_match_scalar_bit_for_bit() {
     let loads = TestLoad::all().into_iter().map(LoadSpec::Paper).collect();
     let spec = spec_with(loads, vec![PolicyKind::RoundRobin, PolicyKind::BestOfTwo]);
-    assert_grid_matches_scalar(&spec);
+    assert_grid_matches_single_runs(&spec);
 }
 
 #[test]
 fn remaining_deterministic_policies_match_scalar() {
     let loads = vec![LoadSpec::Paper(TestLoad::Ils500), LoadSpec::Paper(TestLoad::IlsAlt)];
     let spec = spec_with(loads, vec![PolicyKind::Sequential, PolicyKind::CapacityRr]);
-    assert_grid_matches_scalar(&spec);
+    assert_grid_matches_single_runs(&spec);
 }
 
 #[test]
 fn seeded_random_loads_match_scalar() {
     let loads = (0..8).map(|seed| LoadSpec::random_paper_levels(seed, 12)).collect();
     let spec = spec_with(loads, vec![PolicyKind::RoundRobin]);
-    assert_grid_matches_scalar(&spec);
+    assert_grid_matches_single_runs(&spec);
 }
 
 #[test]
 fn thread_count_does_not_change_batched_results() {
-    // Different worker counts claim different chunks, so the lane packing of
-    // every batch differs — the results must not.
+    // Different worker counts claim different chunks, so cells share
+    // different load preparations — the results must not differ.
     let loads = TestLoad::all().into_iter().map(LoadSpec::Paper).collect();
     let spec = spec_with(loads, vec![PolicyKind::RoundRobin, PolicyKind::BestOfTwo]);
     let serial = GridRun::new(&spec).threads(1).collect().unwrap();
@@ -132,8 +134,8 @@ fn shared_load_preparation_keys_on_the_charge_horizon() {
     let rows = GridRun::new(&spec).threads(1).chunk(16).collect().expect("the grid runs");
     assert_eq!(rows.len(), scenarios.len());
     for row in &rows {
-        let scalar = run_scenario(&row.scenario).expect("scalar scenario runs");
-        assert_identical(row, &scalar, &row.scenario.label());
+        let single = run_scenario(&row.scenario).expect("the single scenario runs");
+        assert_identical(row, &single, &row.scenario.label());
     }
 
     // One micro-batch alternating the fleets cell by cell, with a load that
@@ -151,13 +153,13 @@ fn shared_load_preparation_keys_on_the_charge_horizon() {
         cells.insert(at, bad);
     }
     let requests: Vec<Request> = cells.iter().cloned().map(Request::of_scenario).collect();
-    let responses = run_requests(&requests, &mut WorkerCache::new());
+    let responses = run_requests(&requests, &WorkerCache::new());
     assert_eq!(responses.len(), 50);
     for (cell, response) in cells.iter().zip(&responses) {
         match run_scenario(cell) {
-            Ok(scalar) => {
+            Ok(single) => {
                 let row = response.outcome.as_ref().expect("a preparable cell answers");
-                assert_identical(row, &scalar, &cell.label());
+                assert_identical(row, &single, &cell.label());
             }
             Err(error) => {
                 assert_eq!(cell.load, broken, "{}: only the broken load fails", cell.label());

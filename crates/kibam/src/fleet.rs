@@ -117,6 +117,13 @@ impl FleetSpec {
         &self.type_params[type_id]
     }
 
+    /// The representative parameters of every type group, indexed by
+    /// type-group id (the layout the batch stepping kernels consume).
+    #[must_use]
+    pub fn types(&self) -> &[BatteryParams] {
+        &self.type_params
+    }
+
     /// Whether every battery in the fleet has identical parameters.
     #[must_use]
     pub fn is_uniform(&self) -> bool {

@@ -22,9 +22,9 @@ use std::ops::Range;
 /// N independent discretized-RV cells in struct-of-arrays form.
 ///
 /// Lanes are appended with [`push`](RvBatch::push) /
-/// [`push_fleet`](RvBatch::push_fleet) and addressed by index; a simulation
-/// driver typically owns one contiguous lane range per scenario system and
-/// steps it with the `_range` kernels.
+/// [`push_fleet`](RvBatch::push_fleet) and addressed by index; the RV
+/// backend of `battery-sched` holds one lane per battery of its system and
+/// steps them with the `_range` kernels.
 #[derive(Debug, Clone, Default)]
 pub struct RvBatch {
     /// Charge units consumed so far, per lane.
@@ -165,17 +165,20 @@ impl RvBatch {
     }
 
     /// Lets every lane of `lanes` recover (zero current) for `steps` time
-    /// steps. The per-type decay factors are hoisted out of the lane loop;
-    /// retired lanes keep recovering, exactly as in the scalar model.
+    /// steps. The decay factors are computed once per type and applied to
+    /// that type's lanes; retired lanes keep recovering, exactly as in the
+    /// scalar model.
     pub fn recover_range(&mut self, lanes: Range<usize>, steps: u64, tables: &[RvStepTable]) {
         if steps == 0 {
             return;
         }
-        let decays: Vec<[f64; MAX_STEP_TERMS]> =
-            tables.iter().map(|t| t.recovery_decays(steps)).collect();
-        for lane in lanes {
-            let ty = dkibam::checked::index(self.type_ids[lane]);
-            tables[ty].apply_recovery_decays(&mut self.moments[lane], &decays[ty]);
+        for (ty, table) in tables.iter().enumerate() {
+            let decays = table.recovery_decays(steps);
+            for lane in lanes.clone() {
+                if dkibam::checked::index(self.type_ids[lane]) == ty {
+                    table.apply_recovery_decays(&mut self.moments[lane], &decays);
+                }
+            }
         }
     }
 

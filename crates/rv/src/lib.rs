@@ -34,17 +34,19 @@
 //! * [`RvStepTable`] / [`RvCell`] — the **discretized stepping form** on
 //!   the scheduling grid (integer charge units, fixed-point diffusion
 //!   moments, emptiness observed at draw instants), with the per-type
-//!   correction table cached like `dkibam`'s recovery table;
+//!   correction table cached like `dkibam`'s recovery table; scalar
+//!   [`RvCell`] stepping is the reference the batch kernel is held
+//!   bit-identical to;
 //! * [`RvFleet`] — the static side of a (possibly heterogeneous)
 //!   multi-battery system, one table per battery type;
-//! * [`RvBatch`] — the same stepping form over N independent cells in
-//!   struct-of-arrays form, driven by batch kernels that share the scalar
+//! * [`RvBatch`] — the same stepping form in struct-of-arrays form, one
+//!   lane per battery, driven by batch kernels that share the scalar
 //!   path's raw serve/recover routines (bit-identical states).
 //!
-//! The `battery-sched` crate wires the stepping form in as the `rv`
-//! backend of its `BatteryModel` trait, which puts every scheduling policy,
-//! the scenario engine and the optimal branch-and-bound search on this
-//! model unchanged.
+//! The `battery-sched` crate wires [`RvBatch`] in as the `rv` backend of
+//! its `BatteryModel` trait, which puts every scheduling policy, the
+//! scenario engine and the optimal branch-and-bound search on this model
+//! unchanged.
 //!
 //! # Example
 //!

@@ -15,9 +15,9 @@
 //!   optimal-search node budgets, and explicit `overloaded` responses when
 //!   the queue is full — no unbounded buffering, no silent drops;
 //! - **micro-batching workers**: each worker drains a slice of the queue
-//!   and answers it through [`engine::api::run_requests`], which groups
-//!   compatible requests (same system, same backend) into one
-//!   struct-of-arrays kernel pass;
+//!   and answers it through [`engine::api::run_requests`], which prepares
+//!   each distinct load once per batch and runs every request on a copy of
+//!   its cached system;
 //! - the **process-wide system cache** ([`engine::SharedSystemCache`]):
 //!   recovery/service/RV step tables are built once per (fleet,
 //!   discretization) across all requests ever, and the hit/build counters

@@ -285,14 +285,14 @@ fn drained(state: &ServerState, queue: &VecDeque<Job>) -> bool {
 /// One worker: drain up to `batch_max` queued jobs, answer them through
 /// the engine's micro-batching request API, repeat until shutdown.
 ///
-/// Each batch gets a **fresh** worker cache over the process-wide shared
-/// cache: batched requests read the shared prototypes in place, only
-/// searches and the continuous/ideal backends copy them (never recomputing
-/// a table), worker memory stays bounded for a long-running process, and
-/// every batch's reuse is visible in the shared hit counters. Requests are
-/// moved out of their jobs, so the only copy of a request is the scenario
-/// its result row carries.
+/// Every request looks its system up in the process-wide shared cache and
+/// runs on a copy of the cached backend that reads the shared tables in
+/// place (never recomputing or copying a table), so worker memory stays
+/// bounded for a long-running process and every request's reuse is visible
+/// in the shared hit counters. Requests are moved out of their jobs, so the
+/// only copy of a request is the scenario its result row carries.
 fn worker_loop(state: &ServerState) {
+    let cache = WorkerCache::with_shared(Arc::clone(&state.cache));
     loop {
         let jobs = {
             let mut queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
@@ -307,8 +307,7 @@ fn worker_loop(state: &ServerState) {
         };
         let (requests, replies): (Vec<Request>, Vec<_>) =
             jobs.into_iter().map(|job| (job.request, (job.seq, job.queued, job.reply))).unzip();
-        let mut cache = WorkerCache::with_shared(Arc::clone(&state.cache));
-        let mut responses = run_requests(&requests, &mut cache);
+        let mut responses = run_requests(&requests, &cache);
         state.metrics.batch(requests.len() as u64);
         for ((seq, queued, reply), response) in replies.into_iter().zip(responses.iter_mut()) {
             // Latency is measurement-only; it never enters the result row.
