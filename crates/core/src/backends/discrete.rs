@@ -212,6 +212,51 @@ mod tests {
     }
 
     #[test]
+    fn tracks_the_underlying_multi_battery_state() {
+        // The scalar reference, stepped through the same job and idle
+        // period, leaves the same charge units behind.
+        let fleet =
+            DiscreteFleet::uniform(&BatteryParams::itsy_b1(), &Discretization::paper_default(), 2);
+        let mut reference = dkibam::multi::MultiBatteryState::new_full(&fleet);
+        let mut model = DiscretizedKibam::from_fleet_data(fleet.clone());
+        reference.advance_job(0, 100, 2, 1, &fleet).unwrap();
+        model.advance_job(0, 100, 2, 1).unwrap();
+        reference.advance_idle(50, &fleet);
+        model.advance_idle(50);
+        assert_eq!(model.save_state(), reference.batteries());
+        let units: u64 = model.save_state().iter().map(|b| u64::from(b.charge_units())).sum();
+        assert_eq!(units, reference.total_charge_units());
+    }
+
+    #[test]
+    fn available_into_matches_available() {
+        let mut model =
+            DiscretizedKibam::new(&BatteryParams::itsy_b1(), &Discretization::paper_default(), 3);
+        let mut buf = vec![7usize; 5];
+        model.available_into(&mut buf);
+        assert_eq!(buf, model.available());
+        assert!(model.any_available());
+        // Retire battery 1 and check the reduced set.
+        let advance = model.advance_job(1, 10_000, 2, 1).unwrap();
+        assert!(!advance.completed);
+        model.available_into(&mut buf);
+        assert_eq!(buf, vec![0, 2]);
+        assert_eq!(buf, model.available());
+        assert!(model.any_available());
+    }
+
+    #[test]
+    fn clones_share_the_fleet_and_step_independently() {
+        let prototype = b1_plus_b2();
+        let mut copy = prototype.clone();
+        assert!(Arc::ptr_eq(prototype.fleet(), copy.fleet()));
+        copy.advance_job(1, 100, 2, 1).unwrap();
+        assert!((prototype.total_charge() - 16.5).abs() < 1e-12, "the prototype is untouched");
+        assert!((copy.total_charge() - 16.0).abs() < 1e-12);
+        assert_ne!(copy.save_state(), prototype.save_state());
+    }
+
+    #[test]
     fn key_dominance_is_permutation_invariant() {
         let params = BatteryParams::itsy_b1();
         let disc = Discretization::paper_default();

@@ -208,6 +208,18 @@ mod tests {
     }
 
     #[test]
+    fn clones_share_the_fleet_and_step_independently() {
+        let prototype = b1_pair();
+        let mut copy = prototype.clone();
+        assert!(Arc::ptr_eq(prototype.fleet(), copy.fleet()));
+        let fresh = prototype.charge(0);
+        copy.advance_job(0, 100, 2, 1).unwrap();
+        assert_eq!(prototype.charge(0), fresh, "the prototype is untouched");
+        assert!(copy.charge(0).available < fresh.available);
+        assert!(copy.charge(0).total < fresh.total);
+    }
+
+    #[test]
     fn idle_periods_recover_apparent_charge() {
         let mut model = b1_pair();
         model.advance_job(0, 100, 2, 1).unwrap();
