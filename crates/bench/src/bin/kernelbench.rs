@@ -21,7 +21,12 @@
 //! start plus root bounds, the part of every search that runs before the
 //! first node) on the coarse-grid alternating-load fleets, timed here because the
 //! relaxation bound's column DP is itself a kernel on the hot path of the
-//! branch-and-bound search. `--smoke` shrinks the workload for CI.
+//! branch-and-bound search. A `grid` section measures the engine layer:
+//! cells/s of sweep-shaped [`engine::GridRun`]s (four fleets × the four
+//! deterministic policies × discretized and RV, 400-job random loads, one
+//! shared system cache) on one thread and on every core, and the parallel
+//! efficiency cells/s(N) / (N · cells/s(1)); it is recorded, never gated.
+//! `--smoke` shrinks the workload for CI.
 //! `--min-speedup X` exits non-zero if the batched path is below `X`×
 //! scalar at the largest N on the discretized backend (the PR's
 //! acceptance gate).
@@ -35,8 +40,13 @@ use battery_sched::system::SystemConfig;
 use dkibam::multi::MultiBatteryState;
 use dkibam::{DiscreteBatch, DiscreteFleet, Discretization};
 use engine::json::JsonValue;
+use engine::{
+    BackendKind, BatterySpec, DiscSpec, FleetDef, GridRun, LoadSpec, PolicyKind, ScenarioSpec,
+    SharedSystemCache,
+};
 use kibam::BatteryParams;
 use rv::{RvBatch, RvCell, RvFleet};
+use std::sync::Arc;
 use std::time::Instant;
 use workload::paper_loads::TestLoad;
 
@@ -342,6 +352,97 @@ fn measure_bound_probes(smoke: bool) -> JsonValue {
     JsonValue::Array(rows)
 }
 
+/// Jobs per random load of the grid section (the sweep benchmark's size).
+const GRID_JOBS: usize = 400;
+
+/// Cells per timed trial of the grid section: about half a second of work
+/// on one core, long enough that a scheduler hiccup on a shared box does
+/// not decide the trial.
+const GRID_TRIAL_CELLS: usize = 16_384;
+
+/// The sweep-shaped grid over the random loads of `seeds`: fleet-outer, so
+/// the cheap 2xB1 cells come first and the costly 8xB1 and B1+B2 cells
+/// last.
+fn sweep_grid(seeds: std::ops::Range<u64>) -> ScenarioSpec {
+    ScenarioSpec {
+        batteries: vec![],
+        battery_counts: vec![],
+        fleets: vec![
+            FleetDef::uniform(BatterySpec::b1(), 2),
+            FleetDef::uniform(BatterySpec::b1(), 4),
+            FleetDef::uniform(BatterySpec::b1(), 8),
+            FleetDef::mixed(vec![BatterySpec::b1(), BatterySpec::b2()]),
+        ],
+        discretizations: vec![DiscSpec::paper()],
+        loads: seeds.map(|seed| LoadSpec::random_paper_levels(seed, GRID_JOBS)).collect(),
+        policies: PolicyKind::deterministic().to_vec(),
+        backends: vec![BackendKind::Discretized, BackendKind::Rv],
+    }
+}
+
+/// Grid cells/s on `threads` workers: best of 5 trials of `runs` runs of
+/// each grid, on a system cache warmed by one untimed run.
+fn grid_cells_per_sec(grids: &[ScenarioSpec], threads: usize, runs: usize) -> f64 {
+    let cache = Arc::new(SharedSystemCache::new());
+    let run = |spec: &ScenarioSpec| {
+        let results = GridRun::new(spec)
+            .threads(threads)
+            .shared_cache(Arc::clone(&cache))
+            .collect()
+            .expect("the sweep grid runs");
+        results.len()
+    };
+    run(&grids[0]);
+    let mut best = 0.0_f64;
+    for _ in 0..5 {
+        let start = Instant::now();
+        let cells: usize = (0..runs).flat_map(|_| grids).map(run).sum();
+        #[allow(clippy::cast_precision_loss)]
+        let rate = cells as f64 / start.elapsed().as_secs_f64();
+        best = best.max(rate);
+    }
+    best
+}
+
+/// The engine layer's number: grid cells/s on one thread and on every
+/// core, for a small (one load, 32 cells) and a large (eight loads, 256
+/// cells) sweep grid.
+fn measure_grid(smoke: bool) -> JsonValue {
+    let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+    println!("grid sweeps (cells/second, best of 5):");
+    println!(
+        "{:>6} {:>12} {:>12} {:>11}",
+        "cells",
+        "1 thread",
+        format!("{cores} threads"),
+        "efficiency"
+    );
+    let mut rows = Vec::new();
+    for loads in [1u64, 8] {
+        // Distinct seeds per grid, so no load repeats between grids.
+        let grids: Vec<ScenarioSpec> =
+            (0..4).map(|grid| sweep_grid(grid * loads..(grid + 1) * loads)).collect();
+        let cells = grids[0].scenario_count();
+        let runs = if smoke { 1 } else { GRID_TRIAL_CELLS / (grids.len() * cells) };
+        let single = grid_cells_per_sec(&grids, 1, runs);
+        let parallel = grid_cells_per_sec(&grids, cores, runs);
+        #[allow(clippy::cast_precision_loss)]
+        let efficiency = parallel / (cores as f64 * single);
+        println!("{cells:>6} {single:>12.0} {parallel:>12.0} {efficiency:>11.2}");
+        #[allow(clippy::cast_precision_loss)]
+        rows.push(JsonValue::object(vec![
+            ("cells", JsonValue::Number(cells as f64)),
+            ("jobs", JsonValue::Number(GRID_JOBS as f64)),
+            ("threads", JsonValue::Number(cores as f64)),
+            ("cells_per_sec_1", JsonValue::Number(single)),
+            ("cells_per_sec_n", JsonValue::Number(parallel)),
+            ("parallel_efficiency", JsonValue::Number(efficiency)),
+        ]));
+    }
+    println!();
+    JsonValue::Array(rows)
+}
+
 fn main() {
     let options = parse_options();
     // Cycle counts scale inversely with N so every row does comparable
@@ -404,6 +505,7 @@ fn main() {
     }
 
     let bound_probes = measure_bound_probes(options.smoke);
+    let grid = measure_grid(options.smoke);
 
     let document = JsonValue::object(vec![
         ("smoke", JsonValue::Bool(options.smoke)),
@@ -412,6 +514,7 @@ fn main() {
         ("idle_steps", JsonValue::Number(IDLE_STEPS as f64)),
         ("backends", JsonValue::Array(backends)),
         ("bound_probes", bound_probes),
+        ("grid", grid),
     ]);
     let json = document.render().expect("throughput numbers are finite");
     if let Err(error) = std::fs::write(&options.out, &json) {

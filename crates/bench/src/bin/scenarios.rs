@@ -57,8 +57,6 @@
 //!           [--crossmodel] [--crossmodel-out PATH]
 //!           [--random-cells N] [--random-jobs N] [--random-out PATH]
 //!           [--analyze] [--analyze-seeds N]
-//!           [--chunk N]   # work-chunk size of the streamed random grid
-//!                         # (0 auto-sizes from grid size and thread count)
 //!           [--shard I/N] # stream only shard I of N of the random grid
 //! scenarios --merge OUT IN...   # concatenate shard documents into OUT
 //! scenarios --compare A B       # row-for-row equality (ignores wall_micros)
@@ -79,7 +77,6 @@ use workload::paper_loads::TestLoad;
 struct Options {
     out: String,
     threads: usize,
-    chunk: Option<usize>,
     shard: Option<(usize, usize)>,
     optimal: bool,
     optimal_out: String,
@@ -101,7 +98,6 @@ fn parse_options() -> Options {
     let mut options = Options {
         out: "BENCH_scenarios.json".to_owned(),
         threads: std::thread::available_parallelism().map(usize::from).unwrap_or(1),
-        chunk: None,
         shard: None,
         optimal: false,
         optimal_out: "BENCH_optimal.json".to_owned(),
@@ -128,7 +124,6 @@ fn parse_options() -> Options {
         };
         match arg.as_str() {
             "--threads" => options.threads = parse(&value("--threads")),
-            "--chunk" => options.chunk = Some(parse(&value("--chunk"))),
             "--shard" => options.shard = Some(parse_shard(&value("--shard"))),
             "--optimal" => options.optimal = true,
             "--optimal-out" => options.optimal_out = value("--optimal-out"),
@@ -1050,9 +1045,6 @@ fn run_random_grid(options: &Options, cells: usize) {
     };
     let start = Instant::now();
     let mut run = GridRun::new(&spec).threads(options.threads);
-    if let Some(chunk) = options.chunk {
-        run = run.chunk(chunk);
-    }
     if let Some((index, count)) = options.shard {
         run = run.shard(index, count);
     }

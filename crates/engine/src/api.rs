@@ -15,11 +15,12 @@
 //!   [`ServeError`];
 //! - [`run_requests`] answers a batch of requests **independently** (one
 //!   failing request does not poison its neighbors), preparing each
-//!   distinct load once per batch exactly like grid workers do per chunk.
+//!   distinct load once per batch exactly like a grid worker does for the
+//!   ranges it claims.
 
 use crate::json::JsonValue;
 use crate::runner::{
-    self, run_chunked, ScenarioResult, SharedSystemCache, StreamSummary, StreamingResultWriter,
+    self, run_claimed, ScenarioResult, SharedSystemCache, StreamSummary, StreamingResultWriter,
     WorkerCache,
 };
 use crate::spec::{
@@ -31,8 +32,8 @@ use std::io::Write;
 use std::sync::Arc;
 use workload::paper_loads::TestLoad;
 
-/// An options builder for grid execution: worker count, chunk size, shard
-/// and shared cache, then [`collect`](GridRun::collect) or
+/// An options builder for grid execution: worker count, shard and shared
+/// cache, then [`collect`](GridRun::collect) or
 /// [`stream`](GridRun::stream). [`run_grid`] is `GridRun::new(spec).collect()`.
 ///
 /// [`run_grid`]: crate::run_grid
@@ -53,32 +54,26 @@ use workload::paper_loads::TestLoad;
 pub struct GridRun<'a> {
     spec: &'a ScenarioSpec,
     threads: Option<usize>,
-    chunk: Option<usize>,
     shard: Option<(usize, usize)>,
     cache: WorkerCache,
 }
 
 impl<'a> GridRun<'a> {
     /// Starts a run over `spec` with default options: one worker per
-    /// available CPU, the default chunk size, no shard restriction and a
-    /// system cache private to the run.
+    /// available CPU, no shard restriction and a system cache private to
+    /// the run.
     #[must_use]
     pub fn new(spec: &'a ScenarioSpec) -> Self {
-        Self { spec, threads: None, chunk: None, shard: None, cache: WorkerCache::new() }
+        Self { spec, threads: None, shard: None, cache: WorkerCache::new() }
     }
 
-    /// Sets the worker count (`1` runs inline on the calling thread).
+    /// Sets the worker count: the calling thread works, plus `threads − 1`
+    /// helper threads (`1` runs inline on the calling thread). Workers
+    /// claim ranges of cells that shrink as the grid drains, so every
+    /// worker stays busy until the last cell.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Sets the scenarios-per-chunk claim size. `0` asks for auto-sizing
-    /// from the grid size and worker count.
-    #[must_use]
-    pub fn chunk(mut self, chunk_size: usize) -> Self {
-        self.chunk = Some(chunk_size);
         self
     }
 
@@ -102,30 +97,31 @@ impl<'a> GridRun<'a> {
     }
 
     /// Expands the grid and slices the configured shard out of it.
-    fn scenarios(&self) -> Result<(Vec<Scenario>, usize, usize), EngineError> {
-        let scenarios = self.spec.expand();
-        let (start, end) = match self.shard {
-            Some((index, count)) => {
-                if count == 0 || index >= count {
-                    return Err(EngineError::InvalidSpec(format!(
-                        "shard {index}/{count} is out of range"
-                    )));
-                }
-                let len = scenarios.len() as u128;
-                let at = |i: usize| usize::try_from(len * i as u128 / count as u128).unwrap_or(0);
-                (at(index), at(index + 1))
+    fn scenarios(&self) -> Result<Vec<Scenario>, EngineError> {
+        let mut scenarios = self.spec.expand();
+        if let Some((index, count)) = self.shard {
+            if count == 0 || index >= count {
+                return Err(EngineError::InvalidSpec(format!(
+                    "shard {index}/{count} is out of range"
+                )));
             }
-            None => (0, scenarios.len()),
-        };
-        Ok((scenarios, start, end))
+            let len = scenarios.len() as u128;
+            let at = |i: usize| usize::try_from(len * i as u128 / count as u128).unwrap_or(0);
+            scenarios.truncate(at(index + 1));
+            scenarios.drain(..at(index));
+        }
+        Ok(scenarios)
     }
 
-    fn effective_threads(&self) -> usize {
-        self.threads.unwrap_or_else(runner::default_threads)
-    }
-
-    fn effective_chunk(&self) -> usize {
-        self.chunk.unwrap_or(runner::DEFAULT_CHUNK_SIZE)
+    /// Runs `scenarios` on the configured workers, feeding `sink` in grid
+    /// order; the error is the first scenario error in grid order.
+    fn run(
+        &self,
+        scenarios: &[Scenario],
+        sink: impl FnMut(ScenarioResult) -> bool,
+    ) -> Result<(), EngineError> {
+        let threads = self.threads.unwrap_or_else(runner::default_threads);
+        run_claimed(scenarios, threads, &self.cache, sink, |_| {}).error.map_or(Ok(()), Err)
     }
 
     /// Runs the grid and returns the results in grid order.
@@ -135,23 +131,13 @@ impl<'a> GridRun<'a> {
     /// Returns the first scenario error encountered (in grid order), or
     /// [`EngineError::InvalidSpec`] for an out-of-range shard.
     pub fn collect(self) -> Result<Vec<ScenarioResult>, EngineError> {
-        let (scenarios, start, end) = self.scenarios()?;
-        let scenarios = &scenarios[start..end];
+        let scenarios = self.scenarios()?;
         let mut results = Vec::with_capacity(scenarios.len());
-        let outcome = run_chunked(
-            scenarios,
-            self.effective_threads(),
-            self.effective_chunk(),
-            &self.cache,
-            |result| {
-                results.push(result);
-                true
-            },
-        );
-        match outcome.error {
-            Some(error) => Err(error),
-            None => Ok(results),
-        }
+        self.run(&scenarios, |result| {
+            results.push(result);
+            true
+        })?;
+        Ok(results)
     }
 
     /// Runs the grid and streams results to `out` in grid order as they
@@ -164,31 +150,18 @@ impl<'a> GridRun<'a> {
     /// writing fails, or [`EngineError::InvalidSpec`] for an out-of-range
     /// shard.
     pub fn stream<W: Write>(self, out: W) -> Result<StreamSummary, EngineError> {
-        let (scenarios, start, end) = self.scenarios()?;
-        let scenarios = &scenarios[start..end];
+        let scenarios = self.scenarios()?;
         let mut writer = StreamingResultWriter::new(out, self.spec)?;
         let mut io_error: Option<EngineError> = None;
-        let outcome = run_chunked(
-            scenarios,
-            self.effective_threads(),
-            self.effective_chunk(),
-            &self.cache,
-            |result| {
-                match writer.push(&result) {
-                    Ok(()) => true,
-                    Err(error) => {
-                        // Returning `false` poisons the grid, so a dead
-                        // output stream aborts the sweep instead of running
-                        // it out.
-                        io_error = Some(error);
-                        false
-                    }
-                }
-            },
-        );
-        if let Some(error) = outcome.error {
-            return Err(error);
-        }
+        self.run(&scenarios, |result| match writer.push(&result) {
+            Ok(()) => true,
+            Err(error) => {
+                // Returning `false` poisons the grid, so a dead output
+                // stream aborts the sweep instead of running it out.
+                io_error = Some(error);
+                false
+            }
+        })?;
         if let Some(error) = io_error {
             return Err(error);
         }
@@ -541,7 +514,7 @@ impl Response {
 /// of poisoning the batch. Every request looks its system up once and runs
 /// on a copy of the cached backend that reads the cached tables in place;
 /// requests with an equal load share one load preparation, exactly like
-/// the cells of a grid chunk. This is the micro-batching a serving loop
+/// the cells a grid worker runs. This is the micro-batching a serving loop
 /// gets for free by draining its queue into one call.
 #[must_use]
 pub fn run_requests(requests: &[Request], cache: &WorkerCache) -> Vec<Response> {

@@ -1,13 +1,16 @@
 //! Executes expanded scenario grids, in parallel, with streaming output.
 //!
-//! The runner distributes scenarios over a fixed pool of scoped worker
-//! threads in **contiguous chunks**: workers claim a chunk of grid indices
-//! from an atomic cursor, run it against one cache of system
+//! The calling thread and `threads − 1` scoped helper threads claim
+//! **guided ranges** of grid indices from one atomic cursor: each claim
+//! takes half an even share of the unclaimed cells, at most 16, so claims
+//! shrink as the grid drains and the last ranges balance out between
+//! workers. Every worker runs its ranges against one cache of system
 //! configurations shared by the run (battery tables are built once per
-//! system, not once per cell) and send the finished chunk back to the
-//! coordinating thread, which re-assembles grid order incrementally. A grid
-//! error poisons the cursor so workers stop claiming new chunks, and the
-//! first error **in grid order** is reported.
+//! system, not once per cell) and keeps the discretized loads it prepared
+//! for the whole run. Helpers send finished ranges back over a channel;
+//! the calling thread, between its own ranges, re-assembles grid order and
+//! feeds the sink. A grid error poisons the cursor so workers stop
+//! claiming, and the first error **in grid order** is reported.
 //!
 //! Results can be collected ([`run_grid`]) or **streamed** as JSON while the
 //! grid is still running ([`GridRun::stream`]): each result is written as
@@ -24,26 +27,20 @@ use battery_sched::optimal::{OptimalScheduler, RootBounds};
 use battery_sched::policy::FixedSchedule;
 use battery_sched::system::{simulate_policy_with, SystemConfig, SystemOutcome};
 use battery_sched::BatteryModel;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, PoisonError, RwLock};
 use std::time::Instant;
 
-/// Scenarios per work chunk. Large enough to amortize the claim, the
-/// per-chunk channel send and the shared load preparation, small enough to
-/// keep workers balanced and the streaming reorder window shallow.
-pub(crate) const DEFAULT_CHUNK_SIZE: usize = 16;
+/// The most grid cells one claim takes. Claims shrink as the grid drains
+/// (see [`claim_size`]); the cap keeps the streaming reorder window shallow
+/// on huge grids.
+const MAX_CLAIM: usize = 16;
 
-/// Scenarios per chunk when the caller asks for auto-sizing (`chunk_size`
-/// `Some(0)`, the scenarios CLI's `--chunk 0`). The heuristic targets about
-/// four chunks per worker so the atomic cursor can re-balance stragglers,
-/// clamped to `1..=DEFAULT_CHUNK_SIZE` — small grids shrink to one scenario
-/// per claim (maximum balance), huge grids stop at the default so the
-/// streaming reorder window stays shallow.
-pub(crate) fn auto_chunk_size(grid: usize, workers: usize) -> usize {
-    grid.div_ceil(workers.max(1) * 4).clamp(1, DEFAULT_CHUNK_SIZE)
-}
+/// Discretized loads one worker keeps for reuse, oldest evicted first.
+const LOAD_MEMO: usize = 16;
 
 /// Search statistics of an optimal-schedule scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -516,115 +513,172 @@ fn result_row(
     }
 }
 
-/// One executed chunk: results in chunk order up to the first error, and
-/// that error with its chunk-local offset.
-struct ChunkOutput {
-    results: Vec<ScenarioResult>,
-    error: Option<(usize, EngineError)>,
-}
-
-/// A discretized load prepared once per [`run_cells`] call and borrowed by
-/// every cell with the same load spec, discretization and charge horizon
-/// (the horizon belongs to the key because cyclic loads are truncated at
-/// the fleet's own horizon).
+/// A discretized load a worker prepared, kept for every later cell with an
+/// equal load spec and discretization. `horizon` is the charge horizon a
+/// cyclic load was truncated at; a finite load discretizes the same under
+/// every fleet's horizon, so it keeps `None` and serves them all.
 struct PreparedLoad<'a> {
-    horizon: u64,
+    spec: &'a LoadSpec,
     time_step: u64,
     charge_unit: u64,
-    spec: &'a LoadSpec,
+    horizon: Option<u64>,
     load: dkibam::DiscretizedLoad,
 }
 
-/// Prepares one cell: looks its system up (building and caching the tables
-/// on the cache's first request) and returns it with the index of its
-/// discretized load in `loads`, discretizing only when no earlier cell of
-/// the slice prepared an equal one. The profile is built ahead of the
-/// system lookup unless an equal spec already proved it valid, so a failing
-/// cell reports the same error as a fresh [`run_scenario`].
-fn prepare_cell<'a>(
-    scenario: &'a Scenario,
-    cache: &WorkerCache,
-    loads: &mut Vec<PreparedLoad<'a>>,
-) -> Result<(Arc<CachedSystem>, usize), EngineError> {
-    let known = loads.iter().any(|prepared| *prepared.spec == scenario.load);
-    let profile = if known { None } else { Some(scenario.load.profile()?) };
-    let system = cache.system(scenario)?;
-    let horizon = system.config.charge_horizon().to_bits();
-    let time_step = scenario.disc.time_step.to_bits();
-    let charge_unit = scenario.disc.charge_unit.to_bits();
-    if let Some(index) = loads.iter().position(|prepared| {
-        prepared.horizon == horizon
-            && prepared.time_step == time_step
-            && prepared.charge_unit == charge_unit
-            && *prepared.spec == scenario.load
-    }) {
-        return Ok((system, index));
+/// The last [`LOAD_MEMO`] loads a worker prepared, oldest first.
+#[derive(Default)]
+struct LoadMemo<'a> {
+    loads: VecDeque<PreparedLoad<'a>>,
+}
+
+impl<'a> LoadMemo<'a> {
+    /// Prepares one cell: looks its system up (building and caching the
+    /// tables on the cache's first request) and returns it with the cell's
+    /// discretized load, discretizing only when no remembered load matches.
+    /// The profile is built ahead of the system lookup unless an equal spec
+    /// already proved it valid, so a failing cell reports the same error as
+    /// a fresh [`run_scenario`].
+    fn prepare_cell(
+        &mut self,
+        scenario: &'a Scenario,
+        cache: &WorkerCache,
+    ) -> Result<(Arc<CachedSystem>, &dkibam::DiscretizedLoad), EngineError> {
+        let known = self.loads.iter().any(|prepared| *prepared.spec == scenario.load);
+        let profile = if known { None } else { Some(scenario.load.profile()?) };
+        let system = cache.system(scenario)?;
+        let horizon = system.config.charge_horizon().to_bits();
+        let time_step = scenario.disc.time_step.to_bits();
+        let charge_unit = scenario.disc.charge_unit.to_bits();
+        let hit = self.loads.iter().position(|prepared| {
+            prepared.time_step == time_step
+                && prepared.charge_unit == charge_unit
+                && prepared.horizon.unwrap_or(horizon) == horizon
+                && *prepared.spec == scenario.load
+        });
+        if let Some(index) = hit {
+            return Ok((system, &self.loads[index].load));
+        }
+        let profile = profile.map_or_else(|| scenario.load.profile(), Ok)?;
+        let load = system.config.discretize(&profile)?;
+        if self.loads.len() == LOAD_MEMO {
+            self.loads.pop_front();
+        }
+        let horizon = profile.is_cyclic().then_some(horizon);
+        let spec = &scenario.load;
+        self.loads.push_back(PreparedLoad { spec, time_step, charge_unit, horizon, load });
+        Ok((system, &self.loads[self.loads.len() - 1].load))
     }
-    let profile = match profile {
-        Some(profile) => profile,
-        None => scenario.load.profile()?,
-    };
-    let load = system.config.discretize(&profile)?;
-    loads.push(PreparedLoad { horizon, time_step, charge_unit, spec: &scenario.load, load });
-    Ok((system, loads.len() - 1))
 }
 
 /// Runs every scenario of a slice against the worker's cache, each cell
 /// **independently**: one failing cell does not stop its siblings. This is
-/// the execution core shared by the grid path (which truncates at the first
-/// error, see [`run_chunk`]) and the request path ([`crate::api`], where
-/// every request deserves its own answer).
+/// the request path ([`crate::api`], where every request deserves its own
+/// answer); grid ranges stop at their first error instead (see [`work`]).
 ///
 /// Each cell looks its system up once and runs on a copy of the cached
-/// backend; the slice prepares **one discretized load per distinct (load
-/// spec, discretization, charge horizon)**, which every cell sharing it
-/// borrows, and a load that fails to prepare is that cell's own error.
-/// Results come back in slice order, one per scenario.
+/// backend; cells with an equal load spec and discretization share **one
+/// discretized load** (per charge horizon, for cyclic loads), and a load
+/// that fails to prepare is that cell's own error. Results come back in
+/// slice order, one per scenario.
 pub(crate) fn run_cells(
     scenarios: &[&Scenario],
     cache: &WorkerCache,
 ) -> Vec<Result<ScenarioResult, EngineError>> {
-    let mut loads: Vec<PreparedLoad> = Vec::new();
+    let mut loads = LoadMemo::default();
     scenarios
         .iter()
         .map(|scenario| {
-            let (system, load) = prepare_cell(scenario, cache, &mut loads)?;
-            execute(scenario, &system, &loads[load].load)
+            let (system, load) = loads.prepare_cell(scenario, cache)?;
+            execute(scenario, &system, load)
         })
         .collect()
 }
 
-/// Runs one chunk of scenarios with **grid semantics**: results in chunk
-/// order up to the first error, so the grid-order contract of the runner is
-/// preserved exactly.
-fn run_chunk(scenarios: &[Scenario], cache: &WorkerCache) -> ChunkOutput {
-    let cells: Vec<&Scenario> = scenarios.iter().collect();
-    let mut results = Vec::with_capacity(scenarios.len());
-    let mut error = None;
-    for (offset, outcome) in run_cells(&cells, cache).into_iter().enumerate() {
-        match outcome {
-            Ok(result) => results.push(result),
-            Err(e) => {
-                error = Some((offset, e));
-                break;
+/// One executed range of grid cells: results in grid order up to the first
+/// error, and that error.
+struct RangeOutput {
+    range: Range<usize>,
+    results: Vec<ScenarioResult>,
+    error: Option<EngineError>,
+}
+
+/// Cells the next claim takes while `remaining` cells are unclaimed: half
+/// an even share per worker, so claims shrink as the grid drains and the
+/// last ranges balance out, within `1..=MAX_CLAIM`.
+fn claim_size(remaining: usize, workers: usize) -> usize {
+    (remaining / (2 * workers)).clamp(1, MAX_CLAIM)
+}
+
+/// The claim cursor of one grid run, shared by all of its workers.
+#[derive(Default)]
+pub(crate) struct Claims {
+    len: usize,
+    workers: usize,
+    cursor: AtomicUsize,
+    poisoned: AtomicBool,
+}
+
+impl Claims {
+    /// Claims the next range of cells, or `None` once the grid is drained
+    /// or poisoned.
+    fn next(&self) -> Option<Range<usize>> {
+        // ordering: Acquire pairs with the Release store in `poison`.
+        if self.poisoned.load(Ordering::Acquire) {
+            return None;
+        }
+        let (len, workers) = (self.len, self.workers);
+        let advance =
+            |start: usize| (start < len).then(|| start + claim_size(len - start, workers));
+        // ordering: Relaxed — a pure claim ticket; results synchronize via mpsc.
+        let start = self.cursor.fetch_update(Ordering::Relaxed, Ordering::Relaxed, advance).ok()?;
+        advance(start).map(|end| start..end)
+    }
+
+    /// Stops every worker's claims: ranges in flight finish, no new one
+    /// starts.
+    fn poison(&self) {
+        // ordering: Release pairs with the Acquire load in `next`.
+        self.poisoned.store(true, Ordering::Release);
+    }
+}
+
+/// The claim loop every worker runs, the calling thread included: run each
+/// range `next` claims with **grid semantics** (cells in grid order,
+/// stopping at the first error, which poisons the claims) and hand it to
+/// `deliver`, until the grid is drained or poisoned. One load memo serves
+/// all of the worker's ranges, so a small tail claim does not discretize
+/// its loads again.
+fn work(
+    scenarios: &[Scenario],
+    claims: &Claims,
+    cache: &WorkerCache,
+    mut next: impl FnMut() -> Option<Range<usize>>,
+    mut deliver: impl FnMut(RangeOutput),
+) {
+    let mut loads = LoadMemo::default();
+    while let Some(range) = next() {
+        let mut results = Vec::with_capacity(range.len());
+        let mut error = None;
+        for scenario in &scenarios[range.clone()] {
+            let prepared = loads.prepare_cell(scenario, cache);
+            match prepared.and_then(|(system, load)| execute(scenario, &system, load)) {
+                Ok(result) => results.push(result),
+                Err(e) => {
+                    claims.poison();
+                    error = Some(e);
+                    break;
+                }
             }
         }
+        deliver(RangeOutput { range, results, error });
     }
-    ChunkOutput { results, error }
 }
 
-/// One completed chunk of grid work, sent from a worker to the coordinator.
-struct ChunkMessage {
-    chunk_index: usize,
-    /// Results of the chunk's scenarios, in grid order, up to the first
-    /// error (if any).
-    results: Vec<ScenarioResult>,
-    /// The first error in the chunk, with its grid index.
-    error: Option<(usize, EngineError)>,
-}
-
-/// Outcome of a chunked grid execution.
-pub(crate) struct ChunkedOutcome {
+/// Outcome of a grid execution, assembled in grid order on the calling
+/// thread: executed ranges arrive keyed by their start, and the in-order
+/// prefix goes to the sink as soon as it is complete.
+#[derive(Default)]
+pub(crate) struct ClaimedOutcome {
     /// How many scenarios actually executed (including the failing one).
     /// With the poison flag, this stays far below the grid size when an
     /// early cell fails. Asserted by tests; not part of the public API.
@@ -632,119 +686,101 @@ pub(crate) struct ChunkedOutcome {
     pub(crate) executed: usize,
     /// The first error in grid order, if any.
     pub(crate) error: Option<EngineError>,
+    /// Executed ranges waiting for their grid-order turn, by start.
+    pending: BTreeMap<usize, RangeOutput>,
+    /// Where the next range due in grid order starts.
+    next_start: usize,
+    /// Whether the sink refused a result.
+    sink_closed: bool,
 }
 
-/// Runs `scenarios` on `threads` workers in contiguous chunks, feeding
-/// completed results to `sink` **in grid order** as soon as their turn
-/// arrives. The sink returns whether to keep going: a `false` (e.g. the
-/// output stream died) poisons the claim cursor exactly like a scenario
-/// error does. On poison, in-flight chunks finish, no new chunks start, and
-/// the sink stops receiving. Every worker looks its systems up in `cache`.
-pub(crate) fn run_chunked(
-    scenarios: &[Scenario],
-    threads: usize,
-    chunk_size: usize,
-    cache: &WorkerCache,
-    mut sink: impl FnMut(ScenarioResult) -> bool,
-) -> ChunkedOutcome {
-    let workers = threads.max(1).min(scenarios.len().max(1));
-    let chunk_size =
-        if chunk_size == 0 { auto_chunk_size(scenarios.len(), workers) } else { chunk_size };
-    if workers <= 1 || scenarios.len() <= chunk_size {
-        // Inline execution: grid order is the execution order. Chunks still
-        // apply so the inline path shares load preparation exactly like
-        // workers do.
-        let mut executed = 0;
-        for chunk in scenarios.chunks(chunk_size) {
-            let output = run_chunk(chunk, cache);
-            executed += output.results.len() + usize::from(output.error.is_some());
+impl ClaimedOutcome {
+    fn accept(
+        &mut self,
+        output: RangeOutput,
+        sink: &mut impl FnMut(ScenarioResult) -> bool,
+        claims: &Claims,
+    ) {
+        self.executed += output.results.len() + usize::from(output.error.is_some());
+        self.pending.insert(output.range.start, output);
+        while let Some(output) = self.pending.remove(&self.next_start) {
+            self.next_start = output.range.end;
+            if self.error.is_some() || self.sink_closed {
+                continue;
+            }
             for result in output.results {
                 if !sink(result) {
-                    return ChunkedOutcome { executed, error: None };
+                    // The consumer died (e.g. a stream-write failure): stop
+                    // claiming instead of computing results nobody receives.
+                    self.sink_closed = true;
+                    claims.poison();
+                    break;
                 }
             }
-            if let Some((_, error)) = output.error {
-                return ChunkedOutcome { executed, error: Some(error) };
-            }
+            self.error = output.error;
         }
-        return ChunkedOutcome { executed, error: None };
     }
+}
 
-    let next = AtomicUsize::new(0);
-    let poison = AtomicBool::new(false);
-    let (sender, receiver) = mpsc::channel::<ChunkMessage>();
-    let mut executed = 0;
-    let mut first_error = None;
+/// Runs `scenarios` on `threads` workers — the calling thread and
+/// `threads − 1` helpers — feeding completed results to `sink` **in grid
+/// order** as soon as their turn arrives. Workers claim guided ranges from
+/// one cursor; the calling thread claims the first range before any helper
+/// starts, and between its own ranges it drains the helpers' channel into
+/// the sink. A grid of at most one full claim spawns no helper. The sink
+/// returns whether to keep going: a `false` (e.g. the output stream died)
+/// poisons the claims exactly like a scenario error does. On poison,
+/// in-flight ranges finish, no new range starts, and the sink stops
+/// receiving. Every worker looks its systems up in `cache`. Each helper
+/// calls `gate` before each of its claims: a no-op in a real run, tests
+/// hold helpers back with it until the grid is poisoned.
+pub(crate) fn run_claimed(
+    scenarios: &[Scenario],
+    threads: usize,
+    cache: &WorkerCache,
+    mut sink: impl FnMut(ScenarioResult) -> bool,
+    gate: impl Fn(&Claims) + Sync,
+) -> ClaimedOutcome {
+    let helpers =
+        if scenarios.len() <= MAX_CLAIM { 0 } else { threads.clamp(1, scenarios.len()) - 1 };
+    let claims = Claims { len: scenarios.len(), workers: helpers + 1, ..Claims::default() };
+    let mut first = claims.next();
+    let mut outcome = ClaimedOutcome::default();
+    let (sender, receiver) = mpsc::channel::<RangeOutput>();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..helpers {
             let sender = sender.clone();
-            let next = &next;
-            let poison = &poison;
+            let (claims, gate) = (&claims, &gate);
             scope.spawn(move || {
-                loop {
-                    // ordering: Acquire pairs with the poison Release stores below.
-                    if poison.load(Ordering::Acquire) {
-                        break;
-                    }
-                    // ordering: Relaxed — a pure claim ticket; results synchronize via mpsc.
-                    let start = next.fetch_add(chunk_size, Ordering::Relaxed);
-                    if start >= scenarios.len() {
-                        break;
-                    }
-                    let end = (start + chunk_size).min(scenarios.len());
-                    let output = run_chunk(&scenarios[start..end], cache);
-                    let failed = output.error.is_some();
-                    if failed {
-                        // ordering: Release pairs with the Acquire load in the claim loop.
-                        poison.store(true, Ordering::Release);
-                    }
-                    // A send only fails if the receiver is gone, which
-                    // cannot happen while the coordinator loop below runs.
-                    let _ = sender.send(ChunkMessage {
-                        chunk_index: start / chunk_size,
-                        results: output.results,
-                        error: output.error.map(|(offset, e)| (start + offset, e)),
-                    });
-                    if failed {
-                        break;
-                    }
-                }
+                let next = || {
+                    gate(claims);
+                    claims.next()
+                };
+                // A send only fails once the receiver is gone, which cannot
+                // happen before the scope joins this helper.
+                work(scenarios, claims, cache, next, |output| {
+                    let _ = sender.send(output);
+                });
             });
         }
         drop(sender);
-
-        // Coordinator: re-assemble grid order incrementally. Chunk indices
-        // are claimed densely from zero, so the in-order stream advances as
-        // soon as the next chunk lands; only out-of-order chunks wait.
-        let mut pending: BTreeMap<usize, ChunkMessage> = BTreeMap::new();
-        let mut next_chunk = 0;
-        let mut sink_open = true;
-        for message in receiver {
-            executed += message.results.len() + usize::from(message.error.is_some());
-            pending.insert(message.chunk_index, message);
-            while let Some(message) = pending.remove(&next_chunk) {
-                next_chunk += 1;
-                if first_error.is_some() || !sink_open {
-                    continue;
+        work(
+            scenarios,
+            &claims,
+            cache,
+            || first.take().or_else(|| claims.next()),
+            |output| {
+                outcome.accept(output, &mut sink, &claims);
+                for output in receiver.try_iter() {
+                    outcome.accept(output, &mut sink, &claims);
                 }
-                for result in message.results {
-                    if !sink(result) {
-                        // The consumer died (e.g. a stream-write failure):
-                        // poison the cursor so workers stop claiming chunks
-                        // instead of computing results nobody can receive.
-                        sink_open = false;
-                        // ordering: Release pairs with the Acquire load in the claim loop.
-                        poison.store(true, Ordering::Release);
-                        break;
-                    }
-                }
-                if let Some((_, error)) = message.error {
-                    first_error = Some(error);
-                }
-            }
+            },
+        );
+        for output in receiver {
+            outcome.accept(output, &mut sink, &claims);
         }
     });
-    ChunkedOutcome { executed, error: first_error }
+    outcome
 }
 
 /// Runs every scenario of the grid in parallel and returns the results in
@@ -1111,52 +1147,72 @@ mod tests {
         }
     }
 
+    /// `small_grid` on three fleet sizes with five seeded random loads
+    /// added: 54 cells, several claims, so a run on several threads spawns
+    /// helpers.
+    fn multi_claim_grid() -> ScenarioSpec {
+        let mut spec = small_grid();
+        spec.battery_counts = vec![2, 3, 4];
+        spec.loads.extend((0..5).map(|seed| LoadSpec::random_paper_levels(seed, 20)));
+        spec
+    }
+
     #[test]
     fn streamed_grid_matches_collected_grid() {
-        let spec = small_grid();
-        let collected = GridRun::new(&spec).threads(4).collect().unwrap();
-        let mut buffer = Vec::new();
-        let summary = GridRun::new(&spec).threads(4).chunk(2).stream(&mut buffer).unwrap();
-        assert_eq!(summary.written, collected.len());
-        let text = String::from_utf8(buffer).unwrap();
-        let (spec_back, raw_results) = results_from_json(&text).unwrap();
-        assert_eq!(spec_back, spec);
-        assert_eq!(raw_results.len(), collected.len());
-        for (raw, result) in raw_results.iter().zip(&collected) {
-            assert_eq!(raw.get("load").unwrap().as_str().unwrap(), result.scenario.load.name());
-            assert_eq!(raw.get("lifetime_minutes").unwrap().as_f64(), result.lifetime_minutes);
+        let spec = multi_claim_grid();
+        let collected = GridRun::new(&spec).threads(1).collect().unwrap();
+        assert_eq!(collected.len(), 54);
+        for threads in 1..=4 {
+            let mut buffer = Vec::new();
+            let summary = GridRun::new(&spec).threads(threads).stream(&mut buffer).unwrap();
+            assert_eq!(summary.written, collected.len());
+            let text = String::from_utf8(buffer).unwrap();
+            let (spec_back, raw_results) = results_from_json(&text).unwrap();
+            assert_eq!(spec_back, spec);
+            assert_eq!(raw_results.len(), collected.len());
+            for (raw, result) in raw_results.iter().zip(&collected) {
+                let context = format!("{threads} threads: {}", result.scenario.label());
+                assert_eq!(raw.get("fleet").unwrap().as_str().unwrap(), result.scenario.fleet.name);
+                assert_eq!(raw.get("load").unwrap().as_str().unwrap(), result.scenario.load.name());
+                let lifetime = raw.get("lifetime_minutes").unwrap().as_f64();
+                assert_eq!(lifetime, result.lifetime_minutes, "{context}");
+            }
         }
     }
 
     #[test]
     fn shards_partition_the_grid_exactly() {
-        let spec = small_grid();
-        let unsharded = GridRun::new(&spec).threads(2).collect().unwrap();
-        // Three shards over eight scenarios: 2 + 3 + 3.
-        let mut rows = Vec::new();
-        for index in 0..3 {
-            let mut buffer = Vec::new();
-            let summary = GridRun::new(&spec)
-                .threads(2)
-                .chunk(2)
-                .shard(index, 3)
-                .stream(&mut buffer)
-                .unwrap();
-            let text = String::from_utf8(buffer).unwrap();
-            let (spec_back, shard_rows) = results_from_json(&text).unwrap();
-            assert_eq!(spec_back, spec, "every shard carries the full grid spec");
-            assert_eq!(summary.written, shard_rows.len());
-            rows.extend(shard_rows);
-        }
-        assert_eq!(rows.len(), unsharded.len());
-        for (row, result) in rows.iter().zip(&unsharded) {
-            assert_eq!(row.get("load").unwrap().as_str().unwrap(), result.scenario.load.name());
-            assert_eq!(row.get("policy").unwrap().as_str().unwrap(), result.scenario.policy.name());
-            assert_eq!(
-                row.get("lifetime_minutes").unwrap().as_f64(),
-                result.lifetime_minutes,
-                "shard rows are bit-identical to the unsharded grid"
-            );
+        let spec = multi_claim_grid();
+        let unsharded = GridRun::new(&spec).threads(1).collect().unwrap();
+        // Three shards over 54 scenarios: 18 each, more than one claim.
+        for threads in [1, 3] {
+            let mut rows = Vec::new();
+            for index in 0..3 {
+                let mut buffer = Vec::new();
+                let summary = GridRun::new(&spec)
+                    .threads(threads)
+                    .shard(index, 3)
+                    .stream(&mut buffer)
+                    .unwrap();
+                let text = String::from_utf8(buffer).unwrap();
+                let (spec_back, shard_rows) = results_from_json(&text).unwrap();
+                assert_eq!(spec_back, spec, "every shard carries the full grid spec");
+                assert_eq!(summary.written, 18);
+                assert_eq!(summary.written, shard_rows.len());
+                rows.extend(shard_rows);
+            }
+            assert_eq!(rows.len(), unsharded.len());
+            for (row, result) in rows.iter().zip(&unsharded) {
+                assert_eq!(row.get("fleet").unwrap().as_str().unwrap(), result.scenario.fleet.name);
+                assert_eq!(row.get("load").unwrap().as_str().unwrap(), result.scenario.load.name());
+                let policy = row.get("policy").unwrap().as_str().unwrap();
+                assert_eq!(policy, result.scenario.policy.name());
+                assert_eq!(
+                    row.get("lifetime_minutes").unwrap().as_f64(),
+                    result.lifetime_minutes,
+                    "shard rows are bit-identical to the unsharded grid ({threads} threads)"
+                );
+            }
         }
         // Out-of-range shards are rejected up front.
         let error = GridRun::new(&spec).threads(1).shard(3, 3).stream(Vec::new()).unwrap_err();
@@ -1166,44 +1222,122 @@ mod tests {
     }
 
     #[test]
-    fn auto_chunk_size_balances_small_grids() {
-        assert_eq!(auto_chunk_size(8, 4), 1, "small grids go one scenario per claim");
-        assert_eq!(auto_chunk_size(0, 4), 1, "empty grids still get a positive chunk");
-        assert_eq!(auto_chunk_size(129, 4), 9, "mid grids target four chunks per worker");
-        assert_eq!(auto_chunk_size(1_000_000, 8), DEFAULT_CHUNK_SIZE, "huge grids cap at default");
-        // `Some(0)` through the public streaming API selects the heuristic.
-        let spec = small_grid();
-        let mut buffer = Vec::new();
-        let summary = GridRun::new(&spec).threads(4).chunk(0).stream(&mut buffer).unwrap();
-        assert_eq!(summary.written, 8);
+    fn claims_cover_the_grid_once_and_never_grow() {
+        for workers in 1..=4 {
+            for len in 0..200 {
+                let claims = Claims { len, workers, ..Claims::default() };
+                let (mut covered, mut last) = (0, MAX_CLAIM);
+                while let Some(range) = claims.next() {
+                    let context = format!("{len} cells, {workers} workers: {range:?}");
+                    assert_eq!(range.start, covered, "{context} leaves a gap or overlaps");
+                    assert!((1..=last).contains(&range.len()), "{context} after a claim of {last}");
+                    (covered, last) = (range.end, range.len());
+                }
+                assert_eq!(covered, len, "{len} cells, {workers} workers: grid not covered");
+            }
+        }
+        let claims = Claims { len: 100, workers: 2, ..Claims::default() };
+        assert_eq!(claims.next(), Some(0..16), "claims start at the cap on big grids");
+        claims.poison();
+        assert_eq!(claims.next(), None, "a poisoned grid hands out no more claims");
+    }
+
+    #[test]
+    fn prepare_cell_shares_finite_loads_across_horizons() {
+        // A finite load discretizes the same under every fleet's charge
+        // horizon, so 2xB1 and 4xB1 share one; the cyclic `CL 250` is
+        // truncated at each fleet's own horizon and prepares once per fleet.
+        let cell = |count, load| Scenario {
+            fleet: FleetDef::uniform(BatterySpec::b1(), count),
+            disc: DiscSpec::paper(),
+            load,
+            policy: PolicyKind::RoundRobin,
+            backend: BackendKind::Discretized,
+        };
+        let finite = LoadSpec::random_paper_levels(5, 12);
+        let cyclic = LoadSpec::Paper(TestLoad::Cl250);
+        assert!(!finite.profile().unwrap().is_cyclic() && cyclic.profile().unwrap().is_cyclic());
+        let cells = [
+            cell(2, finite.clone()),
+            cell(4, finite.clone()),
+            cell(2, cyclic.clone()),
+            cell(4, cyclic.clone()),
+            cell(2, finite),
+            cell(2, cyclic),
+        ];
+        let cache = WorkerCache::new();
+        let mut memo = LoadMemo::default();
+        let mut prepared = Vec::new();
+        for scenario in &cells {
+            let (system, load) = memo.prepare_cell(scenario, &cache).unwrap();
+            let own = system.config.discretize(&scenario.load.profile().unwrap()).unwrap();
+            assert_eq!(*load, own, "{}: the shared load is the cell's own", scenario.label());
+            prepared.push(memo.loads.len());
+        }
+        assert_eq!(prepared, [1, 1, 2, 3, 3, 3]);
+    }
+
+    #[test]
+    fn load_memo_evicts_its_oldest_load() {
+        let cell = |seed| Scenario {
+            fleet: FleetDef::uniform(BatterySpec::b1(), 2),
+            disc: DiscSpec::paper(),
+            load: LoadSpec::random_paper_levels(seed, 4),
+            policy: PolicyKind::RoundRobin,
+            backend: BackendKind::Discretized,
+        };
+        let cells: Vec<Scenario> = (0..=LOAD_MEMO as u64).map(cell).collect();
+        let cache = WorkerCache::new();
+        let mut memo = LoadMemo::default();
+        for scenario in &cells {
+            memo.prepare_cell(scenario, &cache).unwrap();
+        }
+        assert_eq!(memo.loads.len(), LOAD_MEMO);
+        assert_eq!(*memo.loads[0].spec, cells[1].load, "the first load was evicted");
+    }
+
+    /// A helper gate that holds every helper back until the grid is
+    /// poisoned, so only the calling thread's first range can run before.
+    /// A grid that is never poisoned releases them once it is fully
+    /// claimed, so a broken poison fails the test instead of hanging it.
+    fn until_poisoned(claims: &Claims) {
+        // ordering: Acquire pairs with the Release store in `Claims::poison`.
+        while !claims.poisoned.load(Ordering::Acquire)
+            // ordering: Relaxed — only read to stop waiting, publishes nothing.
+            && claims.cursor.load(Ordering::Relaxed) < claims.len
+        {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
     fn poisoned_grid_stops_claiming_work() {
-        // A huge grid whose very first cell fails: with the poison flag the
-        // workers must stop long before the grid is exhausted.
+        // A huge grid whose every cell fails. The calling thread claims the
+        // first range before any helper starts; its first cell fails, so the
+        // range stops there and the grid is poisoned before any second claim.
         let mut spec = small_grid();
         spec.batteries =
             vec![BatterySpec { name: "bad".into(), capacity: -5.0, c: 0.2, k_prime: 0.1 }];
         spec.loads = (0..500).map(|seed| LoadSpec::random_paper_levels(seed, 5)).collect();
         let scenarios = spec.expand();
         assert_eq!(scenarios.len(), 1000);
-
-        // Single worker: exactly one cell executes before the poison stops
-        // the claim loop.
-        let outcome = run_chunked(&scenarios, 1, 16, &WorkerCache::new(), |_| true);
-        assert!(outcome.error.is_some());
-        assert_eq!(outcome.executed, 1);
-
-        // Multiple workers: in-flight chunks may finish, but the grid never
-        // runs to completion.
-        let outcome = run_chunked(&scenarios, 4, 16, &WorkerCache::new(), |_| true);
-        assert!(outcome.error.is_some());
-        assert!(
-            outcome.executed < scenarios.len() / 2,
-            "poison must stop the grid early (executed {})",
-            outcome.executed
-        );
+        for threads in [1, 4] {
+            // Helpers held back until the poison claim nothing at all.
+            let outcome =
+                run_claimed(&scenarios, threads, &WorkerCache::new(), |_| true, until_poisoned);
+            assert!(outcome.error.is_some());
+            assert_eq!(outcome.executed, 1, "{threads} threads");
+            // Free helpers may each start one range, whose first cell fails
+            // and poisons the grid for that helper's next claim: never more
+            // than one cell per worker.
+            let outcome = run_claimed(&scenarios, threads, &WorkerCache::new(), |_| true, |_| {});
+            assert!(outcome.error.is_some());
+            assert!(
+                (1..=threads).contains(&outcome.executed),
+                "{threads} threads executed {}",
+                outcome.executed
+            );
+        }
     }
 
     #[test]
@@ -1213,41 +1347,53 @@ mod tests {
         let mut spec = small_grid();
         spec.loads = (0..1000).map(|seed| LoadSpec::random_paper_levels(seed, 20)).collect();
         let scenarios = spec.expand();
-
-        // Inline path: execution stops within the chunk whose first result
-        // is refused (scenarios are executed one chunk at a time).
-        let outcome = run_chunked(&scenarios, 1, 16, &WorkerCache::new(), |_| false);
-        assert!(outcome.error.is_none());
-        assert!(
-            outcome.executed <= 16,
-            "inline execution stops after the refusing chunk (executed {})",
-            outcome.executed
-        );
-
-        // Parallel path: in-flight chunks may finish, but the grid never
-        // runs to completion.
-        let outcome = run_chunked(&scenarios, 4, 16, &WorkerCache::new(), |_| false);
-        assert!(outcome.error.is_none());
-        assert!(
-            outcome.executed < scenarios.len() / 2,
-            "dead sink must stop the grid early (executed {})",
-            outcome.executed
-        );
+        for threads in [1, 4] {
+            // The calling thread runs its first range, offers its first
+            // result, and poisons the grid on the refusal before claiming
+            // again; helpers held back until the poison claim nothing.
+            let mut offered = 0;
+            let sink = |_| {
+                offered += 1;
+                false
+            };
+            let outcome =
+                run_claimed(&scenarios, threads, &WorkerCache::new(), sink, until_poisoned);
+            assert!(outcome.error.is_none());
+            assert_eq!(offered, 1, "{threads} threads: the sink hears nothing after refusing");
+            let first_claim = claim_size(scenarios.len(), threads);
+            assert_eq!(outcome.executed, first_claim, "{threads} threads: only the first range");
+            // Free helpers may finish ranges in flight, but the refusing
+            // sink is never offered another result.
+            let mut offered = 0;
+            let sink = |_| {
+                offered += 1;
+                false
+            };
+            let outcome = run_claimed(&scenarios, threads, &WorkerCache::new(), sink, |_| {});
+            assert!(outcome.error.is_none());
+            assert_eq!(offered, 1, "{threads} threads: the sink hears nothing after refusing");
+            assert!(outcome.executed >= first_claim);
+        }
     }
 
     #[test]
     fn first_error_in_grid_order_is_reported() {
-        // Two bad batteries with distinct capacities: whichever worker hits
-        // an error first, the reported one must be the first in grid order
-        // (capacity -5, not -7).
-        let mut spec = small_grid();
+        // A good fleet, then two bad batteries with distinct capacities:
+        // whichever worker hits an error first, the reported one must be the
+        // first in grid order (capacity -5, not -7). 54 cells: several
+        // claims, so every thread count past one spawns helpers, and the
+        // failing cells lie past the calling thread's first range.
+        let mut spec = multi_claim_grid();
+        spec.battery_counts = vec![2];
         spec.batteries = vec![
+            BatterySpec::b1(),
             BatterySpec { name: "bad-a".into(), capacity: -5.0, c: 0.2, k_prime: 0.1 },
             BatterySpec { name: "bad-b".into(), capacity: -7.0, c: 0.2, k_prime: 0.1 },
         ];
-        for threads in [1, 4] {
+        assert_eq!(spec.scenario_count(), 54);
+        for threads in 1..=4 {
             let error = GridRun::new(&spec).threads(threads).collect().unwrap_err();
-            assert!(error.to_string().contains("-5"), "got: {error}");
+            assert!(error.to_string().contains("-5"), "{threads} threads, got: {error}");
         }
     }
 }

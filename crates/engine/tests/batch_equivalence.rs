@@ -1,6 +1,6 @@
-//! Grid-vs-single-cell equivalence: the chunked grid runner and the
-//! request path — which share one load preparation among the cells of a
-//! chunk or micro-batch and run every cell on a copy of one cached system —
+//! Grid-vs-single-cell equivalence: the grid runner and the request path —
+//! which share one load preparation among the cells a grid worker runs or
+//! a micro-batch holds, and run every cell on a copy of one cached system —
 //! must give rows **bit-identical** to a fresh single-scenario run: same
 //! lifetimes (to the last mantissa bit), same residual charge, same switch
 //! and decision counts — across uniform and mixed fleets, every paper load,
@@ -17,9 +17,11 @@ use battery_sched::system::SystemConfig;
 use battery_sched::BatteryModel;
 use dkibam::DiscretizedLoad;
 use engine::api::run_requests;
+use engine::json::JsonValue;
 use engine::{
-    run_scenario, BackendKind, BatterySpec, DiscSpec, FleetDef, GridRun, LoadSpec, PolicyKind,
-    Request, Scenario, ScenarioResult, ScenarioSpec, SearchStats, ServeError, WorkerCache,
+    results_from_json, run_scenario, BackendKind, BatterySpec, DiscSpec, FleetDef, GridRun,
+    LoadSpec, PolicyKind, Request, Scenario, ScenarioResult, ScenarioSpec, SearchStats, ServeError,
+    WorkerCache,
 };
 use workload::paper_loads::TestLoad;
 
@@ -59,7 +61,7 @@ fn assert_identical(grid: &ScenarioResult, single: &ScenarioResult, context: &st
     assert_eq!(grid.seeded_by, single.seeded_by, "{context}: seed label diverged");
 }
 
-/// Runs the grid through the chunked runner and re-runs every cell through
+/// Runs the grid through the grid runner and re-runs every cell through
 /// the single-scenario entry point on a fresh cache, asserting bit-identity.
 fn assert_grid_matches_single_runs(spec: &ScenarioSpec) {
     let grid = GridRun::new(spec).threads(1).collect().expect("the grid runs");
@@ -93,7 +95,7 @@ fn seeded_random_loads_match_scalar() {
 
 #[test]
 fn thread_count_does_not_change_batched_results() {
-    // Different worker counts claim different chunks, so cells share
+    // Different worker counts claim different ranges, so cells share
     // different load preparations — the results must not differ.
     let loads = TestLoad::all().into_iter().map(LoadSpec::Paper).collect();
     let spec = spec_with(loads, vec![PolicyKind::RoundRobin, PolicyKind::BestOfTwo]);
@@ -105,12 +107,72 @@ fn thread_count_does_not_change_batched_results() {
     }
 }
 
+/// A row's JSON without its wall-clock field, the one field a repeated run
+/// may change.
+fn without_wall_clock(row: &JsonValue) -> JsonValue {
+    let JsonValue::Object(fields) = row else { panic!("a result row is an object: {row:?}") };
+    JsonValue::Object(fields.iter().filter(|(key, _)| key != "wall_micros").cloned().collect())
+}
+
+#[test]
+fn uneven_cost_grid_matches_single_runs_on_every_thread_count() {
+    // The sweep shape: fleet-outer, so the 8xB1 and B1+B2 cells cost several
+    // times the 2xB1 ones and claims of equal length take unequal time.
+    // Every worker count must reproduce the single runs bit for bit, both
+    // collected and streamed.
+    let spec = ScenarioSpec {
+        batteries: vec![],
+        battery_counts: vec![],
+        fleets: vec![
+            FleetDef::uniform(BatterySpec::b1(), 2),
+            FleetDef::uniform(BatterySpec::b1(), 4),
+            FleetDef::uniform(BatterySpec::b1(), 8),
+            FleetDef::mixed(vec![BatterySpec::b1(), BatterySpec::b2()]),
+        ],
+        discretizations: vec![DiscSpec::paper()],
+        loads: (11..14).map(|seed| LoadSpec::random_paper_levels(seed, 40)).collect(),
+        policies: PolicyKind::deterministic().to_vec(),
+        backends: vec![BackendKind::Discretized, BackendKind::Rv],
+    };
+    let singles: Vec<ScenarioResult> = spec
+        .expand()
+        .iter()
+        .map(|scenario| run_scenario(scenario).expect("the single scenario runs"))
+        .collect();
+    assert_eq!(singles.len(), 96);
+    for threads in 1..=4 {
+        let rows = GridRun::new(&spec).threads(threads).collect().expect("the grid runs");
+        assert_eq!(rows.len(), singles.len());
+        for (row, single) in rows.iter().zip(&singles) {
+            assert_identical(
+                row,
+                single,
+                &format!("{threads} threads: {}", single.scenario.label()),
+            );
+        }
+        let mut buffer = Vec::new();
+        let summary = GridRun::new(&spec).threads(threads).stream(&mut buffer).unwrap();
+        assert_eq!(summary.written, singles.len());
+        let (_, streamed) = results_from_json(&String::from_utf8(buffer).unwrap()).unwrap();
+        assert_eq!(streamed.len(), singles.len());
+        for (row, single) in streamed.iter().zip(&singles) {
+            assert_eq!(
+                without_wall_clock(row),
+                without_wall_clock(&single.to_json_value()),
+                "{threads} threads, streamed: {}",
+                single.scenario.label()
+            );
+        }
+    }
+}
+
 #[test]
 fn shared_load_preparation_keys_on_the_charge_horizon() {
-    // Cells that share a load spec share one discretized load per chunk or
-    // micro-batch — but a cyclic load is truncated at each fleet's own
-    // charge horizon, so 2xB1 and 4xB1 on `ILs 250` must not share one (4xB1
-    // round robin draws 14.9 A·min, past the 13.75 A·min 2xB1 horizon).
+    // Cells that share a load spec share one discretized load per grid
+    // worker or micro-batch — but a cyclic load is truncated at each fleet's
+    // own charge horizon, so 2xB1 and 4xB1 on `ILs 250` must not share one
+    // (4xB1 round robin draws 14.9 A·min, past the 13.75 A·min 2xB1
+    // horizon), while the finite random load may.
     let cyclic = LoadSpec::Paper(TestLoad::Ils250);
     let spec = ScenarioSpec {
         batteries: vec![],
@@ -125,17 +187,16 @@ fn shared_load_preparation_keys_on_the_charge_horizon() {
         backends: vec![BackendKind::Discretized, BackendKind::Rv],
     };
     let scenarios = spec.expand();
-    // 24 cells per fleet: the second 16-cell chunk holds the last 2xB1
-    // `ILs 250` block and the first 4xB1 one.
+    // 24 cells per fleet; one worker runs them all through one load memo,
+    // which then holds `ILs 250` under both fleets' horizons.
     assert_eq!(scenarios.len(), 48);
-    let middle = &scenarios[16..32];
-    assert!(middle.iter().all(|s| s.load == cyclic));
-    assert_ne!(middle[0].fleet, middle[15].fleet);
-    let rows = GridRun::new(&spec).threads(1).chunk(16).collect().expect("the grid runs");
-    assert_eq!(rows.len(), scenarios.len());
-    for row in &rows {
-        let single = run_scenario(&row.scenario).expect("the single scenario runs");
-        assert_identical(row, &single, &row.scenario.label());
+    for threads in [1, 2] {
+        let rows = GridRun::new(&spec).threads(threads).collect().expect("the grid runs");
+        assert_eq!(rows.len(), scenarios.len());
+        for row in &rows {
+            let single = run_scenario(&row.scenario).expect("the single scenario runs");
+            assert_identical(row, &single, &format!("{threads} threads: {}", row.scenario.label()));
+        }
     }
 
     // One micro-batch alternating the fleets cell by cell, with a load that
