@@ -29,12 +29,14 @@
 //!   through every remaining job epoch is computed by the serve/skip
 //!   dynamic program of [`dkibam::ColumnBuilder`] (full-horizon columns,
 //!   cached by `(type, state, position)` so transpositions re-solve from
-//!   the parent's cached columns rather than from scratch), and the
-//!   `relax` crate's prefix-capacity transportation relaxation couples
-//!   them through the shared demand: the closed-form min-cut walk
-//!   ([`relax::coverage_bound`]) yields an admissible death bound that is
-//!   evaluated only when the availability bound fails to fire
-//!   ([`OptimalOutcome::relax_bound_prunes`]),
+//!   the parent's cached columns rather than from scratch), and a
+//!   prefix-capacity transportation relaxation couples them through the
+//!   shared demand: its closed-form min cut, walked epoch by epoch, yields
+//!   an admissible death bound that is evaluated only when the
+//!   availability bound fails to fire
+//!   ([`OptimalOutcome::relax_bound_prunes`]); a test-only max-flow
+//!   reference (`tests/relaxation_reference.rs`) checks the walk against
+//!   the flow optimum,
 //! * **symmetry pruning** (batteries in identical states need only be tried
 //!   once),
 //! * a **transposition table** keyed by the canonicalized battery state and
@@ -47,19 +49,16 @@
 //!   ([`OptimalOutcome::dominance_prunes`]), and
 //! * **warm starting** from the best of *all* deterministic policies
 //!   (sequential, round robin, best-of-two, capacity-weighted round
-//!   robin) *plus* an LP-rounding seed — the relaxation's optimal
-//!   fractional assignment ([`relax::max_coverage`]) rounded to one
-//!   battery per job epoch and replayed as a schedule — so the bounds are
-//!   maximally effective from node 0; [`OptimalOutcome::seeded_by`]
-//!   reports which schedule provided the incumbent.
+//!   robin), so the bounds are maximally effective from node 0;
+//!   [`OptimalOutcome::seeded_by`] reports which policy provided the
+//!   incumbent.
 //!
 //! Every search starts with one **root phase**
 //! ([`OptimalScheduler::root_phase`]): the search is built against the
 //! fresh fleet with a zero incumbent, the three bounds are evaluated at the
-//! root ([`RootBounds`]), and the warm start runs — its LP-rounding seed
-//! reading the fresh fleet's full-horizon columns the root relaxation bound
-//! just put into the search's column cache, so the root column DP runs once
-//! per search. The incumbent is then installed and the exploration starts.
+//! root ([`RootBounds`]) — the relaxation bound leaving the fresh fleet's
+//! full-horizon columns in the search's column cache — and the warm start
+//! runs. The incumbent is then installed and the exploration starts.
 //! [`OptimalScheduler::probe_root_bounds`] is the root phase without the
 //! exploration.
 //!
@@ -230,14 +229,14 @@ pub struct OptimalOutcome {
     /// Nodes cut by the availability-aware upper bound (recovery-coupled
     /// service envelopes) after the charge bound failed to fire.
     pub availability_bound_prunes: usize,
-    /// Nodes cut by the min-cost-flow relaxation bound (exact per-battery
-    /// service columns coupled only through the shared demand) after both
-    /// cheaper bounds failed to fire.
+    /// Nodes cut by the flow relaxation bound (exact per-battery service
+    /// columns coupled only through the shared demand) after both cheaper
+    /// bounds failed to fire.
     pub relax_bound_prunes: usize,
-    /// The warm-start schedule that seeded the incumbent: one of the four
-    /// deterministic policies or `"lp-rounding"` (the rounded relaxation
-    /// plan), or `None` if no warm-start schedule produced a lifetime (the
-    /// load ended before the batteries died under every one).
+    /// The warm-start policy that seeded the incumbent: `"sequential"`,
+    /// `"round robin"`, `"best of two"` or `"capacity-weighted round
+    /// robin"`, or `None` if no policy produced a lifetime (the load ended
+    /// before the batteries died under every one).
     pub seeded_by: Option<&'static str>,
 }
 
@@ -331,7 +330,7 @@ impl OptimalScheduler {
         self
     }
 
-    /// Disables the min-cost-flow relaxation bound, leaving the charge and
+    /// Disables the flow relaxation bound, leaving the charge and
     /// availability bounds (for ablation: node-count comparisons against
     /// this scheduler isolate what the relaxation buys).
     #[must_use]
@@ -398,10 +397,9 @@ impl OptimalScheduler {
     /// Runs the root phase every search starts with, without exploring:
     /// builds the search against the freshly reset model with a zero
     /// incumbent, evaluates the charge, availability and relaxation bounds
-    /// at the root position, then runs the warm start — whose LP-rounding
-    /// seed reads the fresh fleet's service columns the relaxation bound
-    /// just cached — and installs its incumbent. [`RootPhase::explore`]
-    /// continues with the branch and bound.
+    /// at the root position, then runs the warm start and installs its
+    /// incumbent. [`RootPhase::explore`] continues with the branch and
+    /// bound.
     ///
     /// # Errors
     ///
@@ -451,10 +449,10 @@ pub struct RootBounds {
     pub charge: u64,
     /// The availability (recovery-coupled service envelope) bound.
     pub availability: u64,
-    /// The min-cost-flow relaxation bound over exact per-battery service
-    /// columns, or `u64::MAX` when the backend cannot provide columns.
+    /// The flow relaxation bound over exact per-battery service columns,
+    /// or `u64::MAX` when the backend cannot provide columns.
     pub relaxation: u64,
-    /// The warm-start incumbent (best deterministic policy or LP rounding).
+    /// The warm-start incumbent (the best deterministic policy).
     pub warm_start: u64,
 }
 
@@ -500,47 +498,6 @@ impl<M: BatteryModel> RootPhase<'_, M> {
             seeded_by: self.seeded_by,
         })
     }
-}
-
-/// Replays a per-job-epoch battery plan (the rounded LP assignment). When
-/// the planned battery is unavailable, or the job continues past a battery
-/// death, it falls back to the available battery with the most available
-/// charge (ties to the lowest index), mirroring [`BestAvailable`].
-#[derive(Debug, Clone)]
-struct PlanPolicy {
-    plan: Vec<usize>,
-}
-
-impl SchedulingPolicy for PlanPolicy {
-    fn name(&self) -> &str {
-        "lp-rounding"
-    }
-
-    fn choose(&mut self, ctx: &crate::policy::DecisionContext<'_>) -> Option<usize> {
-        if !ctx.continuation {
-            if let Some(&planned) = self.plan.get(ctx.job_index) {
-                if ctx.available.contains(&planned) {
-                    return Some(planned);
-                }
-            }
-        }
-        let mut best: Option<usize> = None;
-        for &battery in ctx.available {
-            let better = match best {
-                None => true,
-                Some(current) => ctx.charges[battery]
-                    .available
-                    .total_cmp(&ctx.charges[current].available)
-                    .is_gt(),
-            };
-            if better {
-                best = Some(battery);
-            }
-        }
-        best
-    }
-
-    fn reset(&mut self) {}
 }
 
 /// One decision node on the explicit DFS stack. The frame at stack index
@@ -1061,18 +1018,19 @@ impl<M: BatteryModel> Search<'_, M> {
         steps
     }
 
-    /// Min-cost-flow relaxation bound on the additional lifetime obtainable
+    /// Flow relaxation bound on the additional lifetime obtainable
     /// from this position. It drops only the "one battery per draw"
     /// coupling: battery `i`'s cumulative service through job epoch `e` is
     /// bounded by its *exact* best-case column `columns[i][e]` (the
     /// serve/skip DP of [`ColumnBuilder`], which prices every recovery the
     /// battery would actually need), and the fleet jointly covers each
     /// epoch's demand. Because the columns are cumulative, the optimum of
-    /// that transportation relaxation has a closed-form min cut
-    /// ([`relax::coverage_bound`]); here the demand walk uses its epoch
-    /// form directly: the system dies in the first epoch whose cumulative
-    /// demand exceeds the summed column capacities, and the last coverable
-    /// draw inside that epoch follows from the remaining unit budget.
+    /// that transportation relaxation has a closed-form min cut, and the
+    /// demand walk uses its epoch form directly: the system dies in the
+    /// first epoch whose cumulative demand exceeds the summed column
+    /// capacities, and the last coverable draw inside that epoch follows
+    /// from the remaining unit budget. `tests/relaxation_reference.rs`
+    /// checks the walk against a max-flow solve of the same network.
     ///
     /// A column entry depends only on the epochs up to it, so a build
     /// truncated at the walk's early-exit horizon (the first job epoch
@@ -1231,87 +1189,31 @@ impl<M: BatteryModel> Search<'_, M> {
         steps
     }
 
-    /// Simulates every deterministic policy — plus the LP-rounding seed,
-    /// when the backend could produce service columns — from the fresh
-    /// fleet, installs the best lifetime as the incumbent (which makes the
-    /// bounds maximally effective from the first node) and resets the model
-    /// for the exploration. Returns the label of the schedule that set the
-    /// incumbent.
+    /// Simulates every deterministic policy from the fresh fleet, installs
+    /// the best lifetime as the incumbent (which makes the bounds maximally
+    /// effective from the first node) and resets the model for the
+    /// exploration. Returns the label of the policy that set the incumbent.
     fn warm_start(
         &mut self,
         config: &SystemConfig,
         load: &DiscretizedLoad,
     ) -> Result<Option<&'static str>, SchedError> {
-        let mut plan = self.lp_rounding_plan();
-        let seed = plan.as_mut().map(|plan| ("lp-rounding", plan as &mut dyn SchedulingPolicy));
         let mut seeded_by = None;
         for (name, policy) in [
             ("sequential", &mut Sequential::new() as &mut dyn SchedulingPolicy),
             ("round robin", &mut RoundRobin::new()),
             ("best of two", &mut BestAvailable::new()),
             ("capacity-weighted round robin", &mut CapacityWeightedRoundRobin::new()),
-        ]
-        .into_iter()
-        .chain(seed)
-        {
+        ] {
             let outcome = simulate_policy_with(config, load, policy, self.model)?;
-            if let Some(steps) = outcome.lifetime_steps() {
-                if steps > self.best_steps {
-                    self.best_steps = steps;
-                    self.best_decisions = outcome.schedule().decisions();
-                    seeded_by = Some(name);
-                }
+            if let Some(steps) = outcome.lifetime_steps().filter(|&steps| steps > self.best_steps) {
+                self.best_steps = steps;
+                self.best_decisions = outcome.schedule().decisions();
+                seeded_by = Some(name);
             }
         }
         self.model.reset();
         Ok(seeded_by)
-    }
-
-    /// The fresh fleet's full-horizon service columns, as the root
-    /// relaxation bound cached them (the model must hold the fresh fleet);
-    /// `None` when that bound cached none (no column inputs, or more than
-    /// [`MAX_BOUND_BATTERIES`] batteries).
-    fn root_columns(&self) -> Option<Vec<&ServiceColumn>> {
-        (0..self.model.battery_count())
-            .map(|battery| {
-                let (state, _, _) = self.model.column_inputs(battery)?;
-                self.column_cache.get(&(self.model.type_of(battery), state.state_word(), 0, 0))
-            })
-            .collect::<Option<Vec<_>>>()
-            .filter(|columns| !columns.is_empty())
-    }
-
-    /// Builds the LP-rounding seed: solve the min-cost-flow relaxation over
-    /// the fresh fleet's exact service columns ([`relax::max_coverage`],
-    /// whose costs prefer early coverage and round-robin rotation), then
-    /// round the fractional assignment to one battery per job epoch — the
-    /// battery the relaxation gives the most units of that epoch to. `None`
-    /// when there are no root columns (no relaxation to round).
-    fn lp_rounding_plan(&self) -> Option<PlanPolicy> {
-        let columns: Vec<&[u64]> =
-            self.root_columns()?.into_iter().map(|column| column.units.as_slice()).collect();
-        let demands: Vec<u64> = self
-            .epochs
-            .iter()
-            .filter(|epoch| !epoch.is_idle())
-            .map(DiscreteEpoch::total_units)
-            .collect();
-        let coverage = relax::max_coverage(&columns, &demands);
-        let plan = (0..demands.len())
-            .map(|e| {
-                let mut best = 0usize;
-                let mut best_units = 0u64;
-                for (battery, assigned) in coverage.assignment.iter().enumerate() {
-                    let units = assigned.get(e).copied().unwrap_or(0);
-                    if units > best_units {
-                        best_units = units;
-                        best = battery;
-                    }
-                }
-                best
-            })
-            .collect();
-        Some(PlanPolicy { plan })
     }
 }
 
@@ -1476,50 +1378,6 @@ mod tests {
         let outcome =
             crate::system::simulate_policy_with(&config, &load, &mut replay, &mut model).unwrap();
         assert_eq!(outcome.lifetime_steps(), Some(optimal.lifetime_steps));
-    }
-
-    #[test]
-    fn root_columns_match_a_full_timeline_build() {
-        // The root relaxation bound builds columns only up to the last job
-        // epoch; the LP-rounding seed reads those cached columns in place
-        // of a build over the whole timeline, trailing idle time included.
-        let trailing_idle = LoadProfileBuilder::new()
-            .job(0.5, 1.0)
-            .idle(1.0)
-            .job(0.25, 2.0)
-            .idle(3.0)
-            .build_finite()
-            .unwrap();
-        let mixed = SystemConfig::from_fleet(
-            kibam::FleetSpec::new(vec![BatteryParams::itsy_b1(), BatteryParams::itsy_b2()])
-                .unwrap(),
-            Discretization::coarse(),
-        );
-        for (config, profile) in [
-            (coarse_config(), TestLoad::IlsAlt.profile()),
-            (coarse_config(), trailing_idle),
-            (mixed, TestLoad::Ils250.profile()),
-        ] {
-            let load = config.discretize(&profile).unwrap();
-            let mut model = config.discretized_model();
-            let root = OptimalScheduler::new().root_phase(&config, &load, &mut model).unwrap();
-            let cached = root.search.root_columns().expect("discretized fleets have columns");
-            assert_eq!(cached.len(), config.battery_count());
-            let mut builder = ColumnBuilder::default();
-            let mut fresh = ServiceColumn::default();
-            for (battery, column) in cached.iter().enumerate() {
-                let (state, params, recovery) = root.search.model.column_inputs(battery).unwrap();
-                builder.build(state, params, recovery, load.epochs(), 0, &mut fresh);
-                assert!(!fresh.is_empty());
-                assert_eq!(column.units, fresh.units, "battery {battery}: units diverged");
-                assert_eq!(column.full_epochs, fresh.full_epochs, "battery {battery}");
-            }
-        }
-        let config = coarse_config();
-        let load = config.discretize(&TestLoad::IlsAlt.profile()).unwrap();
-        let mut model = config.continuous_model();
-        let root = OptimalScheduler::new().root_phase(&config, &load, &mut model).unwrap();
-        assert!(root.search.root_columns().is_none(), "no column inputs, no LP seed");
     }
 
     #[test]

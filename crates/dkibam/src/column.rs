@@ -1,9 +1,9 @@
 //! Exact single-battery service columns over a load's draw-slot timeline.
 //!
-//! The relaxation bound of the optimal search (see `battery-sched` and the
-//! `relax` crate) treats the fleet as a transportation problem: battery `i`
-//! may serve at most `column[i][e]` charge units among the job epochs
-//! `0..=e`, and the load demands its draws per epoch. This module computes
+//! The relaxation bound of the optimal search (see `battery-sched`) treats
+//! the fleet as a transportation problem: battery `i` may serve at most
+//! `column[i][e]` charge units among the job epochs `0..=e`, and the load
+//! demands its draws per epoch. This module computes
 //! those per-battery **columns exactly** with a dynamic program over the
 //! battery's real discrete dynamics — the ROADMAP's "exact single-battery
 //! DP over the load's draw-slot timeline", shipped as the bound's column

@@ -22,7 +22,7 @@
 //!   search bound of the `battery-sched` crate;
 //! * [`ColumnBuilder`] — exact per-battery service columns over a load's
 //!   draw-slot timeline (a serve/skip dynamic program with Pareto-front
-//!   pruning), the column generator of the `relax` crate's min-cost-flow
+//!   pruning), the column generator of the `battery-sched` search's
 //!   relaxation bound;
 //! * [`DiscreteBattery`] — the integer battery state (`n_gamma`, `m_delta`)
 //!   with discharge, recovery and the emptiness test of Eq. 8;

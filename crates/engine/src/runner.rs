@@ -55,8 +55,8 @@ pub struct SearchStats {
     pub charge_bound_prunes: u64,
     /// Nodes cut by the availability-aware (recovery-coupled) upper bound.
     pub availability_bound_prunes: u64,
-    /// Nodes cut by the min-cost-flow relaxation bound over exact
-    /// per-battery service columns.
+    /// Nodes cut by the flow relaxation bound over exact per-battery
+    /// service columns.
     pub relax_bound_prunes: u64,
 }
 

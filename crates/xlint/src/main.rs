@@ -12,12 +12,17 @@
 //! Exit status is 1 when any rule violation remains (plus, under
 //! `--deny-all`, when any `xlint: allow` escape is malformed or unused,
 //! or when `--baseline` finds a rule with more counted allow escapes
-//! than the committed stats document), 0 otherwise.
+//! than the committed stats document), 0 otherwise. `--baseline` also
+//! prints each crate's code-line change against the document; that is
+//! informational and never fails the run.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use xlint::rules::RuleId;
-use xlint::walk::{baseline_regressions, lint_workspace, parse_stats_allows};
+use xlint::walk::{
+    baseline_regressions, code_line_deltas, lint_workspace, parse_stats_allows,
+    parse_stats_code_lines,
+};
 
 fn main() -> ExitCode {
     let mut deny_all = false;
@@ -55,7 +60,7 @@ fn main() -> ExitCode {
     let baseline = match &baseline_path {
         Some(path) => match std::fs::read_to_string(path) {
             Ok(text) => match parse_stats_allows(&text) {
-                Some(allows) => Some(allows),
+                Some(allows) => Some((allows, parse_stats_code_lines(&text))),
                 None => {
                     eprintln!("xlint: {} is not an xlint-stats-v1 document", path.display());
                     return ExitCode::from(2);
@@ -111,13 +116,16 @@ fn main() -> ExitCode {
     }
 
     let mut regressions = 0;
-    if let Some(baseline) = &baseline {
-        for regression in baseline_regressions(&report, baseline) {
+    if let Some((allows, code_lines)) = &baseline {
+        for regression in baseline_regressions(&report, allows) {
             println!("xlint: violation[baseline] {regression}");
             regressions += 1;
         }
         if regressions == 0 {
             println!("xlint: allow escapes match the committed baseline");
+        }
+        for delta in code_line_deltas(&report, code_lines) {
+            println!("xlint: code lines {delta}");
         }
     }
 

@@ -2,7 +2,7 @@
 //! ordering, and report aggregation.
 
 use crate::rules::{lint_source, Allow, CrateContext, Finding, RuleId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -77,18 +77,17 @@ impl Report {
         out.push_str(&format!("  \"allows\": {},\n", self.allows.len()));
         out.push_str(&format!("  \"ordering_documented\": {},\n", self.ordering_documented));
         out.push_str("  \"rules\": {\n");
-        let per_rule = self.per_rule();
-        let mut first = true;
-        for (rule, stats) in &per_rule {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
-                "    \"{}\": {{\"violations\": {}, \"allows\": {}}}",
-                rule, stats.violations, stats.allows
-            ));
-        }
+        let rules: Vec<String> = self
+            .per_rule()
+            .iter()
+            .map(|(rule, stats)| {
+                format!(
+                    "    \"{rule}\": {{\"violations\": {}, \"allows\": {}}}",
+                    stats.violations, stats.allows
+                )
+            })
+            .collect();
+        out.push_str(&rules.join(",\n"));
         let crates: Vec<String> = self
             .code_lines
             .iter()
@@ -107,7 +106,7 @@ impl Report {
 pub fn context_for_crate(name: &str) -> CrateContext {
     match name {
         "bench" | "xlint" => CrateContext::aux(),
-        "kibam" | "dkibam" | "rv" | "core" | "relax" => CrateContext {
+        "kibam" | "dkibam" | "rv" | "core" => CrateContext {
             deterministic: true,
             panic_free: true,
             cast_audit: true,
@@ -230,23 +229,53 @@ pub fn parse_stats_allows(json: &str) -> Option<BTreeMap<String, usize>> {
     if !json.contains("\"schema\": \"xlint-stats-v1\"") {
         return None;
     }
-    let mut allows = BTreeMap::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some(rest) = line.strip_prefix('"') else { continue };
-        let Some((rule, rest)) = rest.split_once('"') else { continue };
-        let Some(at) = rest.find("\"allows\": ") else { continue };
-        let digits: String =
-            rest[at + "\"allows\": ".len()..].chars().take_while(char::is_ascii_digit).collect();
-        if let Ok(count) = digits.parse::<usize>() {
-            allows.insert(rule.to_owned(), count);
-        }
-    }
-    if allows.is_empty() {
-        None
-    } else {
-        Some(allows)
-    }
+    let allows: BTreeMap<String, usize> = json
+        .lines()
+        .filter_map(|line| {
+            let (rule, rest) = line.trim().strip_prefix('"')?.split_once('"')?;
+            let (_, count) = rest.split_once("\"allows\": ")?;
+            let digits: String = count.chars().take_while(char::is_ascii_digit).collect();
+            Some((rule.to_owned(), digits.parse().ok()?))
+        })
+        .collect();
+    (!allows.is_empty()).then_some(allows)
+}
+
+/// Extracts the per-crate `code_lines` object from a committed
+/// `xlint-stats-v1` document, leaning on the renderer's fixed shape like
+/// [`parse_stats_allows`]: one `"<crate>": N` line per crate after
+/// `"code_lines": {`. Empty when the document records no code lines.
+#[must_use]
+pub fn parse_stats_code_lines(json: &str) -> BTreeMap<String, usize> {
+    json.lines()
+        .skip_while(|line| line.trim() != "\"code_lines\": {")
+        .skip(1)
+        .map_while(|line| line.trim().trim_end_matches(',').split_once(": "))
+        .filter_map(|(name, count)| Some((name.trim_matches('"').to_owned(), count.parse().ok()?)))
+        .collect()
+}
+
+/// The code-size change against a baseline's per-crate `code_lines`: one
+/// line per crate whose count moved (`core 2521 → 2450 (−71)`, a removed
+/// crate as `relax 200 → gone`, an added one as `cli new → 120`), then
+/// the workspace total. Informational: a code-size change is never a
+/// lint failure.
+#[must_use]
+pub fn code_line_deltas(report: &Report, baseline: &BTreeMap<String, usize>) -> Vec<String> {
+    let names: BTreeSet<&String> = baseline.keys().chain(report.code_lines.keys()).collect();
+    let totals = (baseline.values().sum(), report.code_lines.values().sum());
+    names
+        .into_iter()
+        .map(|name| (name.as_str(), baseline.get(name), report.code_lines.get(name)))
+        .filter(|(_, before, after)| before != after)
+        .chain([("total", Some(&totals.0), Some(&totals.1))])
+        .map(|(name, before, after)| match (before, after) {
+            (Some(b), Some(a)) if a >= b => format!("{name} {b} → {a} (+{})", a - b),
+            (Some(b), Some(a)) => format!("{name} {b} → {a} (−{})", b - a),
+            (Some(b), None) => format!("{name} {b} → gone"),
+            (None, a) => format!("{name} new → {}", a.unwrap_or(&0)),
+        })
+        .collect()
 }
 
 /// Compares a fresh report's per-rule `allows` counts against the

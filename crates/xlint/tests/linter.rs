@@ -3,10 +3,14 @@
 
 use std::path::PathBuf;
 use xlint::rules::{lint_source, CrateContext, RuleId};
-use xlint::walk::{baseline_regressions, context_for_crate, lint_workspace, parse_stats_allows};
+use xlint::walk::{
+    baseline_regressions, code_line_deltas, context_for_crate, lint_workspace, parse_stats_allows,
+    parse_stats_code_lines, Report,
+};
 
 const FIXTURE: &str = include_str!("fixtures/bad.rs");
 const CODE_LINES_FIXTURE: &str = include_str!("fixtures/code_lines.rs");
+const STATS_FIXTURE: &str = include_str!("fixtures/stats_baseline.json");
 
 fn full() -> CrateContext {
     CrateContext { deterministic: true, panic_free: true, cast_audit: true, long_running: true }
@@ -153,4 +157,31 @@ fn stats_json_records_code_lines_per_crate() {
     let json = report.stats_json();
     assert!(json.contains("\"code_lines\": {"), "{json}");
     assert!(json.contains(&format!("\"core\": {}", report.code_lines["core"])), "{json}");
+}
+
+#[test]
+fn baseline_code_lines_print_per_crate_deltas() {
+    let baseline = parse_stats_code_lines(STATS_FIXTURE);
+    let expected: Vec<(String, usize)> =
+        vec![("core".into(), 2521), ("kibam".into(), 626), ("relax".into(), 200)];
+    assert_eq!(baseline.into_iter().collect::<Vec<_>>(), expected);
+    // The rules object is not mistaken for code lines, nor the reverse.
+    assert_eq!(parse_stats_allows(STATS_FIXTURE).map(|allows| allows.len()), Some(2));
+
+    let baseline = parse_stats_code_lines(STATS_FIXTURE);
+    let mut report = Report::default();
+    report.code_lines.insert("core".into(), 2450);
+    report.code_lines.insert("kibam".into(), 626);
+    report.code_lines.insert("served".into(), 40);
+    assert_eq!(
+        code_line_deltas(&report, &baseline),
+        [
+            "core 2521 → 2450 (−71)",
+            "relax 200 → gone",
+            "served new → 40",
+            "total 3347 → 3116 (−231)",
+        ]
+    );
+    // A document without code lines diffs every crate as new.
+    assert!(parse_stats_code_lines("{\"schema\": \"xlint-stats-v1\"}").is_empty());
 }

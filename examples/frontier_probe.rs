@@ -7,7 +7,7 @@
 //! prints, for each fleet,
 //!
 //! * the root values of all three upper bounds (charge, availability,
-//!   min-cost-flow relaxation) next to the warm-start incumbent (how tight
+//!   flow relaxation) next to the warm-start incumbent (how tight
 //!   is each bound before a single node is explored?), and
 //! * the full search (relaxation on) against the relaxation-ablated and
 //!   the charge-only searches (what does each bound buy in nodes?).
@@ -20,8 +20,8 @@
 //! measure how far a search gets before giving up. `--smoke` restricts
 //! the searches to the cheap fleets (2×B1 and 3×B1) so CI can exercise
 //! the probe end-to-end in seconds; the root-bound table still covers
-//! every fleet (bounds are a few policy simulations plus one relaxation
-//! solve, not searches).
+//! every fleet (bounds are four policy simulations plus one column build
+//! per battery, not searches).
 
 use battery_sched::optimal::OptimalScheduler;
 use battery_sched::system::SystemConfig;
