@@ -72,7 +72,7 @@ pub use api::{ErrorCode, GridRun, Request, RequestClass, Response, ServeError};
 pub use runner::{
     results_from_json, results_to_json, run_grid, run_scenario, run_scenario_with_cache,
     ScenarioResult, SearchStats, SharedCacheStats, SharedSystemCache, StreamSummary,
-    StreamingResultWriter, WorkerCache,
+    StreamingResultWriter, WorkerCache, TIMING_FIELDS,
 };
 pub use spec::{
     BackendKind, BatterySpec, DiscSpec, FleetDef, LoadSpec, PolicyKind, Scenario, ScenarioSpec,

@@ -93,6 +93,11 @@ pub struct ScenarioResult {
     pub bound_micros: Option<u64>,
 }
 
+/// The fields of a [`ScenarioResult::to_json_value`] row that measure wall
+/// time rather than the simulation: every other field is deterministic, so
+/// result documents are compared with exactly these fields stripped.
+pub const TIMING_FIELDS: [&str; 2] = ["wall_micros", "bound_micros"];
+
 impl ScenarioResult {
     /// The result as a JSON document model (scenario descriptor inlined, so
     /// a result set is self-describing). Uniform fleets keep the classic
