@@ -26,7 +26,10 @@
 //! deterministic policies × discretized and RV, 400-job random loads, one
 //! shared system cache) on one thread and on every core, and the parallel
 //! efficiency cells/s(N) / (N · cells/s(1)); it is recorded, never gated.
-//! `--smoke` shrinks the workload for CI.
+//! A `codec` section measures the request codec `served` runs on every
+//! line: the median µs per [`engine::Request::from_line`] and per
+//! [`engine::Response`] rendering, over seeded interactive re-plan requests
+//! and their answers. `--smoke` shrinks the workload for CI.
 //!
 //! ```text
 //! kernelbench [OUT] [--smoke]
@@ -36,16 +39,18 @@ use battery_sched::optimal::OptimalScheduler;
 use battery_sched::system::SystemConfig;
 use dkibam::multi::MultiBatteryState;
 use dkibam::{DiscreteBatch, DiscreteFleet, Discretization};
+use engine::api::run_requests;
 use engine::json::JsonValue;
 use engine::{
-    BackendKind, BatterySpec, DiscSpec, FleetDef, GridRun, LoadSpec, PolicyKind, ScenarioSpec,
-    SharedSystemCache,
+    BackendKind, BatterySpec, DiscSpec, FleetDef, GridRun, LoadSpec, PolicyKind, Request,
+    RequestClass, Scenario, ScenarioSpec, SharedSystemCache, WorkerCache,
 };
 use kibam::BatteryParams;
 use rv::{RvBatch, RvCell, RvFleet};
 use std::sync::Arc;
 use std::time::Instant;
 use workload::paper_loads::TestLoad;
+use workload::random::SplitMix64;
 
 /// Batch sizes measured, in cells (= battery lanes).
 const CELL_COUNTS: [usize; 4] = [1, 8, 64, 512];
@@ -427,6 +432,96 @@ fn measure_grid(smoke: bool) -> JsonValue {
     JsonValue::Array(rows)
 }
 
+/// Request lines of the codec section, and timed passes over them.
+const CODEC_LINES: usize = 256;
+const CODEC_PASSES: usize = 20;
+
+/// Seeded interactive re-plan requests, rendered as request lines: a
+/// repeated fleet on the paper grid, a fresh 20-job random load, one of the
+/// four deterministic policies, one in five on the RV backend.
+fn codec_lines(count: usize) -> Vec<String> {
+    let fleets = [
+        FleetDef::uniform(BatterySpec::b1(), 2),
+        FleetDef::uniform(BatterySpec::b1(), 4),
+        FleetDef::mixed(vec![BatterySpec::b1(), BatterySpec::b2()]),
+        FleetDef::uniform(BatterySpec::b2(), 2),
+    ];
+    let policies = PolicyKind::deterministic();
+    let mut rng = SplitMix64::new(1);
+    (0..count)
+        .map(|id| {
+            let scenario = Scenario {
+                fleet: fleets[rng.next_index(fleets.len())].clone(),
+                disc: DiscSpec::paper(),
+                load: LoadSpec::random_paper_levels(rng.next_u64() >> 11, 20),
+                policy: policies[rng.next_index(policies.len())],
+                backend: if rng.next_index(5) == 0 {
+                    BackendKind::Rv
+                } else {
+                    BackendKind::Discretized
+                },
+            };
+            #[allow(clippy::cast_precision_loss)]
+            let id = JsonValue::Number(id as f64);
+            let request = Request { id, class: RequestClass::Interactive, scenario };
+            request.to_json_value().render().expect("generated requests are finite")
+        })
+        .collect()
+}
+
+/// Median µs of `f` over `passes` calls on each input.
+fn median_micros<T>(inputs: &[T], passes: usize, f: impl Fn(&T)) -> f64 {
+    let mut micros: Vec<f64> = Vec::with_capacity(inputs.len() * passes);
+    for _ in 0..passes {
+        for input in inputs {
+            let start = Instant::now();
+            f(std::hint::black_box(input));
+            micros.push(start.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    micros.sort_by(f64::total_cmp);
+    micros[micros.len() / 2]
+}
+
+/// The codec's number: median µs to parse a request line and to render its
+/// answer, the two steps `served` adds around every request it executes.
+fn measure_codec(smoke: bool) -> JsonValue {
+    let lines = codec_lines(if smoke { 32 } else { CODEC_LINES });
+    let passes = if smoke { 1 } else { CODEC_PASSES };
+    let requests: Vec<Request> = lines
+        .iter()
+        .map(|line| Request::from_line(line).expect("rendered requests parse back"))
+        .collect();
+    let responses = run_requests(&requests, &WorkerCache::new());
+    assert!(responses.iter().all(engine::Response::is_ok), "every codec request is answered");
+    let parse_us = median_micros(&lines, passes, |line| {
+        std::hint::black_box(Request::from_line(line).expect("request lines parse"));
+    });
+    let render_us = median_micros(&responses, passes, |response| {
+        std::hint::black_box(response.to_json_value().render().expect("answers are finite"));
+    });
+    let answers: Vec<String> = responses
+        .iter()
+        .map(|response| response.to_json_value().render().expect("answers are finite"))
+        .collect();
+    #[allow(clippy::cast_precision_loss)]
+    let mean_bytes =
+        |texts: &[String]| texts.iter().map(String::len).sum::<usize>() as f64 / texts.len() as f64;
+    let (request_bytes, answer_bytes) = (mean_bytes(&lines), mean_bytes(&answers));
+    println!("request codec (median us per line, {} lines x {passes}):", lines.len());
+    println!("{:>14} {:>9} {:>13} {:>10}", "request bytes", "parse", "answer bytes", "render");
+    println!("{request_bytes:>14.0} {parse_us:>9.2} {answer_bytes:>13.0} {render_us:>10.2}");
+    println!();
+    #[allow(clippy::cast_precision_loss)]
+    JsonValue::object(vec![
+        ("lines", JsonValue::Number(lines.len() as f64)),
+        ("request_bytes", JsonValue::Number(request_bytes)),
+        ("parse_us", JsonValue::Number(parse_us)),
+        ("answer_bytes", JsonValue::Number(answer_bytes)),
+        ("render_us", JsonValue::Number(render_us)),
+    ])
+}
+
 fn main() {
     let options = parse_options();
     // Cycle counts scale inversely with N so every row does comparable
@@ -486,6 +581,7 @@ fn main() {
 
     let bound_probes = measure_bound_probes(options.smoke);
     let grid = measure_grid(options.smoke);
+    let codec = measure_codec(options.smoke);
 
     let document = JsonValue::object(vec![
         ("smoke", JsonValue::Bool(options.smoke)),
@@ -495,6 +591,7 @@ fn main() {
         ("backends", JsonValue::Array(backends)),
         ("bound_probes", bound_probes),
         ("grid", grid),
+        ("codec", codec),
     ]);
     let json = document.render().expect("throughput numbers are finite");
     if let Err(error) = std::fs::write(&options.out, &json) {

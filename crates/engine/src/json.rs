@@ -165,20 +165,28 @@ impl JsonValue {
 
     /// Parses a JSON document, requiring it to span the whole input.
     ///
+    /// Time is linear in the input length, and arrays and objects may nest
+    /// at most [`MAX_DEPTH`] levels deep.
+    ///
     /// # Errors
     ///
     /// Returns [`JsonError`] with a byte offset on malformed input.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let mut parser = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut parser = Parser { text, pos: 0 };
         parser.skip_whitespace();
-        let value = parser.parse_value()?;
+        let value = parser.parse_value(0)?;
         parser.skip_whitespace();
-        if parser.pos != parser.bytes.len() {
+        if parser.pos != text.len() {
             return Err(parser.error("trailing characters after JSON value"));
         }
         Ok(value)
     }
 }
+
+/// The deepest nesting of arrays and objects [`JsonValue::parse`] accepts.
+/// The parser recurses once per level, so the bound keeps a hostile line
+/// from overflowing the stack; requests nest four levels deep.
+pub const MAX_DEPTH: usize = 128;
 
 fn render_string(s: &str, out: &mut String) {
     out.push('"');
@@ -197,7 +205,7 @@ fn render_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -206,14 +214,18 @@ impl Parser<'_> {
         JsonError { message: message.to_owned(), offset: self.pos }
     }
 
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
     fn skip_whitespace(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn expect_byte(&mut self, byte: u8) -> Result<(), JsonError> {
-        if self.bytes.get(self.pos) == Some(&byte) {
+        if self.peek() == Some(byte) {
             self.pos += 1;
             Ok(())
         } else {
@@ -221,10 +233,14 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+    /// Parses the value at `pos`, inside `depth` open arrays and objects.
+    fn parse_value(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
+        match self.peek() {
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => self.parse_object(depth + 1),
+            Some(b'[') => self.parse_array(depth + 1),
             Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
@@ -235,7 +251,7 @@ impl Parser<'_> {
     }
 
     fn parse_keyword(&mut self, keyword: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(keyword.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(keyword.as_bytes()) {
             self.pos += keyword.len();
             Ok(value)
         } else {
@@ -245,17 +261,13 @@ impl Parser<'_> {
 
     fn parse_number(&mut self) -> Result<JsonValue, JsonError> {
         let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
+        if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
+        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number bytes"))?;
+        let text = &self.text[start..self.pos];
         let number: f64 = text.parse().map_err(|_| self.error("invalid number"))?;
         // JSON has no NaN/infinity; an overflowing literal like `1e999`
         // would otherwise smuggle one in and poison downstream comparisons.
@@ -272,15 +284,22 @@ impl Parser<'_> {
         self.expect_byte(b'"')?;
         let mut out = String::new();
         loop {
-            match self.bytes.get(self.pos) {
+            // Copy everything up to the next quote or backslash as one
+            // slice: both are ASCII, so the run ends on a char boundary.
+            let rest = &self.text.as_bytes()[self.pos..];
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // A backslash: decode one escape.
                     self.pos += 1;
-                    match self.bytes.get(self.pos) {
+                    match self.peek() {
                         Some(b'"') => out.push('"'),
                         Some(b'\\') => out.push('\\'),
                         Some(b'/') => out.push('/'),
@@ -298,15 +317,6 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str, so
-                    // the bytes are valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let ch = rest.chars().next().ok_or_else(|| self.error("empty input"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
             }
         }
     }
@@ -318,9 +328,7 @@ impl Parser<'_> {
         let high = self.parse_hex4()?;
         if (0xD800..0xDC00).contains(&high) {
             // High surrogate: a low surrogate must follow.
-            if self.bytes.get(self.pos) == Some(&b'\\')
-                && self.bytes.get(self.pos + 1) == Some(&b'u')
-            {
+            if self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
                 self.pos += 2;
                 let low = self.parse_hex4()?;
                 if (0xDC00..0xE000).contains(&low) {
@@ -335,30 +343,29 @@ impl Parser<'_> {
 
     fn parse_hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.text.len() {
             return Err(self.error("truncated unicode escape"));
         }
-        let text = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.error("invalid unicode escape"))?;
-        let code =
-            u32::from_str_radix(text, 16).map_err(|_| self.error("invalid unicode escape"))?;
+        // `get` is `None` when the four bytes split a multibyte character.
+        let code = self.text.get(self.pos..end).and_then(|hex| u32::from_str_radix(hex, 16).ok());
+        let code = code.ok_or_else(|| self.error("invalid unicode escape"))?;
         self.pos = end;
         Ok(code)
     }
 
-    fn parse_array(&mut self) -> Result<JsonValue, JsonError> {
+    fn parse_array(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         self.expect_byte(b'[')?;
         let mut items = Vec::new();
         self.skip_whitespace();
-        if self.bytes.get(self.pos) == Some(&b']') {
+        if self.peek() == Some(b']') {
             self.pos += 1;
             return Ok(JsonValue::Array(items));
         }
         loop {
             self.skip_whitespace();
-            items.push(self.parse_value()?);
+            items.push(self.parse_value(depth)?);
             self.skip_whitespace();
-            match self.bytes.get(self.pos) {
+            match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
@@ -369,11 +376,11 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<JsonValue, JsonError> {
+    fn parse_object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         self.expect_byte(b'{')?;
         let mut fields = Vec::new();
         self.skip_whitespace();
-        if self.bytes.get(self.pos) == Some(&b'}') {
+        if self.peek() == Some(b'}') {
             self.pos += 1;
             return Ok(JsonValue::Object(fields));
         }
@@ -390,10 +397,10 @@ impl Parser<'_> {
             self.skip_whitespace();
             self.expect_byte(b':')?;
             self.skip_whitespace();
-            let value = self.parse_value()?;
+            let value = self.parse_value(depth)?;
             fields.push((key, value));
             self.skip_whitespace();
-            match self.bytes.get(self.pos) {
+            match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;

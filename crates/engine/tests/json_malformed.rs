@@ -2,10 +2,11 @@
 //!
 //! Every rejection is asserted together with its byte offset, pinning the
 //! diagnostics a user sees when a scenario or baseline file is corrupt:
-//! truncated documents, duplicate object keys, bad string escapes, and
-//! number literals that overflow the finite f64 range.
+//! truncated documents, duplicate object keys, bad string escapes, number
+//! literals that overflow the finite f64 range, and nesting past the depth
+//! limit.
 
-use engine::json::{JsonError, JsonValue};
+use engine::json::{JsonError, JsonValue, MAX_DEPTH};
 
 fn err(text: &str) -> JsonError {
     match JsonValue::parse(text) {
@@ -58,6 +59,10 @@ fn bad_string_escapes_are_rejected_with_offsets() {
         ("\"\\uZZZZ\"", 3, "invalid unicode escape"),
         ("\"\\ud800\"", 7, "unpaired surrogate"),
         ("\"\\ud800\\u0041\"", 13, "unpaired surrogate"),
+        // Four bytes after `\u` that end inside a multibyte character, and
+        // four that hold a whole one.
+        ("\"\\u000\u{e9}\"", 3, "invalid unicode escape"),
+        ("\"\\u00\u{e9}\"", 3, "invalid unicode escape"),
     ] {
         let e = err(text);
         assert_eq!(e.offset, offset, "offset for {text:?}: {e}");
@@ -97,4 +102,30 @@ fn trailing_garbage_is_rejected_after_a_complete_value() {
     assert_eq!(e.offset, 3);
     assert!(e.message.contains("trailing characters"));
     assert_eq!(format!("{e}"), "JSON error at byte 3: trailing characters after JSON value");
+}
+
+#[test]
+fn nesting_past_the_depth_limit_is_an_error_not_a_stack_overflow() {
+    // 100,000 open brackets would overflow the stack of a parser that
+    // recursed without a bound; the bracket that opens level 129 is refused.
+    let e = err(&"[".repeat(100_000));
+    assert_eq!(e.offset, MAX_DEPTH);
+    assert_eq!(e.message, "nesting deeper than 128 levels");
+
+    // A balanced line gets the same answer, and objects count as levels.
+    let e = err(&format!("{}{}", "[".repeat(12_000), "]".repeat(12_000)));
+    assert_eq!(e.offset, MAX_DEPTH);
+    // Each 6-byte `{"a":[` opens two levels, so level 129 is the `{` of
+    // the 65th repeat.
+    let e = err(&"{\"a\":[".repeat(MAX_DEPTH));
+    assert_eq!(e.offset, 6 * (MAX_DEPTH / 2));
+    assert!(e.message.contains("nesting deeper"));
+
+    // Exactly MAX_DEPTH levels still parse.
+    let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+    let mut value = &JsonValue::parse(&deepest).unwrap();
+    for _ in 1..MAX_DEPTH {
+        value = &value.as_array().unwrap()[0];
+    }
+    assert_eq!(value.as_array(), Some(&[][..]));
 }

@@ -254,3 +254,37 @@ fn concurrent_tcp_clients_get_their_own_answers_bit_identical_to_the_batch_engin
     }
     server.shutdown();
 }
+
+#[test]
+fn a_line_nested_to_the_line_limit_gets_a_parse_error_over_tcp_and_serving_continues() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("a loopback port is free");
+    let addr = listener.local_addr().unwrap();
+    let config = ServeConfig::default();
+    // As deep as a line under the length limit can nest.
+    let depth = (config.max_line_bytes - 2) / 2;
+    let server = Arc::new(Server::start(config));
+    let listening = Arc::clone(&server);
+    // The accept loop runs for the rest of the test process.
+    std::thread::spawn(move || listening.serve_listener(&listener));
+
+    let valid = r#"{"battery":"B1","count":2,"load":"CL 500","policy":"round-robin"}"#;
+    let converse_tcp = |input: String| {
+        let mut stream = TcpStream::connect(addr).expect("loopback connects");
+        stream.write_all(input.as_bytes()).expect("requests are sent");
+        stream.shutdown(Shutdown::Write).expect("the write half closes");
+        let mut text = String::new();
+        stream.read_to_string(&mut text).expect("answers are UTF-8");
+        text.lines().map(|line| JsonValue::parse(line).expect("answers parse")).collect::<Vec<_>>()
+    };
+    let deep = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let responses = converse_tcp(format!("{deep}\n{valid}\n"));
+    assert_eq!(responses.len(), 2);
+    assert_eq!(code(&responses[0]), "parse");
+    assert_eq!(offset(&responses[0]), Some(engine::json::MAX_DEPTH as u64));
+    assert_eq!(status(&responses[1]), "ok", "the same connection keeps answering");
+
+    // The process survived: a new connection is served too.
+    let responses = converse_tcp(format!("{valid}\n"));
+    assert_eq!(status(&responses[0]), "ok");
+    server.shutdown();
+}
