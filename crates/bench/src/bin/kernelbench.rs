@@ -1,19 +1,17 @@
-//! Stepping-kernel throughput: the scalar reference stepping vs the
-//! struct-of-arrays batch kernels, at N ∈ {1, 8, 64, 512} cells, per
-//! backend.
+//! Stepping-kernel throughput: the per-system kernels the backends run
+//! ([`dkibam::kernel`], [`rv::kernel`]) against their scalar references, on
+//! one system of 1, 2, 4 or 8 batteries per call.
 //!
-//! The workload is the engine's hot loop in miniature: N cells are grouped
-//! into four-battery systems (N = 1 keeps a single-battery system), and
-//! each measurement cycle resets the fleet and runs three rounds of
-//! *serve each battery in turn → idle* with the paper's B1 cell on the
-//! paper grid — drain rates chosen so no cell empties inside a cycle, so
-//! scalar and batched paths execute identical step counts. The scalar
-//! side is the reference the backends are held bit-identical to
-//! ([`dkibam::multi::MultiBatteryState`] per system, one [`rv::RvCell`] vector per
-//! system); the batched side packs all systems into one
-//! [`dkibam::DiscreteBatch`] / [`rv::RvBatch`]. After timing, the final
-//! states of both paths are compared word-for-word — a throughput number
-//! from a diverging kernel would be meaningless, so divergence aborts.
+//! The workload is a backend's hot loop in miniature: each measurement
+//! cycle resets the system and runs three rounds of *serve each battery in
+//! turn → idle* with the paper's B1 cell on the paper grid — drain rates
+//! chosen so no battery empties inside a cycle, so the kernel and the
+//! reference execute identical step counts. The references are the ones the
+//! backends are held bit-identical to: [`dkibam::multi::MultiBatteryState`],
+//! which recovers every battery at every draw instant, and per-cell
+//! [`rv::RvCell`] stepping. After timing, the final states of both paths
+//! are compared word-for-word — a throughput number from a diverging kernel
+//! would be meaningless, so divergence aborts.
 //!
 //! Output: a table on stdout and `BENCH_kernel.json` (override with a
 //! positional path). The document also carries a `bound_probes` section —
@@ -38,7 +36,7 @@
 use battery_sched::optimal::OptimalScheduler;
 use battery_sched::system::SystemConfig;
 use dkibam::multi::MultiBatteryState;
-use dkibam::{DiscreteBatch, DiscreteFleet, Discretization};
+use dkibam::{DiscreteFleet, Discretization};
 use engine::api::run_requests;
 use engine::json::JsonValue;
 use engine::{
@@ -46,20 +44,15 @@ use engine::{
     RequestClass, Scenario, ScenarioSpec, SharedSystemCache, WorkerCache,
 };
 use kibam::BatteryParams;
-use rv::{RvBatch, RvCell, RvFleet};
+use rv::{RvCell, RvFleet};
 use std::sync::Arc;
 use std::time::Instant;
 use workload::paper_loads::TestLoad;
 use workload::random::SplitMix64;
 
-/// Batch sizes measured, in cells (= battery lanes).
-const CELL_COUNTS: [usize; 4] = [1, 8, 64, 512];
-
-/// Batteries per system. The scalar path recovers every passive battery at
-/// every draw instant while the batched kernel bulk-recovers passive lanes
-/// once per job, so the gap widens with fleet size; four batteries is the
-/// representative multi-battery fleet from the grid sweeps.
-const LANES_PER_SYSTEM: usize = 4;
+/// Fleet sizes measured, in batteries per system: the paper's 2xB1 and the
+/// sweep's 4xB1 and 8xB1, plus a single battery.
+const FLEET_SIZES: [usize; 4] = [1, 2, 4, 8];
 
 /// Steps served per job portion (one draw of 1 unit every 4 steps — the
 /// paper's 0.5 A level on the paper grid).
@@ -75,10 +68,10 @@ const IDLE_STEPS: u64 = 120;
 /// cycle runs its full nominal step count on both paths.
 const ROUNDS_PER_CYCLE: u64 = 3;
 
-/// Nominal steps every lane advances per cycle (serve, sibling's serve as
-/// recovery, idle — all three windows touch every lane).
-fn lane_steps_per_cycle(lanes_per_system: usize) -> u64 {
-    ROUNDS_PER_CYCLE * (SERVE_STEPS * lanes_per_system as u64 + IDLE_STEPS)
+/// Nominal steps every battery advances per cycle (its own serve, its
+/// siblings' serves as recovery, idle — all windows touch every battery).
+fn battery_steps_per_cycle(batteries: usize) -> u64 {
+    ROUNDS_PER_CYCLE * (SERVE_STEPS * batteries as u64 + IDLE_STEPS)
 }
 
 struct Options {
@@ -101,28 +94,24 @@ fn parse_options() -> Options {
     options
 }
 
-/// One measured row: scalar and batched throughput at one cell count.
+/// One measured row: reference and kernel throughput at one fleet size.
 struct Row {
-    cells: usize,
+    batteries: usize,
     scalar_cell_steps_per_sec: f64,
-    batched_cell_steps_per_sec: f64,
+    kernel_cell_steps_per_sec: f64,
 }
 
 impl Row {
     fn speedup(&self) -> f64 {
-        self.batched_cell_steps_per_sec / self.scalar_cell_steps_per_sec
+        self.kernel_cell_steps_per_sec / self.scalar_cell_steps_per_sec
     }
 }
 
-/// Times `run` over `cycles` workload cycles, returning the best-of-3
-/// cell-steps/second (minimum wall time filters scheduler noise).
-fn time_throughput(
-    cells: usize,
-    lanes_per_system: usize,
-    cycles: u64,
-    mut run: impl FnMut(u64),
-) -> f64 {
-    let total_lane_steps = cells as u64 * lane_steps_per_cycle(lanes_per_system) * cycles;
+/// Times `run` over `cycles` workload cycles of a `batteries`-battery
+/// system, returning the best-of-3 cell-steps/second (minimum wall time
+/// filters scheduler noise).
+fn time_throughput(batteries: usize, cycles: u64, mut run: impl FnMut(u64)) -> f64 {
+    let total_steps = batteries as u64 * battery_steps_per_cycle(batteries) * cycles;
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let start = Instant::now();
@@ -130,86 +119,70 @@ fn time_throughput(
         best = best.min(start.elapsed().as_secs_f64());
     }
     #[allow(clippy::cast_precision_loss)]
-    let steps = total_lane_steps as f64;
+    let steps = total_steps as f64;
     steps / best
 }
 
-/// Measures the discretized-KiBaM backend at one cell count and checks the
-/// final batch state against the scalar state word-for-word.
-fn measure_discretized(cells: usize, cycles: u64) -> Row {
-    let lanes_per_system = LANES_PER_SYSTEM.min(cells);
-    let systems = cells / lanes_per_system;
-    let disc = Discretization::paper_default();
-    let fleet = DiscreteFleet::uniform(&BatteryParams::itsy_b1(), &disc, lanes_per_system);
-    let type_params = fleet.spec().types();
+/// Measures the discretized-KiBaM kernel on one `batteries`-battery system
+/// and checks its final state against the reference word-for-word.
+fn measure_discretized(batteries: usize, cycles: u64) -> Row {
+    let fleet = DiscreteFleet::uniform(
+        &BatteryParams::itsy_b1(),
+        &Discretization::paper_default(),
+        batteries,
+    );
+    let fresh = MultiBatteryState::new_full(&fleet);
 
-    // Scalar: one MultiBatteryState per system (the reference stepping).
-    let mut scalar: Vec<MultiBatteryState> =
-        (0..systems).map(|_| MultiBatteryState::new_full(&fleet)).collect();
-    let scalar_throughput = time_throughput(cells, lanes_per_system, cycles, |cycles| {
+    let mut scalar = fresh.clone();
+    let scalar_throughput = time_throughput(batteries, cycles, |cycles| {
         for _ in 0..cycles {
-            for state in &mut scalar {
-                *state = MultiBatteryState::new_full(&fleet);
-            }
+            scalar = fresh.clone();
             for _ in 0..ROUNDS_PER_CYCLE {
-                for state in &mut scalar {
-                    for active in 0..lanes_per_system {
-                        state
-                            .advance_job(active, SERVE_STEPS, DRAW_INTERVAL, UNITS_PER_DRAW, &fleet)
-                            .expect("active index is in range");
-                    }
+                for active in 0..batteries {
+                    scalar
+                        .advance_job(active, SERVE_STEPS, DRAW_INTERVAL, UNITS_PER_DRAW, &fleet)
+                        .expect("active index is in range");
                 }
-                for state in &mut scalar {
-                    state.advance_idle(IDLE_STEPS, &fleet);
-                }
+                scalar.advance_idle(IDLE_STEPS, &fleet);
             }
         }
     });
 
-    // Batched: every system is a lane range of one struct-of-arrays batch.
-    let mut batch = DiscreteBatch::with_capacity(cells);
-    let ranges: Vec<_> = (0..systems).map(|_| batch.push_fleet(&fleet)).collect();
-    let batched_throughput = time_throughput(cells, lanes_per_system, cycles, |cycles| {
+    let mut state = fresh.batteries().to_vec();
+    let kernel_throughput = time_throughput(batteries, cycles, |cycles| {
         for _ in 0..cycles {
-            batch.reset_range(0..cells, type_params, fleet.disc());
+            state = fresh.batteries().to_vec();
             for _ in 0..ROUNDS_PER_CYCLE {
-                for range in &ranges {
-                    for active in range.clone() {
-                        batch
-                            .advance_job_range(
-                                range.clone(),
-                                active,
-                                SERVE_STEPS,
-                                DRAW_INTERVAL,
-                                UNITS_PER_DRAW,
-                                type_params,
-                                fleet.type_tables(),
-                            )
-                            .expect("active lane is in range");
-                    }
+                for active in 0..batteries {
+                    dkibam::kernel::advance_job(
+                        &mut state,
+                        active,
+                        SERVE_STEPS,
+                        DRAW_INTERVAL,
+                        UNITS_PER_DRAW,
+                        &fleet,
+                    )
+                    .expect("active index is in range");
                 }
-                batch.recover_range(0..cells, IDLE_STEPS, fleet.type_tables());
+                dkibam::kernel::recover(&mut state, IDLE_STEPS, &fleet);
             }
         }
     });
 
     // Word-for-word identity of the final states: the throughput comparison
     // is only meaningful if both paths computed the same thing.
-    for (system, state) in scalar.iter().enumerate() {
-        for (index, battery) in state.batteries().iter().enumerate() {
-            let lane = ranges[system].start + index;
-            assert_eq!(
-                batch.state_word(lane),
-                battery.state_word(),
-                "discretized batch diverged from scalar at lane {lane}"
-            );
-        }
+    for (index, (battery, reference)) in state.iter().zip(scalar.batteries()).enumerate() {
+        assert_eq!(
+            battery.state_word(),
+            reference.state_word(),
+            "discretized kernel diverged from the reference at battery {index}"
+        );
     }
 
     Row {
-        cells,
+        batteries,
         scalar_cell_steps_per_sec: scalar_throughput,
-        batched_cell_steps_per_sec: batched_throughput,
+        kernel_cell_steps_per_sec: kernel_throughput,
     }
 }
 
@@ -217,7 +190,7 @@ fn measure_discretized(cells: usize, cycles: u64) -> Row {
 /// then recover the system's other cells by the steps that elapsed.
 fn rv_scalar_job(cells: &mut [RvCell], active: usize, fleet: &RvFleet) {
     let table = fleet.table_of(active);
-    if cells[active].is_observed_empty() || table.is_empty(&cells[active]) {
+    if table.is_empty(&cells[active]) {
         cells[active].mark_observed_empty();
         return;
     }
@@ -229,77 +202,61 @@ fn rv_scalar_job(cells: &mut [RvCell], active: usize, fleet: &RvFleet) {
     }
 }
 
-/// Measures the RV-diffusion backend at one cell count, with the same
-/// final-state identity check as the discretized path.
-fn measure_rv(cells: usize, cycles: u64) -> Row {
-    let lanes_per_system = LANES_PER_SYSTEM.min(cells);
-    let systems = cells / lanes_per_system;
-    let disc = Discretization::paper_default();
-    let fleet = RvFleet::uniform(&BatteryParams::itsy_b1(), &disc, lanes_per_system);
+/// Measures the RV-diffusion kernel on one `batteries`-battery system,
+/// with the same final-state identity check as the discretized path.
+fn measure_rv(batteries: usize, cycles: u64) -> Row {
+    let fleet =
+        RvFleet::uniform(&BatteryParams::itsy_b1(), &Discretization::paper_default(), batteries);
+    let fresh = vec![RvCell::fresh(); batteries];
 
-    let mut scalar: Vec<Vec<RvCell>> = (0..systems)
-        .map(|_| (0..lanes_per_system).map(|i| fleet.table_of(i).fresh_cell()).collect())
-        .collect();
-    let scalar_throughput = time_throughput(cells, lanes_per_system, cycles, |cycles| {
+    let mut scalar = fresh.clone();
+    let scalar_throughput = time_throughput(batteries, cycles, |cycles| {
         for _ in 0..cycles {
-            for system in &mut scalar {
-                for (index, cell) in system.iter_mut().enumerate() {
-                    *cell = fleet.table_of(index).fresh_cell();
-                }
-            }
+            scalar = fresh.clone();
             for _ in 0..ROUNDS_PER_CYCLE {
-                for system in &mut scalar {
-                    for active in 0..lanes_per_system {
-                        rv_scalar_job(system, active, &fleet);
-                    }
+                for active in 0..batteries {
+                    rv_scalar_job(&mut scalar, active, &fleet);
                 }
-                for system in &mut scalar {
-                    for (index, cell) in system.iter_mut().enumerate() {
-                        fleet.table_of(index).recover(cell, IDLE_STEPS);
-                    }
+                for (index, cell) in scalar.iter_mut().enumerate() {
+                    fleet.table_of(index).recover(cell, IDLE_STEPS);
                 }
             }
         }
     });
 
-    let mut batch = RvBatch::with_capacity(cells);
-    let ranges: Vec<_> = (0..systems).map(|_| batch.push_fleet(&fleet)).collect();
-    let batched_throughput = time_throughput(cells, lanes_per_system, cycles, |cycles| {
+    let mut state = fresh.clone();
+    let kernel_throughput = time_throughput(batteries, cycles, |cycles| {
         for _ in 0..cycles {
-            batch.reset_range(0..cells);
+            state = fresh.clone();
             for _ in 0..ROUNDS_PER_CYCLE {
-                for range in &ranges {
-                    for active in range.clone() {
-                        batch.advance_job_range(
-                            range.clone(),
-                            active,
-                            SERVE_STEPS,
-                            DRAW_INTERVAL,
-                            UNITS_PER_DRAW,
-                            fleet.type_tables(),
-                        );
-                    }
+                for active in 0..batteries {
+                    rv::kernel::advance_job(
+                        &mut state,
+                        active,
+                        SERVE_STEPS,
+                        DRAW_INTERVAL,
+                        UNITS_PER_DRAW,
+                        &fleet,
+                    );
                 }
-                batch.recover_range(0..cells, IDLE_STEPS, fleet.type_tables());
+                rv::kernel::recover(&mut state, IDLE_STEPS, &fleet);
             }
         }
     });
 
-    for (system, state) in scalar.iter().enumerate() {
-        for (index, cell) in state.iter().enumerate() {
-            let lane = ranges[system].start + index;
-            assert_eq!(
-                batch.state_word(lane, fleet.type_tables()),
-                fleet.table_of(index).state_word(cell),
-                "rv batch diverged from scalar at lane {lane}"
-            );
-        }
+    for (index, (cell, reference)) in state.iter().zip(&scalar).enumerate() {
+        let table = fleet.table_of(index);
+        assert_eq!(
+            table.state_word(cell),
+            table.state_word(reference),
+            "rv kernel diverged from the reference at battery {index}"
+        );
     }
 
     Row {
-        cells,
+        batteries,
         scalar_cell_steps_per_sec: scalar_throughput,
-        batched_cell_steps_per_sec: batched_throughput,
+        kernel_cell_steps_per_sec: kernel_throughput,
     }
 }
 
@@ -524,29 +481,27 @@ fn measure_codec(smoke: bool) -> JsonValue {
 
 fn main() {
     let options = parse_options();
-    // Cycle counts scale inversely with N so every row does comparable
-    // total work; smoke mode cuts the budget ~8x for CI.
-    let budget_lane_steps: u64 = if options.smoke { 1_000_000 } else { 8_000_000 };
+    // Cycle counts scale inversely with the per-cycle work so every row
+    // does comparable total work; smoke mode cuts the budget ~8x for CI.
+    let budget_steps: u64 = if options.smoke { 1_000_000 } else { 8_000_000 };
 
     let mut backends = Vec::new();
     for backend in ["discretized", "rv"] {
-        println!("{backend} kernels (cell-steps/second, best of 3):");
-        println!("{:>6} {:>14} {:>14} {:>9}", "cells", "scalar", "batched", "speedup");
+        println!("{backend} kernel (cell-steps/second, best of 3):");
+        println!("{:>9} {:>14} {:>14} {:>9}", "batteries", "reference", "kernel", "speedup");
         let mut rows = Vec::new();
-        for cells in CELL_COUNTS {
-            let lanes_per_system = LANES_PER_SYSTEM.min(cells);
-            let cycles = (budget_lane_steps
-                / (cells as u64 * lane_steps_per_cycle(lanes_per_system)))
-            .max(1);
+        for batteries in FLEET_SIZES {
+            let cycles =
+                (budget_steps / (batteries as u64 * battery_steps_per_cycle(batteries))).max(1);
             let row = match backend {
-                "discretized" => measure_discretized(cells, cycles),
-                _ => measure_rv(cells, cycles),
+                "discretized" => measure_discretized(batteries, cycles),
+                _ => measure_rv(batteries, cycles),
             };
             println!(
-                "{:>6} {:>14.3e} {:>14.3e} {:>8.2}x",
-                row.cells,
+                "{:>9} {:>14.3e} {:>14.3e} {:>8.2}x",
+                row.batteries,
                 row.scalar_cell_steps_per_sec,
-                row.batched_cell_steps_per_sec,
+                row.kernel_cell_steps_per_sec,
                 row.speedup()
             );
             rows.push(row);
@@ -561,14 +516,14 @@ fn main() {
                     rows.iter()
                         .map(|row| {
                             JsonValue::object(vec![
-                                ("cells", JsonValue::Number(row.cells as f64)),
+                                ("batteries", JsonValue::Number(row.batteries as f64)),
                                 (
                                     "scalar_cell_steps_per_sec",
                                     JsonValue::Number(row.scalar_cell_steps_per_sec),
                                 ),
                                 (
-                                    "batched_cell_steps_per_sec",
-                                    JsonValue::Number(row.batched_cell_steps_per_sec),
+                                    "kernel_cell_steps_per_sec",
+                                    JsonValue::Number(row.kernel_cell_steps_per_sec),
                                 ),
                                 ("speedup", JsonValue::Number(row.speedup())),
                             ])

@@ -1,17 +1,17 @@
 //! The discretized-KiBaM backend: the dKiBaM of Section 2.3 stepped by its
-//! struct-of-arrays batch kernel.
+//! per-system kernel ([`dkibam::kernel`]).
 //!
-//! The backend owns one [`DiscreteBatch`] lane per battery and reads the
+//! The backend owns one [`DiscreteBattery`] per battery and reads the
 //! fleet's static data — parameters, discretization, per-type recovery and
 //! service-rate tables — through a shared [`Arc<DiscreteFleet>`], so a copy
-//! of a built system costs the lanes alone. The scalar
-//! [`dkibam::multi::MultiBatteryState`] stays the reference these kernels
-//! are held bit-identical to (the lockstep tests of this module's parent).
+//! of a built system costs the battery states alone. The scalar
+//! [`dkibam::multi::MultiBatteryState`] stays the reference the kernel is
+//! held bit-identical to (the lockstep tests of this module's parent).
 
 use crate::model::{BatteryModel, ModelAdvance, StateKey};
 use crate::schedule::BatteryCharge;
 use crate::SchedError;
-use dkibam::{DiscreteBatch, DiscreteBattery, DiscreteFleet, Discretization};
+use dkibam::{kernel, DiscreteBattery, DiscreteFleet, Discretization};
 use kibam::{BatteryParams, FleetSpec};
 use std::sync::Arc;
 
@@ -19,14 +19,14 @@ use std::sync::Arc;
 ///
 /// Holds the static data (the fleet: per-battery parameters,
 /// discretization, per-type recovery tables) behind an `Arc` next to the
-/// dynamic lanes, so that searches snapshot just the lanes and clones share
-/// the tables. Fleets may be heterogeneous; [`DiscretizedKibam::new`] is the
-/// uniform convenience constructor the paper's systems use.
+/// dynamic battery states, so that searches snapshot just the states and
+/// clones share the tables. Fleets may be heterogeneous;
+/// [`DiscretizedKibam::new`] is the uniform convenience constructor the
+/// paper's systems use.
 #[derive(Debug, Clone)]
 pub struct DiscretizedKibam {
     fleet: Arc<DiscreteFleet>,
-    /// Lane `i` is battery `i`.
-    lanes: DiscreteBatch,
+    batteries: Vec<DiscreteBattery>,
 }
 
 impl DiscretizedKibam {
@@ -49,9 +49,10 @@ impl DiscretizedKibam {
     }
 
     fn from_fleet_data(fleet: DiscreteFleet) -> Self {
-        let mut lanes = DiscreteBatch::with_capacity(fleet.len());
-        lanes.push_fleet(&fleet);
-        Self { fleet: Arc::new(fleet), lanes }
+        let batteries = (0..fleet.len())
+            .map(|i| DiscreteBattery::full(fleet.params_of(i), fleet.disc()))
+            .collect();
+        Self { fleet: Arc::new(fleet), batteries }
     }
 
     /// The static fleet data (per-battery parameters and recovery tables),
@@ -76,7 +77,7 @@ impl BatteryModel for DiscretizedKibam {
     }
 
     fn battery_count(&self) -> usize {
-        self.lanes.len()
+        self.batteries.len()
     }
 
     fn type_of(&self, index: usize) -> usize {
@@ -84,31 +85,30 @@ impl BatteryModel for DiscretizedKibam {
     }
 
     fn reset(&mut self) {
-        self.lanes.reset_range(0..self.fleet.len(), self.fleet.spec().types(), self.fleet.disc());
-    }
-
-    fn save_state(&self) -> Vec<DiscreteBattery> {
-        (0..self.lanes.len()).map(|lane| self.lanes.lane(lane)).collect()
-    }
-
-    fn save_state_into(&self, out: &mut Vec<DiscreteBattery>) {
-        out.clear();
-        out.extend((0..self.lanes.len()).map(|lane| self.lanes.lane(lane)));
-    }
-
-    fn restore_state(&mut self, state: &Vec<DiscreteBattery>) {
-        for (lane, battery) in state.iter().enumerate() {
-            self.lanes.set_lane(lane, battery);
+        for (index, battery) in self.batteries.iter_mut().enumerate() {
+            *battery = DiscreteBattery::full(self.fleet.params_of(index), self.fleet.disc());
         }
     }
 
+    fn save_state(&self) -> Vec<DiscreteBattery> {
+        self.batteries.clone()
+    }
+
+    fn save_state_into(&self, out: &mut Vec<DiscreteBattery>) {
+        out.clone_from(&self.batteries);
+    }
+
+    fn restore_state(&mut self, state: &Vec<DiscreteBattery>) {
+        self.batteries.clone_from(state);
+    }
+
     fn is_empty(&self, index: usize) -> bool {
-        self.lanes.lane_is_empty(index, self.fleet.spec().types())
+        self.batteries[index].is_empty(self.fleet.params_of(index))
     }
 
     fn memo_key(&self) -> Option<StateKey> {
         StateKey::from_typed_words(
-            (0..self.lanes.len()).map(|i| (self.fleet.type_of(i), self.lanes.state_word(i))),
+            self.batteries.iter().enumerate().map(|(i, b)| (self.fleet.type_of(i), b.state_word())),
         )
     }
 
@@ -117,7 +117,7 @@ impl BatteryModel for DiscretizedKibam {
     }
 
     fn charge(&self, index: usize) -> BatteryCharge {
-        let battery = self.lanes.lane(index);
+        let battery = &self.batteries[index];
         BatteryCharge {
             total: battery.total_charge(self.fleet.disc()),
             available: battery.available_charge(self.fleet.params_of(index), self.fleet.disc()),
@@ -127,16 +127,17 @@ impl BatteryModel for DiscretizedKibam {
     fn total_charge(&self) -> f64 {
         // One multiply over the integer unit sum, not a sum of per-battery
         // products (the reference's `total_charge_units` accounting).
-        let units: u64 = (0..self.lanes.len()).map(|l| u64::from(self.lanes.charge_units(l))).sum();
+        let units: u64 = self.batteries.iter().map(|b| u64::from(b.charge_units())).sum();
         #[allow(clippy::cast_precision_loss)]
         let units = units as f64;
         units * self.fleet.disc().charge_unit()
     }
 
     fn usable_charge(&self) -> f64 {
-        (0..self.lanes.len())
-            .filter(|&lane| !self.lanes.is_retired(lane))
-            .map(|lane| f64::from(self.lanes.charge_units(lane)) * self.fleet.disc().charge_unit())
+        self.batteries
+            .iter()
+            .filter(|b| !b.is_observed_empty())
+            .map(|b| f64::from(b.charge_units()) * self.fleet.disc().charge_unit())
             .sum()
     }
 
@@ -146,7 +147,7 @@ impl BatteryModel for DiscretizedKibam {
         max_units_per_draw: u32,
         out: &mut dkibam::ServiceEnvelope,
     ) -> Option<&dkibam::ServiceRateTable> {
-        let battery = self.lanes.lane(index);
+        let battery = &self.batteries[index];
         let table = self.fleet.service_of(index);
         // A retired battery serves nothing, ever: build from zero charge.
         let charge = if battery.is_observed_empty() { 0 } else { battery.charge_units() };
@@ -158,15 +159,15 @@ impl BatteryModel for DiscretizedKibam {
         &self,
         index: usize,
     ) -> Option<(DiscreteBattery, &BatteryParams, &dkibam::RecoveryTable)> {
-        Some((self.lanes.lane(index), self.fleet.params_of(index), self.fleet.table_of(index)))
+        Some((self.batteries[index], self.fleet.params_of(index), self.fleet.table_of(index)))
     }
 
     fn states_identical(&self, a: usize, b: usize) -> bool {
-        self.fleet.type_of(a) == self.fleet.type_of(b) && self.lanes.lane(a) == self.lanes.lane(b)
+        self.fleet.type_of(a) == self.fleet.type_of(b) && self.batteries[a] == self.batteries[b]
     }
 
     fn advance_idle(&mut self, steps: u64) {
-        self.lanes.recover_range(0..self.lanes.len(), steps, self.fleet.type_tables());
+        kernel::recover(&mut self.batteries, steps, &self.fleet);
     }
 
     fn advance_job(
@@ -176,14 +177,13 @@ impl BatteryModel for DiscretizedKibam {
         draw_interval_steps: u32,
         units_per_draw: u32,
     ) -> Result<ModelAdvance, SchedError> {
-        let advance = self.lanes.advance_job_range(
-            0..self.lanes.len(),
+        let advance = kernel::advance_job(
+            &mut self.batteries,
             active,
             steps,
             draw_interval_steps,
             units_per_draw,
-            self.fleet.spec().types(),
-            self.fleet.type_tables(),
+            &self.fleet,
         )?;
         Ok(ModelAdvance { steps_consumed: advance.steps_consumed, completed: advance.completed })
     }
@@ -254,6 +254,46 @@ mod tests {
         assert!((prototype.total_charge() - 16.5).abs() < 1e-12, "the prototype is untouched");
         assert!((copy.total_charge() - 16.0).abs() < 1e-12);
         assert_ne!(copy.save_state(), prototype.save_state());
+    }
+
+    #[test]
+    fn reset_refills_every_battery_to_full() {
+        let fresh = b1_plus_b2();
+        let mut model = fresh.clone();
+        assert!(!model.advance_job(0, 1_000_000, 2, 1).unwrap().completed);
+        assert!(!model.advance_job(1, 1_000_000, 2, 1).unwrap().completed);
+        assert!(!model.any_available());
+        model.reset();
+        assert_eq!(model.save_state(), fresh.save_state());
+        assert_eq!(model.memo_key(), fresh.memo_key());
+        assert_eq!(model.available(), vec![0, 1]);
+    }
+
+    #[test]
+    fn save_restore_round_trips_including_in_place() {
+        let mut model = b1_plus_b2();
+        let fresh = model.save_state();
+        model.advance_job(0, 500, 2, 1).unwrap();
+        let mut scratch = model.save_state();
+        model.advance_job(1, 300, 2, 1).unwrap();
+        model.save_state_into(&mut scratch);
+        let drained = model.save_state();
+        model.restore_state(&fresh);
+        assert!((model.total_charge() - 16.5).abs() < 1e-12);
+        model.restore_state(&scratch);
+        assert_eq!(model.save_state(), drained);
+    }
+
+    #[test]
+    fn degenerate_draw_pattern_is_idle_time() {
+        let mut model = b1_plus_b2();
+        model.advance_job(0, 100, 2, 1).unwrap();
+        let mut idle = model.clone();
+        idle.advance_idle(50);
+        let advance = model.advance_job(1, 50, 0, 0).unwrap();
+        assert!(advance.completed);
+        assert_eq!(advance.steps_consumed, 50);
+        assert_eq!(model.save_state(), idle.save_state());
     }
 
     #[test]

@@ -22,12 +22,13 @@
 //!   effect: the cross-model baseline that isolates how much the battery
 //!   nonlinearities cost on a given load.
 //!
-//! The two table-driven backends step their batteries through the batch
-//! kernels of their model crates ([`dkibam::DiscreteBatch`],
-//! [`rv::RvBatch`](::rv::RvBatch), one lane per battery) and share their tables through an
-//! `Arc`, so a clone of a built system copies only its battery state. The
-//! scalar forms of the same dynamics — [`dkibam::multi::MultiBatteryState`]
-//! and per-cell [`rv::RvCell`](::rv::RvCell) stepping — are the references the lockstep
+//! The two table-driven backends hold one battery state per battery of
+//! their system and step it in place through the per-system kernels of
+//! their model crates ([`dkibam::kernel`], [`rv::kernel`](::rv::kernel)).
+//! They share their tables through an `Arc`, so a clone of a built system
+//! copies only its battery states. The scalar forms of the same dynamics —
+//! [`dkibam::multi::MultiBatteryState`] and per-cell
+//! [`rv::RvCell`](::rv::RvCell) stepping — are the references the lockstep
 //! tests hold them bit-identical to.
 
 mod continuous;
@@ -43,7 +44,7 @@ pub use rv::RvDiffusion;
 #[cfg(test)]
 mod lockstep {
     //! Lockstep tests for the table-driven backends. Each steps its batteries
-    //! through a batch kernel; here it runs side by side with the scalar
+    //! through a per-system kernel; here it runs side by side with the scalar
     //! reference of the same dynamics — [`MultiBatteryState`] for the
     //! discretized KiBaM, per-cell [`RvCell`] stepping for the RV model — over
     //! seeded jobs, idle periods, degenerate jobs, retirements and search-style
@@ -317,11 +318,12 @@ mod lockstep {
         retirements
     }
 
-    fn fleets() -> [FleetSpec; 2] {
+    fn fleets() -> [FleetSpec; 3] {
         let b1 = BatteryParams::itsy_b1();
         [
             FleetSpec::uniform(b1, 2).unwrap(),
             FleetSpec::new(vec![b1, BatteryParams::itsy_b2()]).unwrap(),
+            FleetSpec::uniform(b1, 8).unwrap(),
         ]
     }
 

@@ -1,7 +1,7 @@
 //! The Rakhmatov–Vrudhula diffusion backend: cross-model validation.
 //!
-//! Steps the discretized RV form of the [`rv`] crate with its
-//! struct-of-arrays kernel ([`RvBatch`], one lane per battery), the way
+//! Steps the discretized RV form of the [`rv`] crate in place with its
+//! per-system kernel ([`rv::kernel`], one [`RvCell`] per battery), the way
 //! [`super::DiscretizedKibam`] steps `dkibam`. RV parameters are fitted per
 //! battery *type* from the fleet's KiBaM parameters
 //! ([`rv::RvParams::from_kibam`]: shared capacity, matched steady-state
@@ -32,15 +32,14 @@ use crate::schedule::BatteryCharge;
 use crate::SchedError;
 use dkibam::Discretization;
 use kibam::{BatteryParams, FleetSpec};
-use rv::{RvBatch, RvCell, RvFleet};
+use rv::{kernel, RvCell, RvFleet};
 use std::sync::Arc;
 
 /// The Rakhmatov–Vrudhula diffusion model as a [`BatteryModel`] backend.
 #[derive(Debug, Clone)]
 pub struct RvDiffusion {
     fleet: Arc<RvFleet>,
-    /// Lane `i` is battery `i`.
-    lanes: RvBatch,
+    cells: Vec<RvCell>,
 }
 
 impl RvDiffusion {
@@ -63,9 +62,7 @@ impl RvDiffusion {
     #[must_use]
     pub fn from_fleet(fleet: &FleetSpec, disc: &Discretization) -> Self {
         let fleet = RvFleet::new(fleet.clone(), *disc);
-        let mut lanes = RvBatch::with_capacity(fleet.len());
-        lanes.push_fleet(&fleet);
-        Self { fleet: Arc::new(fleet), lanes }
+        Self { cells: vec![RvCell::fresh(); fleet.len()], fleet: Arc::new(fleet) }
     }
 
     /// The static fleet data (fitted parameters and correction tables),
@@ -84,7 +81,7 @@ impl BatteryModel for RvDiffusion {
     }
 
     fn battery_count(&self) -> usize {
-        self.lanes.len()
+        self.cells.len()
     }
 
     fn type_of(&self, index: usize) -> usize {
@@ -92,38 +89,34 @@ impl BatteryModel for RvDiffusion {
     }
 
     fn reset(&mut self) {
-        self.lanes.reset_range(0..self.lanes.len());
+        self.cells.fill(RvCell::fresh());
     }
 
     fn save_state(&self) -> Vec<RvCell> {
-        (0..self.lanes.len()).map(|lane| self.lanes.lane(lane)).collect()
+        self.cells.clone()
     }
 
     fn save_state_into(&self, out: &mut Vec<RvCell>) {
-        out.clear();
-        out.extend((0..self.lanes.len()).map(|lane| self.lanes.lane(lane)));
+        out.clone_from(&self.cells);
     }
 
     fn restore_state(&mut self, state: &Vec<RvCell>) {
-        for (lane, cell) in state.iter().enumerate() {
-            self.lanes.set_lane(lane, cell);
-        }
+        self.cells.clone_from(state);
     }
 
     fn is_empty(&self, index: usize) -> bool {
-        self.lanes.lane_is_empty(index, self.fleet.type_tables())
+        self.fleet.table_of(index).is_empty(&self.cells[index])
     }
 
     fn memo_key(&self) -> Option<StateKey> {
         let mut words = [(0usize, 0u128); crate::model::MAX_KEY_BATTERIES];
-        if self.lanes.len() > words.len() {
+        if self.cells.len() > words.len() {
             return None;
         }
-        for (index, slot) in words.iter_mut().enumerate().take(self.lanes.len()) {
-            let word = self.lanes.state_word(index, self.fleet.type_tables())?;
-            *slot = (self.fleet.type_of(index), word);
+        for (index, (slot, cell)) in words.iter_mut().zip(&self.cells).enumerate() {
+            *slot = (self.fleet.type_of(index), self.fleet.table_of(index).state_word(cell)?);
         }
-        StateKey::from_typed_words(words.into_iter().take(self.lanes.len()))
+        StateKey::from_typed_words(words.into_iter().take(self.cells.len()))
     }
 
     fn key_dominates(&self, a: &StateKey, b: &StateKey) -> bool {
@@ -132,18 +125,20 @@ impl BatteryModel for RvDiffusion {
 
     fn charge(&self, index: usize) -> BatteryCharge {
         let table = self.fleet.table_of(index);
-        let cell = self.lanes.lane(index);
+        let cell = &self.cells[index];
         // Policies decide on `available`, which for the RV model is the
         // apparent remaining charge α - σ: it shrinks under load faster
         // than the true charge and recovers when idle, exactly the signal
         // best-of-two needs.
-        BatteryCharge { total: table.total_charge(&cell), available: table.apparent_charge(&cell) }
+        BatteryCharge { total: table.total_charge(cell), available: table.apparent_charge(cell) }
     }
 
     fn usable_charge(&self) -> f64 {
-        (0..self.lanes.len())
-            .filter(|&lane| !self.lanes.is_retired(lane))
-            .map(|lane| self.fleet.table_of(lane).total_charge(&self.lanes.lane(lane)))
+        self.cells
+            .iter()
+            .enumerate()
+            .filter(|(_, cell)| !cell.is_observed_empty())
+            .map(|(index, cell)| self.fleet.table_of(index).total_charge(cell))
             .sum()
     }
 
@@ -154,11 +149,11 @@ impl BatteryModel for RvDiffusion {
     // charge bound — the same explicit opt-out as the continuous backend.
 
     fn states_identical(&self, a: usize, b: usize) -> bool {
-        self.fleet.type_of(a) == self.fleet.type_of(b) && self.lanes.lane(a) == self.lanes.lane(b)
+        self.fleet.type_of(a) == self.fleet.type_of(b) && self.cells[a] == self.cells[b]
     }
 
     fn advance_idle(&mut self, steps: u64) {
-        self.lanes.recover_range(0..self.lanes.len(), steps, self.fleet.type_tables());
+        kernel::recover(&mut self.cells, steps, &self.fleet);
     }
 
     fn advance_job(
@@ -168,17 +163,17 @@ impl BatteryModel for RvDiffusion {
         draw_interval_steps: u32,
         units_per_draw: u32,
     ) -> Result<ModelAdvance, SchedError> {
-        let count = self.lanes.len();
+        let count = self.cells.len();
         if active >= count {
             return Err(SchedError::InvalidBatteryIndex { index: active, count });
         }
-        let advance = self.lanes.advance_job_range(
-            0..count,
+        let advance = kernel::advance_job(
+            &mut self.cells,
             active,
             steps,
             draw_interval_steps,
             units_per_draw,
-            self.fleet.type_tables(),
+            &self.fleet,
         );
         Ok(ModelAdvance { steps_consumed: advance.steps_consumed, completed: advance.completed })
     }
@@ -330,6 +325,20 @@ mod tests {
         assert!((model.total_charge() - 11.0).abs() < 1e-12);
         model.restore_state(&scratch);
         assert!((model.total_charge() - drained).abs() < 1e-12);
+    }
+
+    #[test]
+    fn reset_refreshes_every_cell() {
+        let fleet =
+            FleetSpec::new(vec![BatteryParams::itsy_b1(), BatteryParams::itsy_b2()]).unwrap();
+        let fresh = RvDiffusion::from_fleet(&fleet, &Discretization::paper_default());
+        let mut model = fresh.clone();
+        assert!(!model.advance_job(0, 1_000_000, 2, 1).unwrap().completed);
+        model.advance_idle(777);
+        model.reset();
+        assert_eq!(model.save_state(), fresh.save_state());
+        assert_eq!(model.memo_key(), fresh.memo_key());
+        assert_eq!(model.available(), vec![0, 1]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The discretized kernels constantly move between the continuous domain
 //! (charge in mA·min, time in minutes) and the discrete one (charge
-//! units, time steps, lane indices). A bare `as` cast at such a seam
+//! units, time steps, table indices). A bare `as` cast at such a seam
 //! silently saturates or truncates; these helpers centralize every such
 //! conversion behind a `debug_assert!` that the value is actually
 //! representable, while compiling to the identical saturating cast in
@@ -65,7 +65,7 @@ pub fn f64_to_i64(x: f64) -> i64 {
     x as i64
 }
 
-/// Widens a `u32` lane/type/unit id to a `usize` index (lossless on every
+/// Widens a `u32` type/unit id to a `usize` index (lossless on every
 /// supported target: `usize` is at least 32 bits).
 #[inline]
 #[must_use]

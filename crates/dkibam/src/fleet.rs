@@ -1,7 +1,7 @@
 //! Static per-fleet data of the discretized model.
 //!
 //! The discretized KiBaM separates a multi-battery system into *dynamic*
-//! state (the lanes of a [`crate::DiscreteBatch`], snapshotted and restored
+//! state (one [`crate::DiscreteBattery`] per battery, snapshotted and restored
 //! by search schedulers at every node) and *static* data, which never changes
 //! during a simulation: the per-battery [`BatteryParams`] of the
 //! [`FleetSpec`], the [`Discretization`], and one precomputed
@@ -101,13 +101,6 @@ impl DiscreteFleet {
     #[must_use]
     pub fn type_of(&self, index: usize) -> usize {
         self.spec.type_of(index)
-    }
-
-    /// The per-type recovery tables, indexed by type-group id (the layout
-    /// the struct-of-arrays [`batch`](crate::batch) kernels consume).
-    #[must_use]
-    pub fn type_tables(&self) -> &[RecoveryTable] {
-        &self.tables
     }
 }
 

@@ -33,12 +33,12 @@
 //! * [`DiscreteFleet`] — the static side of a (possibly heterogeneous)
 //!   multi-battery system: per-battery parameters from a
 //!   [`kibam::FleetSpec`] plus one recovery table per battery type;
-//! * [`DiscreteBatch`] — the multi-battery dynamics in struct-of-arrays
-//!   form, one lane per battery: the stepping kernel behind the
-//!   schedulers of the `battery-sched` crate (including the optimal one);
+//! * [`kernel`] — the multi-battery dynamics of one system, stepped in
+//!   place over its batteries: the stepping kernel behind the schedulers of
+//!   the `battery-sched` crate (including the optimal one);
 //! * [`MultiBatteryState`](multi::MultiBatteryState) — the same dynamics
-//!   stepped battery by battery: the scalar reference the batch kernel is
-//!   held bit-identical to.
+//!   with every battery recovering at every draw instant: the scalar
+//!   reference the kernel is held bit-identical to.
 //!
 //! # Example
 //!
@@ -63,20 +63,19 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod batch;
 mod battery;
 pub mod checked;
 mod column;
 mod config;
 mod error;
 mod fleet;
+pub mod kernel;
 mod load;
 pub mod multi;
 mod recovery;
 mod service;
 pub mod sim;
 
-pub use batch::DiscreteBatch;
 pub use battery::DiscreteBattery;
 pub use column::{ColumnBuilder, ServiceColumn, DEFAULT_FRONT_CAP};
 pub use config::Discretization;

@@ -7,9 +7,9 @@
 //! every draw instant — which makes it the direct discrete analogue of the
 //! network of total-charge / height-difference automata of Figure 5. The
 //! schedulers of the `battery-sched` crate step the same dynamics through
-//! the [`DiscreteBatch`](crate::DiscreteBatch) kernel; this state is the
-//! reference that kernel is held bit-identical to, in lockstep tests and in
-//! the kernel benchmark.
+//! the per-system [`kernel`](crate::kernel); this state is the reference
+//! that kernel is held bit-identical to, in lockstep tests and in the kernel
+//! benchmark.
 //!
 //! The state is purely dynamic; all static data — per-battery parameters,
 //! discretization, per-type recovery tables — lives in a
@@ -38,7 +38,6 @@ pub struct JobAdvance {
 /// from the [`DiscreteFleet`] passed to each method (the paper's systems are
 /// uniform fleets, but any mix is supported).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MultiBatteryState {
     batteries: Vec<DiscreteBattery>,
 }

@@ -6,7 +6,7 @@
 //! and decision counts — across uniform and mixed fleets, every paper load,
 //! seeded random loads and both table-driven backends (discretized KiBaM
 //! and RV diffusion). Each backend has one stepping path: the identity of
-//! its batch kernel with the scalar reference is proved step by step in the
+//! its per-system kernel with the scalar reference is proved step by step in the
 //! backends' lockstep tests, and the committed `BENCH_*.json` documents
 //! (`scenarios --compare` in CI) pin the result bits themselves. This suite
 //! pins the engine wiring; the last case pins the engine's optimal rows to

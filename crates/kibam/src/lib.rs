@@ -24,8 +24,10 @@
 //! * [`ode`] — a Runge–Kutta integrator for arbitrary load functions, used to
 //!   cross-validate the analytical solution;
 //! * [`lifetime`] — lifetime computation for piecewise-constant loads, the
-//!   form in which all of the paper's test loads are expressed;
-//! * [`trace`] — sampled charge trajectories (used to regenerate Figure 6).
+//!   form in which all of the paper's test loads are expressed.
+//!
+//! Figure 6's charge trajectories are sampled during scheduling, by the
+//! `battery-sched` crate's `schedule::SystemTrace`.
 //!
 //! # Quick example
 //!
@@ -58,7 +60,6 @@ pub mod lifetime;
 pub mod ode;
 mod params;
 mod state;
-pub mod trace;
 
 pub use error::KibamError;
 pub use fleet::FleetSpec;

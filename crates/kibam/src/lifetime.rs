@@ -18,7 +18,6 @@ const MAX_SEGMENTS: usize = 10_000_000;
 /// `current` is in amperes, `duration` in minutes. A zero current models an
 /// idle (recovery) period.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Segment {
     current: f64,
     duration: f64,
@@ -80,7 +79,6 @@ impl Segment {
 
 /// Outcome of a lifetime computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LifetimeResult {
     /// Time (minutes from the start of the load) at which the battery first
     /// became empty.
@@ -295,6 +293,35 @@ mod tests {
         let state = evolve_through_segments(&params, TransformedState::full(&params), segs);
         assert!((state.gamma - (5.5 - 0.5 - 0.25)).abs() < 1e-12);
         assert!(state.delta > 0.0);
+    }
+
+    #[test]
+    fn available_charge_recovers_during_idle() {
+        let params = b1();
+        let after_job = evolve_through_segments(
+            &params,
+            TransformedState::full(&params),
+            vec![Segment::new(0.5, 1.0).unwrap()],
+        );
+        let after_idle =
+            evolve_through_segments(&params, after_job, vec![Segment::idle(2.0).unwrap()]);
+        assert!(after_idle.available_charge(&params) > after_job.available_charge(&params));
+        assert!((after_idle.gamma - after_job.gamma).abs() < 1e-12, "idle draws nothing");
+    }
+
+    #[test]
+    fn total_charge_falls_by_exactly_the_drawn_charge() {
+        let params = b1();
+        let pattern = [Segment::new(0.25, 1.0).unwrap(), Segment::idle(1.0).unwrap()];
+        let mut state = TransformedState::full(&params);
+        let mut drawn = 0.0;
+        for segment in pattern.iter().cycle().take(30) {
+            let next = evolve_through_segments(&params, state, [*segment]);
+            assert!(next.gamma <= state.gamma + 1e-12, "total charge never rises");
+            drawn += segment.charge();
+            state = next;
+        }
+        assert!((state.gamma - (5.5 - drawn)).abs() < 1e-9, "{} vs {}", state.gamma, 5.5 - drawn);
     }
 
     #[test]

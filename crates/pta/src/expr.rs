@@ -13,18 +13,15 @@ use crate::PtaError;
 /// Identifier of an integer variable declared in a
 /// [`Network`](crate::network::Network).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VarId(pub(crate) usize);
 
 /// Identifier of a constant lookup table declared in a
 /// [`Network`](crate::network::Network).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ArrayId(pub(crate) usize);
 
 /// Identifier of a clock declared in a [`Network`](crate::network::Network).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClockId(pub(crate) usize);
 
 impl VarId {
@@ -53,7 +50,6 @@ impl ClockId {
 
 /// Comparison operators usable in guards and invariants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CmpOp {
     /// Strictly less than.
     Lt,
@@ -86,7 +82,6 @@ impl CmpOp {
 
 /// An integer expression.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum IntExpr {
     /// An integer literal.
     Const(i64),
@@ -179,7 +174,6 @@ impl From<VarId> for IntExpr {
 
 /// A boolean expression used in guards and invariants.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BoolExpr {
     /// Always true (the default guard/invariant).
     True,

@@ -7,7 +7,6 @@ use crate::PtaError;
 
 /// Identifier of an automaton within a network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AutomatonId(pub(crate) usize);
 
 impl AutomatonId {
@@ -20,7 +19,6 @@ impl AutomatonId {
 
 /// Kind of a synchronisation channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ChannelKind {
     /// Hand-shake synchronisation: a send requires exactly one receiver.
     Binary,
@@ -30,27 +28,23 @@ pub enum ChannelKind {
 }
 
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct VarDecl {
     name: String,
     initial: i64,
 }
 
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct ArrayDecl {
     name: String,
     values: Vec<i64>,
 }
 
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct ClockDecl {
     name: String,
 }
 
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct ChannelDecl {
     name: String,
     kind: ChannelKind,
@@ -63,7 +57,6 @@ struct ChannelDecl {
 /// identifiers can be referenced from guards and updates) and then adding
 /// the automata.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Network {
     vars: Vec<VarDecl>,
     arrays: Vec<ArrayDecl>,

@@ -13,7 +13,6 @@ use crate::network::AutomatonId;
 /// variables are considered to have reached the same state (see
 /// [`State::key`]), which is what makes minimum-cost search sound.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct State {
     pub(crate) locations: Vec<LocationId>,
     pub(crate) clocks: Vec<u64>,

@@ -102,8 +102,8 @@ impl RvFleet {
         self.spec.type_of(index)
     }
 
-    /// The per-type correction tables, indexed by type-group id (the layout
-    /// the struct-of-arrays [`batch`](crate::batch) kernels consume).
+    /// The per-type correction tables, indexed by type-group id (the
+    /// [`kernel`](crate::kernel) hoists its recovery decays per type).
     #[must_use]
     pub fn type_tables(&self) -> &[RvStepTable] {
         &self.tables

@@ -35,15 +35,14 @@
 //!   the scheduling grid (integer charge units, fixed-point diffusion
 //!   moments, emptiness observed at draw instants), with the per-type
 //!   correction table cached like `dkibam`'s recovery table; scalar
-//!   [`RvCell`] stepping is the reference the batch kernel is held
-//!   bit-identical to;
+//!   [`RvCell`] stepping is the reference the kernel is held bit-identical
+//!   to;
 //! * [`RvFleet`] — the static side of a (possibly heterogeneous)
 //!   multi-battery system, one table per battery type;
-//! * [`RvBatch`] — the same stepping form in struct-of-arrays form, one
-//!   lane per battery, driven by batch kernels that share the scalar
-//!   path's raw serve/recover routines (bit-identical states).
+//! * [`kernel`] — the cells of one system stepped in place, with the
+//!   scalar path's serve/recover routines (bit-identical states).
 //!
-//! The `battery-sched` crate wires [`RvBatch`] in as the `rv` backend of
+//! The `battery-sched` crate wires the [`kernel`] in as the `rv` backend of
 //! its `BatteryModel` trait, which puts every scheduling policy, the
 //! scenario engine and the optimal branch-and-bound search on this model
 //! unchanged.
@@ -66,14 +65,13 @@
 #![forbid(unsafe_code)]
 
 pub mod analytic;
-pub mod batch;
 mod cell;
 mod error;
 mod fleet;
+pub mod kernel;
 mod params;
 mod table;
 
-pub use batch::RvBatch;
 pub use cell::RvCell;
 pub use error::RvError;
 pub use fleet::RvFleet;

@@ -116,13 +116,8 @@ impl RvStepTable {
     /// The apparent charge lost, `σ = consumed·Γ + 2·Σ_m u_m`, in A·min.
     #[must_use]
     pub fn sigma(&self, cell: &RvCell) -> f64 {
-        self.sigma_raw(cell.consumed_units, &cell.moments)
-    }
-
-    /// [`sigma`](RvStepTable::sigma) on raw state components (the
-    /// struct-of-arrays batch kernels hold cells columnar).
-    pub(crate) fn sigma_raw(&self, consumed_units: u32, moments: &[f64; MAX_STEP_TERMS]) -> f64 {
-        f64::from(consumed_units) * self.disc.charge_unit() + 2.0 * moments.iter().sum::<f64>()
+        f64::from(cell.consumed_units) * self.disc.charge_unit()
+            + 2.0 * cell.moments.iter().sum::<f64>()
     }
 
     /// True remaining charge `max(α - consumed·Γ, 0)` in A·min (the last
@@ -143,25 +138,15 @@ impl RvStepTable {
     /// observed empty.
     #[must_use]
     pub fn is_empty(&self, cell: &RvCell) -> bool {
-        self.is_empty_raw(cell.observed_empty, cell.consumed_units, &cell.moments)
-    }
-
-    pub(crate) fn is_empty_raw(
-        &self,
-        observed_empty: bool,
-        consumed_units: u32,
-        moments: &[f64; MAX_STEP_TERMS],
-    ) -> bool {
-        observed_empty || self.sigma_raw(consumed_units, moments) >= self.empty_threshold
+        cell.observed_empty || self.sigma(cell) >= self.empty_threshold
     }
 
     /// The per-term decay factors for a recovery advance of `steps` time
     /// steps, `e^{-β²m²·T·steps}` (computed as the per-step factor raised to
-    /// `steps`). The batch kernels hoist these per type per call instead of
-    /// recomputing them per cell; the values are bit-identical either way
-    /// (same inputs, same `powi`).
-    #[must_use]
-    pub fn recovery_decays(&self, steps: u64) -> [f64; MAX_STEP_TERMS] {
+    /// `steps`). The [`kernel`](crate::kernel) hoists these per type per
+    /// call instead of recomputing them per cell; the values are
+    /// bit-identical either way (same inputs, same `powi`).
+    pub(crate) fn recovery_decays(&self, steps: u64) -> [f64; MAX_STEP_TERMS] {
         let mut decays = [0.0; MAX_STEP_TERMS];
         for (decay, step_decay) in
             decays.iter_mut().zip(&self.step_decays).take(self.params.terms())
@@ -171,18 +156,14 @@ impl RvStepTable {
         decays
     }
 
-    /// Applies precomputed recovery decay factors to raw moments and
-    /// re-aligns them to the grid — the recovery kernel shared by the scalar
-    /// and batch paths.
-    pub(crate) fn apply_recovery_decays(
-        &self,
-        moments: &mut [f64; MAX_STEP_TERMS],
-        decays: &[f64; MAX_STEP_TERMS],
-    ) {
-        for m in 0..self.params.terms() {
-            moments[m] *= decays[m];
+    /// Applies precomputed recovery decay factors to a cell's moments and
+    /// re-aligns them to the grid — the recovery step shared by
+    /// [`recover`](RvStepTable::recover) and the [`kernel`](crate::kernel).
+    pub(crate) fn apply_recovery_decays(&self, cell: &mut RvCell, decays: &[f64; MAX_STEP_TERMS]) {
+        for (moment, decay) in cell.moments.iter_mut().zip(decays).take(self.params.terms()) {
+            *moment *= decay;
         }
-        self.align_raw(moments);
+        self.align(cell);
     }
 
     /// Lets the battery recover (zero current) for `steps` time steps: each
@@ -191,7 +172,7 @@ impl RvStepTable {
         if steps == 0 {
             return;
         }
-        self.apply_recovery_decays(&mut cell.moments, &self.recovery_decays(steps));
+        self.apply_recovery_decays(cell, &self.recovery_decays(steps));
     }
 
     /// Lets the battery serve a job portion of `steps` time steps with the
@@ -208,30 +189,6 @@ impl RvStepTable {
     pub fn serve(
         &self,
         cell: &mut RvCell,
-        steps: u64,
-        draw_interval_steps: u32,
-        units_per_draw: u32,
-    ) -> StepAdvance {
-        let RvCell { consumed_units, moments, observed_empty } = cell;
-        self.serve_raw(
-            consumed_units,
-            moments,
-            observed_empty,
-            steps,
-            draw_interval_steps,
-            units_per_draw,
-        )
-    }
-
-    /// [`serve`](RvStepTable::serve) on raw state components — the single
-    /// serve kernel shared by the scalar cells and the struct-of-arrays
-    /// batch lanes, so both paths run the same floating-point operations in
-    /// the same order.
-    pub(crate) fn serve_raw(
-        &self,
-        consumed_units: &mut u32,
-        moments: &mut [f64; MAX_STEP_TERMS],
-        observed_empty: &mut bool,
         steps: u64,
         draw_interval_steps: u32,
         units_per_draw: u32,
@@ -255,18 +212,18 @@ impl RvStepTable {
         let mut consumed: u64 = 0;
         for _ in 0..draws {
             for m in 0..self.params.terms() {
-                moments[m] = moments[m] * interval_decay[m] + interval_gain[m];
+                cell.moments[m] = cell.moments[m] * interval_decay[m] + interval_gain[m];
             }
-            *consumed_units = consumed_units.saturating_add(units_per_draw);
-            self.align_raw(moments);
+            cell.consumed_units = cell.consumed_units.saturating_add(units_per_draw);
+            self.align(cell);
             consumed += interval;
-            if self.is_empty_raw(*observed_empty, *consumed_units, moments) {
-                *observed_empty = true;
+            if self.is_empty(cell) {
+                cell.observed_empty = true;
                 return StepAdvance { steps_consumed: consumed, completed: false };
             }
         }
         if remainder > 0 {
-            self.apply_recovery_decays(moments, &self.recovery_decays(remainder));
+            self.apply_recovery_decays(cell, &self.recovery_decays(remainder));
         }
         consumed += remainder;
         StepAdvance { steps_consumed: consumed, completed: true }
@@ -283,8 +240,8 @@ impl RvStepTable {
     /// Rounds every moment to the fixed-point grid. Called after every state
     /// transition, so cells are always grid-aligned (which makes
     /// [`state_word`](RvStepTable::state_word) exact).
-    fn align_raw(&self, moments: &mut [f64; MAX_STEP_TERMS]) {
-        for moment in moments.iter_mut().take(self.params.terms()) {
+    fn align(&self, cell: &mut RvCell) {
+        for moment in cell.moments.iter_mut().take(self.params.terms()) {
             *moment = (*moment / self.moment_quantum).round() * self.moment_quantum;
         }
     }

@@ -53,7 +53,6 @@ pub const RANDOM_SEED_R2: u64 = 0xD51_200_902;
 /// assert!(profile.is_cyclic());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TestLoad {
     /// Continuous 250 mA jobs (`CL 250`).
     Cl250,
