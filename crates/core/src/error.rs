@@ -25,8 +25,6 @@ pub enum SchedError {
     Kibam(kibam::KibamError),
     /// An error from the workload model.
     Workload(workload::WorkloadError),
-    /// An error from the priced-timed-automata engine.
-    Pta(pta::PtaError),
 }
 
 impl fmt::Display for SchedError {
@@ -42,7 +40,6 @@ impl fmt::Display for SchedError {
             SchedError::Dkibam(e) => write!(f, "discrete battery model error: {e}"),
             SchedError::Kibam(e) => write!(f, "battery model error: {e}"),
             SchedError::Workload(e) => write!(f, "workload error: {e}"),
-            SchedError::Pta(e) => write!(f, "timed-automata error: {e}"),
         }
     }
 }
@@ -53,7 +50,6 @@ impl Error for SchedError {
             SchedError::Dkibam(e) => Some(e),
             SchedError::Kibam(e) => Some(e),
             SchedError::Workload(e) => Some(e),
-            SchedError::Pta(e) => Some(e),
             _ => None,
         }
     }
@@ -77,12 +73,6 @@ impl From<workload::WorkloadError> for SchedError {
     }
 }
 
-impl From<pta::PtaError> for SchedError {
-    fn from(e: pta::PtaError) -> Self {
-        SchedError::Pta(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,8 +91,6 @@ mod tests {
         let e: SchedError = kibam::KibamError::InvalidCapacity { value: 0.0 }.into();
         assert!(e.source().is_some());
         let e: SchedError = workload::WorkloadError::EmptyProfile.into();
-        assert!(e.source().is_some());
-        let e: SchedError = pta::PtaError::EmptyNetwork.into();
         assert!(e.source().is_some());
     }
 

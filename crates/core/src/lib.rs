@@ -33,10 +33,10 @@
 //!   traces (the ingredients of Tables 5 and Figure 6);
 //! * the **optimal scheduler** ([`optimal::OptimalScheduler`]) — a
 //!   memoized branch-and-bound search over the discrete battery state that
-//!   plays the role of the Uppaal Cora query in the paper;
-//! * the faithful **TA-KiBaM** encoding ([`ta_model`]) of Figure 5 on top of
-//!   the [`pta`] crate, used to cross-validate the direct search on small
-//!   instances;
+//!   plays the role of the Uppaal Cora query in the paper. The paper's
+//!   TA-KiBaM network (Figure 5) is not part of this crate: it lives in
+//!   the `ta_reference` test suite, which holds the search's optimum equal
+//!   to the network's minimum-cost run;
 //! * lifetime analysis helpers ([`report`]) used by the benchmark harness to
 //!   regenerate the paper's tables.
 //!
@@ -76,7 +76,6 @@ pub mod policy;
 pub mod report;
 pub mod schedule;
 pub mod system;
-pub mod ta_model;
 
 pub use error::SchedError;
 pub use model::{BatteryModel, ModelAdvance, StateKey, MAX_KEY_BATTERIES};

@@ -264,6 +264,42 @@ mod tests {
     }
 
     #[test]
+    fn equation_8_ties_and_the_service_frontier_agree_with_the_f64_test() {
+        // B1's only exact decimal tie within 550 units: 0.166 · 417 =
+        // 0.834 · 83 = 69.222. The binary value of 0.166 lies above 0.166,
+        // so `c·n ≤ (1 − c)·m` calls it non-empty; the committed grid
+        // documents depend on that answer. A rewrite such as
+        // `c·(n + m) ≤ m` decides the tie the other way and fails here.
+        let b1 = BatteryParams::itsy_b1();
+        assert!(!DiscreteBattery::from_units(417, 83).is_empty(&b1));
+        assert!(DiscreteBattery::from_units(417, 84).is_empty(&b1));
+
+        // The search's bounds read Eq. 8 through the service frontier:
+        // non-empty iff `m ≤ threshold(n)`. It must match `is_empty` on the
+        // whole state space, ties included (`c = 0.4` has 183 of them, e.g.
+        // `(6, 4)`). At `n = 0` the unsigned table reports `(0, 0)` as
+        // non-empty where Eq. 8 says empty; no draw reaches that state
+        // (every draw raises `m`), so the check starts at `n = 1`.
+        let disc = Discretization::paper_default();
+        let tie_prone = BatteryParams::new(5.5, 0.4, 0.122).unwrap();
+        for params in [b1, BatteryParams::itsy_b2(), tie_prone] {
+            let table = crate::ServiceRateTable::for_battery(&params, &disc);
+            let capacity = disc.charge_units(params.capacity());
+            for n in 1..=capacity {
+                let threshold = table.service_threshold(n);
+                for m in 0..=capacity + 1 {
+                    assert_eq!(
+                        DiscreteBattery::from_units(n, m).is_empty(&params),
+                        m > threshold,
+                        "c = {}, (n, m) = ({n}, {m})",
+                        params.c()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn observed_empty_is_sticky() {
         let (params, disc, table) = setup();
         let mut battery = DiscreteBattery::full(&params, &disc);

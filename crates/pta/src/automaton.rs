@@ -76,12 +76,6 @@ impl Location {
         self
     }
 
-    /// The location name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The location invariant.
     #[must_use]
     pub fn invariant(&self) -> &BoolExpr {
@@ -346,7 +340,6 @@ mod tests {
     #[test]
     fn location_builder_sets_all_attributes() {
         let clockless = Location::new("idle");
-        assert_eq!(clockless.name(), "idle");
         assert_eq!(clockless.invariant(), &BoolExpr::True);
         assert!(!clockless.is_committed());
 

@@ -15,12 +15,27 @@
 //! * **binary and broadcast channels**;
 //! * a **cost** variable accumulated through rates and updates.
 //!
-//! Semantics are *discrete time*: clocks advance in unit steps. Because the
-//! dKiBaM of the paper is already fully discretized (time step `T`), the
-//! reachable states of the discrete semantics coincide with the states the
-//! dense-time model visits at multiples of `T`, so minimum-cost reachability
-//! ([`mincost::min_cost_reachability`]) computes the same optimal schedules
-//! Cora would — this substitution is documented in `DESIGN.md`.
+//! Semantics are *discrete time*: clocks advance in unit steps, and a delay
+//! transition is one step. This is enough for the paper's model without
+//! Cora's dense-time zones:
+//!
+//! * the dKiBaM is itself a discrete-time model. Every constant a clock is
+//!   compared with (the `recov_times`, `cur_times` and `load_time` tables)
+//!   is a whole number of time steps `T`, and the battery state changes
+//!   only when a clock reaches such a constant. With one unit step read as
+//!   `T`, the integer-time runs of the network are the runs of the dKiBaM;
+//! * dense time only adds runs that fire edges between two steps. Where
+//!   guards and invariants compare clocks with integers by `<=` and `>=`,
+//!   such a run can be shifted to integer instants without changing the
+//!   locations and variables it reaches or raising its cost (the classical
+//!   digitization argument), since costs are integer edge costs and integer
+//!   rates per step. A strict comparison `c < k` means `c <= k - 1` here,
+//!   which is how a model on a time grid uses it;
+//! * so minimum-cost reachability over the discrete states
+//!   ([`mincost::min_cost_reachability`]) finds the optimal schedules Cora
+//!   would. The `ta_reference` suite of `battery-sched` checks the outcome
+//!   on a corpus: the discrete-time optimum of the TA-KiBaM equals the
+//!   lifetime of the direct branch-and-bound search on every instance.
 //!
 //! # Example: the priced lamp of Section 3
 //!
@@ -82,12 +97,10 @@
 
 pub mod automaton;
 mod error;
-pub mod explore;
 pub mod expr;
 pub mod mincost;
 pub mod network;
 pub mod semantics;
 pub mod state;
-pub mod trace;
 
 pub use error::PtaError;

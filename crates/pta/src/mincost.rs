@@ -3,10 +3,9 @@
 //!
 //! Given a network whose locations carry cost rates and whose edges carry
 //! cost updates, [`min_cost_reachability`] finds a goal state with the least
-//! accumulated cost and returns the witness trace. For the TA-KiBaM, the
-//! goal is "all batteries empty" and the cost is the charge left behind in
-//! the batteries, so the cheapest path is the longest-lived schedule
-//! (Section 4.3 of the paper).
+//! accumulated cost. For the TA-KiBaM, the goal is "all batteries empty" and
+//! the cost is the charge left behind in the batteries, so the cheapest
+//! goal state ends the longest-lived schedule (Section 4.3 of the paper).
 //!
 //! The search is a uniform-cost (Dijkstra) search over the discrete state
 //! space: costs are non-negative by construction (negative costs are
@@ -17,9 +16,8 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use crate::network::Network;
-use crate::semantics::{Semantics, TransitionLabel};
+use crate::semantics::Semantics;
 use crate::state::{State, StateKey};
-use crate::trace::Trace;
 use crate::PtaError;
 
 /// The outcome of a successful minimum-cost reachability query.
@@ -29,15 +27,12 @@ pub struct MinCostResult {
     pub cost: u64,
     /// The goal state that realises the minimal cost.
     pub goal_state: State,
-    /// The witness trace from the initial state to the goal state.
-    pub trace: Trace,
     /// The number of distinct states settled during the search.
     pub states_explored: usize,
 }
 
-/// Finds a cheapest path (with respect to accumulated cost) from the initial
-/// state to a state satisfying `goal`, exploring at most `state_limit`
-/// distinct states.
+/// Finds the least accumulated cost of a path from the initial state to a
+/// state satisfying `goal`, storing at most `state_limit` distinct states.
 ///
 /// Returns `Ok(None)` if no goal state is reachable.
 ///
@@ -56,47 +51,38 @@ where
     let semantics = Semantics::new(network)?;
     let initial = semantics.initial_state()?;
 
-    // Node arena with back-pointers for trace reconstruction.
-    let mut nodes: Vec<(State, Option<(usize, TransitionLabel)>)> = vec![(initial.clone(), None)];
     // Best known cost per state identity.
     let mut best: BTreeMap<StateKey, u64> = BTreeMap::new();
     best.insert(initial.key(), 0);
-    // Frontier ordered by (cost, node index) — the index breaks ties
-    // deterministically.
+    // Frontier ordered by (cost, push order) — the order breaks ties
+    // deterministically. Each pushed state is taken out of `pending` once.
+    let mut pending: Vec<Option<State>> = vec![Some(initial)];
     let mut frontier: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
     frontier.push(Reverse((0, 0)));
     let mut settled = 0usize;
 
-    while let Some(Reverse((cost, node_index))) = frontier.pop() {
-        let state = nodes[node_index].0.clone();
+    while let Some(Reverse((cost, index))) = frontier.pop() {
+        let Some(state) = pending[index].take() else { continue };
         // Skip stale frontier entries.
         if best.get(&state.key()).copied().unwrap_or(u64::MAX) < cost {
             continue;
         }
         settled += 1;
         if goal(&state) {
-            let trace = crate::explore::rebuild_trace(&nodes, node_index);
-            return Ok(Some(MinCostResult {
-                cost,
-                goal_state: state,
-                trace,
-                states_explored: settled,
-            }));
+            return Ok(Some(MinCostResult { cost, goal_state: state, states_explored: settled }));
         }
-        for (label, successor) in semantics.successors(&state)? {
+        for (_, successor) in semantics.successors(&state)? {
             let key = successor.key();
             let successor_cost = successor.cost();
-            let known = best.get(&key).copied();
-            if known.map(|c| successor_cost >= c).unwrap_or(false) {
+            if best.get(&key).is_some_and(|&known| successor_cost >= known) {
                 continue;
             }
             best.insert(key, successor_cost);
             if best.len() > state_limit {
                 return Err(PtaError::StateLimitExceeded { limit: state_limit });
             }
-            let successor_index = nodes.len();
-            nodes.push((successor, Some((node_index, label))));
-            frontier.push(Reverse((successor_cost, successor_index)));
+            frontier.push(Reverse((successor_cost, pending.len())));
+            pending.push(Some(successor));
         }
     }
 
@@ -139,9 +125,7 @@ mod tests {
         let result =
             min_cost_reachability(&network, |s| s.location(id) == done, 100_000).unwrap().unwrap();
         assert_eq!(result.cost, 7);
-        // Three delays plus one action.
-        assert_eq!(result.trace.delay_steps(), 3);
-        assert_eq!(result.trace.action_steps(), 1);
+        // Three delays before the cheap edge.
         assert_eq!(result.goal_state.time(), 3);
     }
 
@@ -167,7 +151,7 @@ mod tests {
         let result =
             min_cost_reachability(&network, |s| s.location(id) == done, 100_000).unwrap().unwrap();
         assert_eq!(result.cost, 10);
-        assert_eq!(result.trace.delay_steps(), 0);
+        assert_eq!(result.goal_state.time(), 0);
     }
 
     #[test]
@@ -186,6 +170,76 @@ mod tests {
     }
 
     #[test]
+    fn unreachable_goal_with_a_running_clock_terminates() {
+        // Time passes forever in `start`, but clocks are capped just above
+        // the largest constant they are compared with, so the state space
+        // stays finite and the search reports the goal unreachable instead
+        // of running into its state limit.
+        let mut network = Network::new();
+        let x = network.add_clock("x");
+        let mut automaton = Automaton::new("ticker");
+        let start =
+            automaton.add_location(Location::new("start").with_cost_rate(IntExpr::constant(1)));
+        let unreachable = automaton.add_location(Location::new("unreachable"));
+        automaton
+            .add_edge(
+                Edge::new(start, start)
+                    .with_guard(BoolExpr::clock_ge(x, IntExpr::constant(5)))
+                    .with_reset(x),
+            )
+            .unwrap();
+        let id = network.add_automaton(automaton).unwrap();
+        let result =
+            min_cost_reachability(&network, |s| s.location(id) == unreachable, 100).unwrap();
+        assert!(result.is_none());
+    }
+
+    #[test]
+    fn a_cheaper_path_found_later_replaces_the_first() {
+        // `target` is first reached directly at cost 10, then through `via`
+        // at cost 2. The search settles it at 2 and skips the stale entry at
+        // 10, which would otherwise be counted as a fifth settled state.
+        let mut network = Network::new();
+        let mut automaton = Automaton::new("diamond");
+        let start = automaton.add_location(Location::new("start"));
+        let via = automaton.add_location(Location::new("via"));
+        let target = automaton.add_location(Location::new("target"));
+        let done = automaton.add_location(Location::new("done"));
+        for (from, to, cost) in
+            [(start, target, 10), (start, via, 1), (via, target, 1), (target, done, 20)]
+        {
+            automaton.add_edge(Edge::new(from, to).with_cost(IntExpr::constant(cost))).unwrap();
+        }
+        let id = network.add_automaton(automaton).unwrap();
+        let result =
+            min_cost_reachability(&network, |s| s.location(id) == done, 100).unwrap().unwrap();
+        assert_eq!(result.cost, 22);
+        assert_eq!(result.states_explored, 4);
+    }
+
+    #[test]
+    fn equal_cost_goals_are_decided_in_discovery_order() {
+        // Two goal locations at the same cost: the one whose edge is
+        // declared first is pushed first and returned, whichever it is.
+        for left_first in [true, false] {
+            let mut network = Network::new();
+            let mut automaton = Automaton::new("fork");
+            let start = automaton.add_location(Location::new("start"));
+            let left = automaton.add_location(Location::new("left"));
+            let right = automaton.add_location(Location::new("right"));
+            let order = if left_first { [left, right] } else { [right, left] };
+            for to in order {
+                automaton.add_edge(Edge::new(start, to).with_cost(IntExpr::constant(5))).unwrap();
+            }
+            let id = network.add_automaton(automaton).unwrap();
+            let result =
+                min_cost_reachability(&network, |s| s.location(id) != start, 100).unwrap().unwrap();
+            assert_eq!(result.cost, 5);
+            assert_eq!(result.goal_state.location(id), order[0]);
+        }
+    }
+
+    #[test]
     fn state_limit_is_enforced() {
         let (network, id, done) = chooser();
         let result = min_cost_reachability(&network, |s| s.location(id) == done, 1);
@@ -195,11 +249,11 @@ mod tests {
     #[test]
     fn goal_in_initial_state_costs_nothing() {
         let (network, id, _) = chooser();
-        let start = crate::automaton::LocationId::from_index(0);
+        let start = crate::automaton::LocationId(0);
         let result =
             min_cost_reachability(&network, |s| s.location(id) == start, 10).unwrap().unwrap();
         assert_eq!(result.cost, 0);
-        assert!(result.trace.is_empty());
+        assert_eq!(result.states_explored, 1);
     }
 
     #[test]

@@ -127,28 +127,10 @@ impl Network {
         &self.automata
     }
 
-    /// The automaton with the given identifier.
-    #[must_use]
-    pub fn automaton(&self, id: AutomatonId) -> Option<&Automaton> {
-        self.automata.get(id.0)
-    }
-
-    /// The number of declared variables.
-    #[must_use]
-    pub fn var_count(&self) -> usize {
-        self.vars.len()
-    }
-
     /// The number of declared clocks.
     #[must_use]
     pub fn clock_count(&self) -> usize {
         self.clocks.len()
-    }
-
-    /// The number of declared channels.
-    #[must_use]
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
     }
 
     /// Initial values of all variables, in declaration order.
@@ -173,18 +155,6 @@ impl Network {
             .get(channel.index())
             .map(|c| c.kind)
             .ok_or(PtaError::UnknownChannel { channel: channel.index() })
-    }
-
-    /// The declared name of a variable (useful for diagnostics).
-    #[must_use]
-    pub fn var_name(&self, var: VarId) -> Option<&str> {
-        self.vars.get(var.index()).map(|v| v.name.as_str())
-    }
-
-    /// The declared name of an automaton.
-    #[must_use]
-    pub fn automaton_name(&self, id: AutomatonId) -> Option<&str> {
-        self.automata.get(id.0).map(Automaton::name)
     }
 
     /// Performs structural validation: the network must contain at least one
@@ -244,7 +214,6 @@ mod tests {
         assert_eq!(v0.index(), 0);
         assert_eq!(v1.index(), 1);
         assert_eq!(network.initial_vars(), vec![1, 2]);
-        assert_eq!(network.var_name(v1), Some("y"));
         let a0 = network.add_const_array("table", vec![5, 6]);
         assert_eq!(a0.index(), 0);
         assert_eq!(network.array_values(), vec![vec![5, 6]]);
@@ -306,8 +275,7 @@ mod tests {
         let mut network = Network::new();
         let (automaton, _) = two_location_automaton("worker");
         let id = network.add_automaton(automaton).unwrap();
-        assert_eq!(network.automaton_name(id), Some("worker"));
-        assert!(network.automaton(id).is_some());
+        assert_eq!(network.automata()[id.index()].name(), "worker");
         assert_eq!(network.automata().len(), 1);
         assert!(network.channel_kind(ChannelId(0)).is_err());
     }

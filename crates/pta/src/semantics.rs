@@ -7,7 +7,7 @@
 //! non-committed action transitions, mirroring Uppaal/Cora. Costs accumulate
 //! through edge cost updates and per-step location cost rates.
 
-use crate::automaton::{Edge, LocationId, SyncDirection};
+use crate::automaton::{Edge, SyncDirection};
 use crate::expr::EvalContext;
 use crate::network::{AutomatonId, ChannelKind, Network};
 use crate::state::State;
@@ -63,18 +63,6 @@ impl<'a> Semantics<'a> {
         let arrays = network.array_values();
         let clock_cap = clock_cap_for(network, &arrays);
         Ok(Self { network, arrays, clock_cap })
-    }
-
-    /// The value at which clocks saturate during delay transitions.
-    #[must_use]
-    pub fn clock_cap(&self) -> u64 {
-        self.clock_cap
-    }
-
-    /// The underlying network.
-    #[must_use]
-    pub fn network(&self) -> &Network {
-        self.network
     }
 
     /// The initial state: every automaton in its initial location, all
@@ -439,17 +427,6 @@ fn clock_cap_for(network: &Network, arrays: &[Vec<i64>]) -> u64 {
     (max as u64).saturating_add(1)
 }
 
-/// Convenience: location identifier constructors for tests and model
-/// builders that index locations positionally.
-impl LocationId {
-    /// Creates a location identifier from a raw index. Only meaningful for
-    /// locations that exist in the automaton it is used with.
-    #[must_use]
-    pub fn from_index(index: usize) -> Self {
-        LocationId(index)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,7 +463,7 @@ mod tests {
         let (network, count) = counting_network();
         let semantics = Semantics::new(&network).unwrap();
         let initial = semantics.initial_state().unwrap();
-        assert_eq!(initial.var(count), Some(0));
+        assert_eq!(initial.vars[count.index()], 0);
         assert_eq!(initial.cost(), 0);
         assert_eq!(initial.time(), 0);
     }
@@ -517,7 +494,7 @@ mod tests {
             .iter()
             .find(|(label, _)| matches!(label, TransitionLabel::Internal { .. }))
             .expect("the guarded edge is enabled at x == 3");
-        assert_eq!(after_edge.var(count), Some(1));
+        assert_eq!(after_edge.vars[count.index()], 1);
     }
 
     #[test]
@@ -569,7 +546,7 @@ mod tests {
         let (_, next) = sync;
         assert_eq!(next.location(sender_id), s1);
         assert_eq!(next.location(receiver_id), r1);
-        assert_eq!(next.var(token), Some(11));
+        assert_eq!(next.vars[token.index()], 11);
     }
 
     #[test]
@@ -605,7 +582,7 @@ mod tests {
             .iter()
             .find(|(label, _)| matches!(label, TransitionLabel::Sync { .. }))
             .expect("broadcast is enabled");
-        assert_eq!(next.var(hits), Some(2));
+        assert_eq!(next.vars[hits.index()], 2);
         if let TransitionLabel::Sync { receivers, .. } = label {
             assert_eq!(receivers.len(), 2);
         }

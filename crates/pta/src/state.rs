@@ -1,7 +1,6 @@
 //! Global states of a network of priced timed automata.
 
 use crate::automaton::LocationId;
-use crate::expr::{ClockId, VarId};
 use crate::network::AutomatonId;
 
 /// A global state of a network: the current location of every automaton, the
@@ -31,30 +30,6 @@ impl State {
     #[must_use]
     pub fn location(&self, automaton: AutomatonId) -> LocationId {
         self.locations[automaton.index()]
-    }
-
-    /// The locations of all automata, in automaton order.
-    #[must_use]
-    pub fn locations(&self) -> &[LocationId] {
-        &self.locations
-    }
-
-    /// The value of a clock, in discrete time steps.
-    #[must_use]
-    pub fn clock(&self, clock: ClockId) -> Option<u64> {
-        self.clocks.get(clock.index()).copied()
-    }
-
-    /// The value of a variable.
-    #[must_use]
-    pub fn var(&self, var: VarId) -> Option<i64> {
-        self.vars.get(var.index()).copied()
-    }
-
-    /// All variable values, in declaration order.
-    #[must_use]
-    pub fn vars(&self) -> &[i64] {
-        &self.vars
     }
 
     /// The cost accumulated since the initial state.
@@ -109,14 +84,8 @@ mod tests {
     fn accessors_return_components() {
         let s = state();
         assert_eq!(s.location(AutomatonId(1)), LocationId(2));
-        assert_eq!(s.clock(ClockId(0)), Some(3));
-        assert_eq!(s.clock(ClockId(5)), None);
-        assert_eq!(s.var(VarId(1)), Some(-5));
-        assert_eq!(s.var(VarId(9)), None);
         assert_eq!(s.cost(), 7);
         assert_eq!(s.time(), 3);
-        assert_eq!(s.vars(), &[10, -5]);
-        assert_eq!(s.locations().len(), 2);
     }
 
     #[test]
