@@ -18,8 +18,8 @@
 //! the wall time (`bound_micros`) of the optimal search's root phase (warm
 //! start plus root bounds, the part of every search that runs before the
 //! first node) on the coarse-grid alternating-load fleets, timed here because the
-//! relaxation bound's column DP is itself a kernel on the hot path of the
-//! branch-and-bound search. A `grid` section measures the engine layer:
+//! relaxation root bound's column DP is itself a kernel, run once per battery
+//! by every search. A `grid` section measures the engine layer:
 //! cells/s of sweep-shaped [`engine::GridRun`]s (four fleets × the four
 //! deterministic policies × discretized and RV, 400-job random loads, one
 //! shared system cache) on one thread and on every core, and the parallel
@@ -263,10 +263,9 @@ fn measure_rv(batteries: usize, cycles: u64) -> Row {
 /// Times the search's root phase (charge + availability + relaxation
 /// bounds plus the warm start) on the coarse-grid alternating-load fleets
 /// through [`OptimalScheduler::probe_root_bounds`]. Every search runs it
-/// once and the relaxation bound re-runs at interior nodes, so its wall
-/// time (`bound_micros`, matching the per-cell field the scenario grids
-/// record) belongs in the kernel trajectory next to the stepping
-/// throughput.
+/// once, before its first node, so its wall time (`bound_micros`, matching
+/// the per-cell field the scenario grids record) belongs in the kernel
+/// trajectory next to the stepping throughput.
 fn measure_bound_probes(smoke: bool) -> JsonValue {
     let repeats = if smoke { 1 } else { 3 };
     let profile = TestLoad::IlsAlt.profile();

@@ -70,14 +70,14 @@ pub fn publish(
 /// Prints the lifetime and the search counters of every row.
 fn print_node_table(results: &[ScenarioResult]) {
     println!(
-        "{:<32} {:>10} {:>12} {:>9} {:>7} {:>9} {:>9} {:>9}",
-        "scenario", "lifetime", "nodes", "memo", "dom", "charge", "avail", "relax"
+        "{:<32} {:>10} {:>12} {:>9} {:>7} {:>9} {:>9}",
+        "scenario", "lifetime", "nodes", "memo", "dom", "charge", "avail"
     );
     for result in results {
         let stats = result.search;
         let fmt = |v: Option<u64>| v.map(|v| v.to_string()).unwrap_or_default();
         println!(
-            "{:<32} {:>10} {:>12} {:>9} {:>7} {:>9} {:>9} {:>9}",
+            "{:<32} {:>10} {:>12} {:>9} {:>7} {:>9} {:>9}",
             result.scenario.label(),
             grids::lifetime_label(result),
             fmt(stats.map(|s| s.nodes_explored)),
@@ -85,7 +85,6 @@ fn print_node_table(results: &[ScenarioResult]) {
             fmt(stats.map(|s| s.dominance_prunes)),
             fmt(stats.map(|s| s.charge_bound_prunes)),
             fmt(stats.map(|s| s.availability_bound_prunes)),
-            fmt(stats.map(|s| s.relax_bound_prunes)),
         );
     }
 }

@@ -346,8 +346,8 @@ pub trait BatteryModel {
 
     /// The exact discrete inputs for battery `index`'s service column —
     /// its current [`dkibam::DiscreteBattery`] state plus its type's
-    /// parameters and recovery table — used by the relaxation bound of the
-    /// optimal search to run the exact single-battery serve/skip DP
+    /// parameters and recovery table — used by the relaxation root bound of
+    /// the optimal search to run the exact single-battery serve/skip DP
     /// ([`dkibam::ColumnBuilder`]). Backends whose state is not the
     /// discrete KiBaM return `None` (the default), which disables the
     /// relaxation bound for them.

@@ -24,19 +24,19 @@
 //!   search ~4× (53.6k nodes vs 208.5k, pinned in
 //!   `tests/bound_admissibility.rs`) and fires on roughly half of all
 //!   nodes there, where the charge bound fires on none,
-//! * a **relaxation upper bound** that drops only the "one battery per
-//!   draw" coupling: each battery's *exact* maximum cumulative service
-//!   through every remaining job epoch is computed by the serve/skip
-//!   dynamic program of [`dkibam::ColumnBuilder`] (full-horizon columns,
-//!   cached by `(type, state, position)` so transpositions re-solve from
-//!   the parent's cached columns rather than from scratch), and a
-//!   prefix-capacity transportation relaxation couples them through the
-//!   shared demand: its closed-form min cut, walked epoch by epoch, yields
-//!   an admissible death bound that is evaluated only when the
-//!   availability bound fails to fire
-//!   ([`OptimalOutcome::relax_bound_prunes`]); a test-only max-flow
-//!   reference (`tests/relaxation_reference.rs`) checks the walk against
-//!   the flow optimum,
+//! * a **relaxation root bound** that drops only the "one battery per
+//!   draw" coupling: each fresh battery's *exact* maximum cumulative
+//!   service through every job epoch is computed by the serve/skip
+//!   dynamic program of [`dkibam::ColumnBuilder`] over the whole load,
+//!   and a prefix-capacity transportation relaxation couples the columns
+//!   through the shared demand: its closed-form min cut, walked epoch by
+//!   epoch, yields an admissible death bound ([`RootBounds::relaxation`]).
+//!   It is evaluated once, in the root phase, and never at interior
+//!   nodes: there the column DP per battery state cost more time than
+//!   the nodes it saved (the paper-grid ``IL` 250`` search took 143 s
+//!   with it and 2.5 s without, at +0.2 % nodes). A test-only
+//!   max-flow reference (`tests/relaxation_reference.rs`) checks the walk
+//!   against the flow optimum,
 //! * **symmetry pruning** (batteries in identical states need only be tried
 //!   once),
 //! * a **transposition table** keyed by the canonicalized battery state and
@@ -56,9 +56,7 @@
 //! Every search starts with one **root phase**
 //! ([`OptimalScheduler::root_phase`]): the search is built against the
 //! fresh fleet with a zero incumbent, the three bounds are evaluated at the
-//! root ([`RootBounds`]) — the relaxation bound leaving the fresh fleet's
-//! full-horizon columns in the search's column cache — and the warm start
-//! runs. The incumbent is then installed and the exploration starts.
+//! root ([`RootBounds`]) and the warm start runs. The incumbent is then installed and the exploration starts.
 //! [`OptimalScheduler::probe_root_bounds`] is the root phase without the
 //! exploration.
 //!
@@ -71,10 +69,10 @@
 //! converging histories (e.g. `ILs 250`, random loads, three-battery
 //! systems) shrink 5–10× under the transposition table, while short
 //! alternating loads on two batteries (`ILs alt`) are already near-minimal
-//! after symmetry pruning and only the availability and relaxation bounds
-//! trim them further. The availability bound alone sits ~2× above the
-//! true optimum at the root of the alternating loads; the relaxation
-//! bound's exact per-battery columns close most of that gap
+//! after symmetry pruning and only the availability bound trims them
+//! further. The availability bound sits ~2× above the true optimum at the
+//! root of the alternating loads; the relaxation root bound's exact
+//! per-battery columns close most of that gap
 //! (`examples/frontier_probe.rs` reports the per-bound root tightness from
 //! [`OptimalScheduler::probe_root_bounds`]). The bench harness
 //! (`cargo run --release -p bench --bin scenarios -- --optimal`) prints the
@@ -200,13 +198,6 @@ const MAX_MEMO_ENTRIES: usize = 1_000_000;
 /// fronts still prune; new positions are no longer recorded.
 const MAX_FRONT_ENTRIES: usize = 500_000;
 
-/// The most cached per-battery service columns of the relaxation bound.
-/// Keyed by `(battery type, battery state, load position)`, so transposed
-/// searches re-use the exact single-battery DP solved at the parent instead
-/// of re-solving it; once full, columns are still built (into a scratch
-/// buffer) but no longer retained.
-const MAX_COLUMN_CACHE_ENTRIES: usize = 200_000;
-
 /// The result of an optimal-schedule search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptimalOutcome {
@@ -229,9 +220,9 @@ pub struct OptimalOutcome {
     /// Nodes cut by the availability-aware upper bound (recovery-coupled
     /// service envelopes) after the charge bound failed to fire.
     pub availability_bound_prunes: usize,
-    /// Nodes cut by the flow relaxation bound (exact per-battery service
-    /// columns coupled only through the shared demand) after both cheaper
-    /// bounds failed to fire.
+    /// Always 0: the flow relaxation is a root bound
+    /// ([`RootBounds::relaxation`]) and prunes no node. The field stays
+    /// because the repository benchmark (`perfbench`) still reads it.
     pub relax_bound_prunes: usize,
     /// The warm-start policy that seeded the incumbent: `"sequential"`,
     /// `"round robin"`, `"best of two"` or `"capacity-weighted round
@@ -255,7 +246,6 @@ pub struct OptimalScheduler {
     memoize: bool,
     dominance: bool,
     availability: bool,
-    relaxation: bool,
 }
 
 impl Default for OptimalScheduler {
@@ -266,17 +256,10 @@ impl Default for OptimalScheduler {
 
 impl OptimalScheduler {
     /// Creates a scheduler with the default node budget and all prunings
-    /// (memoization + dominance + the availability and relaxation bounds)
-    /// enabled.
+    /// (memoization + dominance + the availability bound) enabled.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            budget: DEFAULT_BUDGET,
-            memoize: true,
-            dominance: true,
-            availability: true,
-            relaxation: true,
-        }
+        Self { budget: DEFAULT_BUDGET, memoize: true, dominance: true, availability: true }
     }
 
     /// Creates a scheduler with an explicit node budget. The search fails
@@ -288,21 +271,14 @@ impl OptimalScheduler {
     }
 
     /// A reference scheduler with memoization, dominance pruning and the
-    /// availability and relaxation bounds disabled: the plain bounded
-    /// search (charge bound, symmetry and warm start only — the seed
-    /// search).
+    /// availability bound disabled: the plain bounded search (charge
+    /// bound, symmetry and warm start only — the seed search).
     /// Equivalence tests and the bench harness compare the pruned search
     /// against this one — both must return identical lifetimes, the
     /// pruned one in (far) fewer nodes.
     #[must_use]
     pub fn reference() -> Self {
-        Self {
-            budget: DEFAULT_BUDGET,
-            memoize: false,
-            dominance: false,
-            availability: false,
-            relaxation: false,
-        }
+        Self { budget: DEFAULT_BUDGET, memoize: false, dominance: false, availability: false }
     }
 
     /// Disables the transposition table (for ablation and equivalence
@@ -327,15 +303,6 @@ impl OptimalScheduler {
     #[must_use]
     pub fn without_availability_bound(mut self) -> Self {
         self.availability = false;
-        self
-    }
-
-    /// Disables the flow relaxation bound, leaving the charge and
-    /// availability bounds (for ablation: node-count comparisons against
-    /// this scheduler isolate what the relaxation buys).
-    #[must_use]
-    pub fn without_relax_bound(mut self) -> Self {
-        self.relaxation = false;
         self
     }
 
@@ -415,7 +382,7 @@ impl OptimalScheduler {
         // the pruning margin.
         let charge = search.charge_bound(0, 0);
         let availability = search.availability_bound(0, 0, u64::MAX);
-        let relaxation = search.relax_bound(0, 0, u64::MAX);
+        let relaxation = search.relax_bound();
         let seeded_by = search.warm_start(config, load)?;
         let bounds = RootBounds { charge, availability, relaxation, warm_start: search.best_steps };
         Ok(RootPhase { search, bounds, seeded_by })
@@ -494,7 +461,7 @@ impl<M: BatteryModel> RootPhase<'_, M> {
             dominance_prunes: search.dominance_prunes,
             charge_bound_prunes: search.charge_bound_prunes,
             availability_bound_prunes: search.availability_bound_prunes,
-            relax_bound_prunes: search.relax_bound_prunes,
+            relax_bound_prunes: 0,
             seeded_by: self.seeded_by,
         })
     }
@@ -528,13 +495,11 @@ struct Search<'a, M: BatteryModel> {
     memoize: bool,
     dominance: bool,
     availability: bool,
-    relaxation: bool,
     nodes: usize,
     memo_hits: usize,
     dominance_prunes: usize,
     charge_bound_prunes: usize,
     availability_bound_prunes: usize,
-    relax_bound_prunes: usize,
     best_steps: u64,
     best_decisions: Vec<usize>,
     current_decisions: Vec<usize>,
@@ -565,16 +530,6 @@ struct Search<'a, M: BatteryModel> {
     fronts: FxMap<(usize, u64), Vec<(StateKey, u64)>>,
     /// Total entries across all fronts, enforcing [`MAX_FRONT_ENTRIES`].
     front_entries: usize,
-    /// The exact single-battery DP of the relaxation bound.
-    column_builder: ColumnBuilder,
-    /// Cached full-horizon service columns of the relaxation bound, keyed
-    /// by `(battery type, battery state word, epoch index, offset)`. The
-    /// full-horizon build makes the key independent of the pruning margin,
-    /// so a column solved at the parent (or any transposition) is reused
-    /// verbatim at every revisit.
-    column_cache: FxMap<(usize, u128, usize, u64), ServiceColumn>,
-    /// Per-battery scratch columns for cache misses.
-    columns_scratch: Vec<ServiceColumn>,
 }
 
 impl<'a, M: BatteryModel> Search<'a, M> {
@@ -601,13 +556,11 @@ impl<'a, M: BatteryModel> Search<'a, M> {
             memoize: scheduler.memoize,
             dominance: scheduler.dominance,
             availability: scheduler.availability,
-            relaxation: scheduler.relaxation,
             nodes: 0,
             memo_hits: 0,
             dominance_prunes: 0,
             charge_bound_prunes: 0,
             availability_bound_prunes: 0,
-            relax_bound_prunes: 0,
             best_steps: 0,
             best_decisions: Vec::new(),
             current_decisions: Vec::new(),
@@ -621,9 +574,6 @@ impl<'a, M: BatteryModel> Search<'a, M> {
             seen: FxMap::default(),
             fronts: FxMap::default(),
             front_entries: 0,
-            column_builder: ColumnBuilder::default(),
-            column_cache: FxMap::default(),
-            columns_scratch: Vec::new(),
         }
     }
 }
@@ -730,33 +680,11 @@ impl<M: BatteryModel> Search<'_, M> {
         // can actually be served. Evaluated only when the (cheaper) charge
         // bound fails to fire, so the split counters attribute each prune
         // to the weakest bound that achieves it.
-        let margin = self.best_steps.saturating_sub(elapsed);
-        // Whether the availability bound landed close enough to the
-        // pruning margin that the (much costlier) relaxation bound has a
-        // realistic chance of closing the rest of the gap. When the
-        // availability walk survives past twice the margin, the relaxation
-        // — empirically within ~15 % of it at the root — will not prune
-        // either, so building columns there would be pure overhead.
-        let mut relax_worthwhile = true;
         if self.availability {
-            // Only walk past the margin (to the gate) when the relaxation
-            // is on and the extra information is actually consumed.
-            let gate = if self.relaxation { margin.saturating_mul(2) } else { margin };
-            let bound = self.availability_bound(epoch_index, offset, gate);
+            let margin = self.best_steps.saturating_sub(elapsed);
+            let bound = self.availability_bound(epoch_index, offset, margin);
             if elapsed.saturating_add(bound) <= self.best_steps {
                 self.availability_bound_prunes += 1;
-                return Ok(false);
-            }
-            relax_worthwhile = bound <= gate;
-        }
-        // Relaxation bound: exact per-battery service columns coupled only
-        // through the shared demand. The most expensive bound, so it runs
-        // last (and gated), and its counter attributes only the prunes the
-        // cheaper bounds missed.
-        if self.relaxation && relax_worthwhile {
-            let bound = self.relax_bound(epoch_index, offset, margin);
-            if elapsed.saturating_add(bound) <= self.best_steps {
-                self.relax_bound_prunes += 1;
                 return Ok(false);
             }
         }
@@ -1018,135 +946,71 @@ impl<M: BatteryModel> Search<'_, M> {
         steps
     }
 
-    /// Flow relaxation bound on the additional lifetime obtainable
-    /// from this position. It drops only the "one battery per draw"
+    /// Flow relaxation bound on the lifetime of the fresh fleet, evaluated
+    /// once by the root phase. It drops only the "one battery per draw"
     /// coupling: battery `i`'s cumulative service through job epoch `e` is
     /// bounded by its *exact* best-case column `columns[i][e]` (the
-    /// serve/skip DP of [`ColumnBuilder`], which prices every recovery the
-    /// battery would actually need), and the fleet jointly covers each
-    /// epoch's demand. Because the columns are cumulative, the optimum of
-    /// that transportation relaxation has a closed-form min cut, and the
-    /// demand walk uses its epoch form directly: the system dies in the
-    /// first epoch whose cumulative demand exceeds the summed column
-    /// capacities, and the last coverable draw inside that epoch follows
-    /// from the remaining unit budget. `tests/relaxation_reference.rs`
-    /// checks the walk against a max-flow solve of the same network.
-    ///
-    /// A column entry depends only on the epochs up to it, so a build
-    /// truncated at the walk's early-exit horizon (the first job epoch
-    /// starting past `limit`) produces exactly the entries the walk can
-    /// read — deep nodes with small margins build short, cheap prefixes.
-    /// Cached prefixes are keyed by `(type, state word, position)` — the
-    /// key is limit-independent — and extended in place when a later visit
-    /// (e.g. after the incumbent improved) needs a longer prefix, so
-    /// revisits of a battery state solved at the parent (or any
-    /// transposition) re-use the parent's columns instead of re-running
-    /// the DP.
+    /// serve/skip DP of [`ColumnBuilder`] over the whole load, which prices
+    /// every recovery the battery would actually need), and the fleet
+    /// jointly covers each epoch's demand. Because the columns are
+    /// cumulative, the optimum of that transportation relaxation has a
+    /// closed-form min cut, and the demand walk uses its epoch form
+    /// directly: the system dies in the first epoch whose cumulative
+    /// demand exceeds the summed column capacities, and the last coverable
+    /// draw inside that epoch follows from the remaining unit budget.
+    /// `tests/relaxation_reference.rs` checks the walk against a max-flow
+    /// solve of the same network.
     ///
     /// Returns `u64::MAX` (no claim) when the backend cannot provide
-    /// column inputs, and may return early with any value above `limit`
-    /// once the walk has survived past it.
-    fn relax_bound(&mut self, epoch_index: usize, offset: u64, limit: u64) -> u64 {
+    /// column inputs.
+    fn relax_bound(&self) -> u64 {
         let battery_count = self.model.battery_count();
         if battery_count == 0 || battery_count > MAX_BOUND_BATTERIES {
             return u64::MAX;
         }
-        // The build horizon: `needed` job-epoch entries, covered by the
-        // first `span` timeline epochs. Mirrors the walk below exactly —
-        // each job epoch is counted iff the walk would reach its check.
-        let mut needed = 0usize;
-        let mut span = 0usize;
-        {
-            let mut steps_ahead: u64 = 0;
-            let mut walk_offset = offset;
-            for (index, epoch) in self.epochs[epoch_index..].iter().enumerate() {
-                let duration = epoch.duration_steps() - walk_offset;
-                walk_offset = 0;
-                if !epoch.is_idle() {
-                    if steps_ahead > limit {
-                        break;
-                    }
-                    needed += 1;
-                    span = index + 1;
-                }
-                steps_ahead += duration;
-            }
-        }
-        if self.columns_scratch.len() < battery_count {
-            self.columns_scratch.resize_with(battery_count, ServiceColumn::default);
-        }
-        let mut keys = [(0usize, 0u128, 0usize, 0u64); MAX_BOUND_BATTERIES];
-        let mut from_scratch = [false; MAX_BOUND_BATTERIES];
+        // One column per distinct (type, state), with the number of
+        // batteries sharing it: a fresh fleet of one type builds one column.
+        let mut builder = ColumnBuilder::default();
+        let mut columns: Vec<((usize, u128), u64, ServiceColumn)> = Vec::new();
         let mut alive: u64 = 0;
         for battery in 0..battery_count {
             let Some((state, params, recovery)) = self.model.column_inputs(battery) else {
                 return u64::MAX;
             };
             alive += u64::from(!state.is_observed_empty());
-            let key = (self.model.type_of(battery), state.state_word(), epoch_index, offset);
-            keys[battery] = key;
-            if self.column_cache.get(&key).is_some_and(|cached| cached.len() >= needed) {
+            let key = (self.model.type_of(battery), state.state_word());
+            if let Some((_, count, _)) = columns.iter_mut().find(|(seen, _, _)| *seen == key) {
+                *count += 1;
                 continue;
             }
-            self.column_builder.build(
-                state,
-                params,
-                recovery,
-                &self.epochs[epoch_index..epoch_index + span],
-                offset,
-                &mut self.columns_scratch[battery],
-            );
-            let under_cap = self.column_cache.len() < MAX_COLUMN_CACHE_ENTRIES;
-            match self.column_cache.get_mut(&key) {
-                // Extending an existing prefix never adds an entry, so it
-                // is allowed even at the cache cap.
-                Some(cached) => cached.clone_from_column(&self.columns_scratch[battery]),
-                None if under_cap => {
-                    self.column_cache.insert(key, self.columns_scratch[battery].clone());
-                }
-                None => from_scratch[battery] = true,
-            }
+            let mut column = ServiceColumn::default();
+            builder.build(state, params, recovery, self.epochs, &mut column);
+            columns.push((key, 1, column));
         }
-        let empty = ServiceColumn::default();
-        let mut columns: [&ServiceColumn; MAX_BOUND_BATTERIES] = [&empty; MAX_BOUND_BATTERIES];
-        for battery in 0..battery_count {
-            columns[battery] = if from_scratch[battery] {
-                &self.columns_scratch[battery]
-            } else {
-                self.column_cache.get(&keys[battery]).unwrap_or(&empty)
-            };
-        }
-        // Flat extension of a cumulative column past its end (the prefix
-        // build covers every epoch the walk can reach before its early
-        // exit, so this is defensive only).
-        let entry = |column: &[u64], index: usize| {
-            column.get(index).or_else(|| column.last()).copied().unwrap_or(0)
+        // Each column holds one entry per job epoch of the load, so the
+        // walk's `job_epoch` index is always in range.
+        let fleet_sum = |entries: fn(&ServiceColumn) -> &[u64], job_epoch: usize| -> u64 {
+            columns
+                .iter()
+                .map(|(_, count, column)| count.saturating_mul(entries(column)[job_epoch]))
+                .fold(0, u64::saturating_add)
         };
 
         let mut cumulative_demand: u64 = 0;
         let mut whole_epochs: u64 = 0;
         let mut steps: u64 = 0;
-        let mut offset = offset;
         let mut job_epoch = 0usize;
-        for epoch in &self.epochs[epoch_index..] {
-            let whole = offset == 0;
-            let duration = epoch.duration_steps() - offset;
-            offset = 0;
+        for epoch in self.epochs {
+            let duration = epoch.duration_steps();
             if epoch.is_idle() {
                 steps += duration;
                 continue;
-            }
-            if steps > limit {
-                return steps;
             }
             let interval = u64::from(epoch.draw_interval_steps());
             let units = u64::from(epoch.units_per_draw());
             let draws_possible = duration / interval;
             let epoch_demand = draws_possible * units;
-            let capacity: u64 = columns[..battery_count]
-                .iter()
-                .map(|column| entry(&column.units, job_epoch))
-                .fold(0, u64::saturating_add);
+            let capacity = fleet_sum(|column| &column.units, job_epoch);
             let mut death: Option<u64> = None;
             if cumulative_demand.saturating_add(epoch_demand) > capacity {
                 // The relaxed fleet dies in this epoch: it can cover
@@ -1156,8 +1020,8 @@ impl<M: BatteryModel> Search<'_, M> {
                 let draws_served = capacity.saturating_sub(cumulative_demand) / units;
                 death = Some(steps + (draws_served + 1).min(draws_possible) * interval);
             }
-            // Serialization cut: of the `whole_epochs` whole job epochs so
-            // far, at most `alive` can be split between batteries (every
+            // Serialization cut: of the `whole_epochs` job epochs so far,
+            // at most `alive` can be split between batteries (every
             // mid-epoch handoff consumes one of the remaining deaths); the
             // rest must each be served whole by a single battery, and
             // `Σ full_epochs` caps how many whole serves the fleet has.
@@ -1166,12 +1030,9 @@ impl<M: BatteryModel> Search<'_, M> {
             // what keeps the bound from degenerating to the charge budget
             // on fresh fleets, where per-unit capacity is plentiful but
             // serialized epoch coverage is not.
-            if whole && epoch_demand > 0 {
+            if epoch_demand > 0 {
                 whole_epochs += 1;
-                let full_serves: u64 = columns[..battery_count]
-                    .iter()
-                    .map(|column| entry(&column.full_epochs, job_epoch))
-                    .fold(0, u64::saturating_add);
+                let full_serves = fleet_sum(|column| &column.full_epochs, job_epoch);
                 if whole_epochs.saturating_sub(alive) > full_serves {
                     // Some prior whole epoch cannot be fully covered; the
                     // system dies by this epoch's last draw at the latest.

@@ -201,7 +201,7 @@ fn fresh_columns(config: &SystemConfig, epochs: &[DiscreteEpoch]) -> Vec<Service
             let (state, params, recovery) =
                 model.column_inputs(battery).expect("discretized batteries have column inputs");
             let mut column = ServiceColumn::default();
-            builder.build(state, params, recovery, epochs, 0, &mut column);
+            builder.build(state, params, recovery, epochs, &mut column);
             column
         })
         .collect()

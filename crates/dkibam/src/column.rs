@@ -1,9 +1,9 @@
 //! Exact single-battery service columns over a load's draw-slot timeline.
 //!
-//! The relaxation bound of the optimal search (see `battery-sched`) treats
-//! the fleet as a transportation problem: battery `i` may serve at most
-//! `column[i][e]` charge units among the job epochs `0..=e`, and the load
-//! demands its draws per epoch. This module computes
+//! The relaxation root bound of the optimal search (see `battery-sched`)
+//! treats the fleet as a transportation problem: battery `i` may serve at
+//! most `column[i][e]` charge units among the job epochs `0..=e`, and the
+//! load demands its draws per epoch. This module computes
 //! those per-battery **columns exactly** with a dynamic program over the
 //! battery's real discrete dynamics — the ROADMAP's "exact single-battery
 //! DP over the load's draw-slot timeline", shipped as the bound's column
@@ -50,12 +50,12 @@
 use crate::{DiscreteBattery, DiscreteEpoch, RecoveryTable};
 use kibam::BatteryParams;
 
-/// Default Pareto-front cap used by the search's relaxation bound. On the
-/// paper's alternating full-horizon timelines the uncapped front peaks
+/// Default Pareto-front cap used by the search's relaxation root bound. On
+/// the paper's alternating full-horizon timelines the uncapped front peaks
 /// near ~85 traces and a cap of 64 reproduces the uncapped column exactly,
 /// while a small cap (e.g. 12) inflates the tail ~2× through repeated
 /// super-state merges; 64 keeps the column exact there at an acceptable
-/// build cost (columns are cached by the search).
+/// build cost (the columns are built once per search, at the root).
 pub const DEFAULT_FRONT_CAP: usize = 64;
 
 /// A battery's per-epoch service capacities: for each job epoch `e`,
@@ -92,12 +92,6 @@ impl ServiceColumn {
     fn clear(&mut self) {
         self.units.clear();
         self.full_epochs.clear();
-    }
-
-    /// Copies `other`'s entries into `self`, reusing the allocations.
-    pub fn clone_from_column(&mut self, other: &Self) {
-        self.units.clone_from(&other.units);
-        self.full_epochs.clone_from(&other.full_epochs);
     }
 }
 
@@ -152,8 +146,8 @@ fn epoch_trace_dominates(a: &EpochTrace, b: &EpochTrace) -> bool {
 }
 
 /// Reusable builder of exact per-battery service columns. Holds the trace
-/// arenas so repeated builds (one per battery per search node, cached by
-/// the caller) do not allocate in steady state.
+/// arenas so repeated builds (one per battery of a fleet) reuse their
+/// allocations.
 #[derive(Debug, Clone)]
 pub struct ColumnBuilder {
     front: Vec<Trace>,
@@ -189,18 +183,14 @@ impl ColumnBuilder {
     /// recovery time), `out.units[e]` = the most charge units the battery
     /// could serve among the draw slots of job epochs `0..=e`, evaluated
     /// at epoch `e`'s last draw instant, and `out.full_epochs[e]` = the
-    /// most of those epochs it could serve whole. `first_epoch_offset`
-    /// steps of `epochs[0]` have already elapsed (the search's mid-epoch
-    /// position; always a multiple of the draw interval there), which
-    /// also disqualifies `epochs[0]` from full-serve credit — a death
-    /// already split it.
+    /// most of those epochs it could serve whole. The timeline starts at
+    /// the first step of `epochs[0]`.
     pub fn build(
         &mut self,
         battery: DiscreteBattery,
         params: &BatteryParams,
         recovery: &RecoveryTable,
         epochs: &[DiscreteEpoch],
-        first_epoch_offset: u64,
         out: &mut ServiceColumn,
     ) {
         out.clear();
@@ -215,19 +205,11 @@ impl ColumnBuilder {
         // super-state's `served` past the physical budget).
         let charge_cap = u64::from(battery.charge_units());
         if !battery.is_observed_empty() {
-            // `Idle` also covers the search's mid-epoch positions
-            // (`first_epoch_offset > 0`): those follow a battery death,
-            // and a battery still alive there cannot have served earlier
-            // in the epoch — it would have kept serving to the epoch's
-            // end or died.
             self.front.push(Trace { battery, served: 0, phase: Phase::Idle });
             self.epoch_front.push(EpochTrace { battery, epochs: 0 });
         }
-        let mut offset = first_epoch_offset;
         for epoch in epochs {
-            let whole = offset == 0;
-            let duration = epoch.duration_steps().saturating_sub(offset);
-            offset = 0;
+            let duration = epoch.duration_steps();
             if epoch.is_idle() {
                 for trace in &mut self.front {
                     trace.battery.advance_recovery(duration, recovery);
@@ -305,10 +287,10 @@ impl ColumnBuilder {
             }
 
             // The full-epoch DP branches once per epoch: skip it whole
-            // (pure recovery) or — for whole epochs with draws — serve it
-            // whole, which succeeds only if the battery survives every
-            // draw (dying on the final draw still completes the epoch,
-            // exactly as the real dynamics count the killing draw).
+            // (pure recovery) or — for epochs with draws — serve it whole,
+            // which succeeds only if the battery survives every draw
+            // (dying on the final draw still completes the epoch, exactly
+            // as the real dynamics count the killing draw).
             self.epoch_next.clear();
             for slot in 0..self.epoch_front.len() {
                 let trace = self.epoch_front[slot];
@@ -318,7 +300,7 @@ impl ColumnBuilder {
                     &mut self.epoch_next,
                     EpochTrace { battery: skipping, epochs: trace.epochs },
                 );
-                if whole && draws > 0 {
+                if draws > 0 {
                     let mut serving = trace.battery;
                     let mut outcome = FullServe::Completed;
                     for draw in 0..draws {
@@ -528,7 +510,7 @@ mod tests {
             let epochs = [DiscreteEpoch::job(slots * u64::from(interval), interval, 1)];
             for (n, m) in states() {
                 let battery = DiscreteBattery::from_units(n, m);
-                builder.build(battery, &params, &recovery, &epochs, 0, &mut column);
+                builder.build(battery, &params, &recovery, &epochs, &mut column);
                 let brute = max_served(
                     battery,
                     &params,
@@ -562,8 +544,8 @@ mod tests {
         ];
         for (n, m) in states() {
             let battery = DiscreteBattery::from_units(n, m);
-            exact.build(battery, &params, &recovery, &epochs, 0, &mut exact_col);
-            capped.build(battery, &params, &recovery, &epochs, 0, &mut capped_col);
+            exact.build(battery, &params, &recovery, &epochs, &mut exact_col);
+            capped.build(battery, &params, &recovery, &epochs, &mut capped_col);
             assert_eq!(exact_col.len(), 3, "one entry per job epoch");
             assert_eq!(capped_col.len(), 3);
             for (e, (&tight, &loose)) in exact_col.units.iter().zip(&capped_col.units).enumerate() {
@@ -596,7 +578,6 @@ mod tests {
                 &params,
                 &recovery,
                 &epochs,
-                0,
                 &mut column,
             );
             assert_eq!(column.len(), 6);
@@ -626,25 +607,9 @@ mod tests {
         let mut battery = DiscreteBattery::from_units(50, 10);
         battery.mark_observed_empty();
         let epochs = [DiscreteEpoch::job(20, 2, 1), DiscreteEpoch::job(20, 2, 1)];
-        builder.build(battery, &params, &recovery, &epochs, 0, &mut column);
+        builder.build(battery, &params, &recovery, &epochs, &mut column);
         assert_eq!(column.units, [0, 0]);
         assert_eq!(column.full_epochs, [0, 0]);
-    }
-
-    #[test]
-    fn mid_epoch_offsets_shorten_the_first_entry() {
-        let (params, _, recovery) = b1_coarse();
-        let mut builder = ColumnBuilder::new(usize::MAX);
-        let (mut full, mut partial) = (ServiceColumn::default(), ServiceColumn::default());
-        let epochs = [DiscreteEpoch::job(40, 2, 1)];
-        let battery = DiscreteBattery::from_units(30, 5);
-        builder.build(battery, &params, &recovery, &epochs, 0, &mut full);
-        builder.build(battery, &params, &recovery, &epochs, 20, &mut partial);
-        assert!(partial.units[0] <= full.units[0], "fewer slots cannot serve more units");
-        assert_eq!(
-            partial.full_epochs[0], 0,
-            "a mid-epoch start can never earn the split epoch's full-serve credit"
-        );
     }
 
     /// The serialization column: a fresh battery serving a whole epoch
@@ -658,7 +623,7 @@ mod tests {
         let epochs: Vec<DiscreteEpoch> =
             (0..4).flat_map(|_| [DiscreteEpoch::job(20, 2, 1), DiscreteEpoch::idle(20)]).collect();
         let battery = DiscreteBattery::from_units(110, 0);
-        builder.build(battery, &params, &recovery, &epochs, 0, &mut column);
+        builder.build(battery, &params, &recovery, &epochs, &mut column);
         assert_eq!(column.full_epochs[0], 1, "a fresh battery can serve the first epoch whole");
         for (e, &full) in column.full_epochs.iter().enumerate() {
             assert!(full <= (e + 1) as u64);
@@ -666,7 +631,7 @@ mod tests {
         // A weak battery that cannot cover a whole epoch before going
         // empty earns no credit even though it serves some units.
         let exhausted = DiscreteBattery::from_units(10, 0);
-        builder.build(exhausted, &params, &recovery, &epochs, 0, &mut column);
+        builder.build(exhausted, &params, &recovery, &epochs, &mut column);
         assert!(column.units[0] > 0);
         assert_eq!(column.full_epochs[0], 0, "a partial prefix run is not a full serve");
     }
@@ -683,7 +648,7 @@ mod tests {
         let mut builder = ColumnBuilder::new(usize::MAX);
         let mut column = ServiceColumn::default();
         let epochs = [DiscreteEpoch::job(400, 4, 1)];
-        builder.build(battery, &params, &recovery, &epochs, 0, &mut column);
+        builder.build(battery, &params, &recovery, &epochs, &mut column);
         let brute = max_served(battery, &params, &recovery, 4, 1, 100, Phase::Idle);
         assert_eq!(column.units, [brute]);
         assert!(column.units[0] > 0, "recovery must lift the battery back into service");

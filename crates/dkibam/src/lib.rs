@@ -23,7 +23,7 @@
 //! * [`ColumnBuilder`] — exact per-battery service columns over a load's
 //!   draw-slot timeline (a serve/skip dynamic program with Pareto-front
 //!   pruning), the column generator of the `battery-sched` search's
-//!   relaxation bound;
+//!   relaxation root bound;
 //! * [`DiscreteBattery`] — the integer battery state (`n_gamma`, `m_delta`)
 //!   with discharge, recovery and the emptiness test of Eq. 8;
 //! * [`DiscretizedLoad`] — a [`workload::LoadProfile`] converted to the

@@ -7,6 +7,7 @@
 //! null) with enough fidelity that scenario grids and result sets round-trip
 //! losslessly. Object keys keep their insertion order.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A JSON value.
@@ -384,11 +385,14 @@ impl Parser<'_> {
             self.pos += 1;
             return Ok(JsonValue::Object(fields));
         }
+        // The keys seen so far, so a duplicate is found in O(log n) as soon
+        // as its key parses, before its value.
+        let mut keys = BTreeSet::new();
         loop {
             self.skip_whitespace();
             let key_offset = self.pos;
             let key = self.parse_string()?;
-            if fields.iter().any(|(existing, _)| *existing == key) {
+            if !keys.insert(key.clone()) {
                 return Err(JsonError {
                     message: format!("duplicate object key \"{key}\""),
                     offset: key_offset,

@@ -55,9 +55,6 @@ pub struct SearchStats {
     pub charge_bound_prunes: u64,
     /// Nodes cut by the availability-aware (recovery-coupled) upper bound.
     pub availability_bound_prunes: u64,
-    /// Nodes cut by the flow relaxation bound over exact per-battery
-    /// service columns.
-    pub relax_bound_prunes: u64,
 }
 
 /// The measured outcome of one scenario.
@@ -137,7 +134,6 @@ impl ScenarioResult {
                     "availability_bound_prunes",
                     JsonValue::Number(stats.availability_bound_prunes as f64),
                 ),
-                ("relax_bound_prunes", JsonValue::Number(stats.relax_bound_prunes as f64)),
             ]);
         }
         if let Some(seeded_by) = &self.seeded_by {
@@ -485,7 +481,6 @@ fn run_on<M: BatteryModel>(
         dominance_prunes: optimal.dominance_prunes as u64,
         charge_bound_prunes: optimal.charge_bound_prunes as u64,
         availability_bound_prunes: optimal.availability_bound_prunes as u64,
-        relax_bound_prunes: optimal.relax_bound_prunes as u64,
     };
     Ok(ScenarioResult {
         search: Some(stats),

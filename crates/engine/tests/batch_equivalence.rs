@@ -301,7 +301,6 @@ fn optimal_rows_match_direct_core_searches() {
             dominance_prunes: outcome.dominance_prunes as u64,
             charge_bound_prunes: outcome.charge_bound_prunes as u64,
             availability_bound_prunes: outcome.availability_bound_prunes as u64,
-            relax_bound_prunes: outcome.relax_bound_prunes as u64,
         };
         assert_eq!(row.search, Some(stats), "{context}: search stats diverged");
         assert_eq!(

@@ -7,6 +7,8 @@
 //! limit.
 
 use engine::json::{JsonError, JsonValue, MAX_DEPTH};
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn err(text: &str) -> JsonError {
     match JsonValue::parse(text) {
@@ -49,6 +51,32 @@ fn duplicate_object_keys_are_rejected_at_the_second_key() {
     let e = err("{\"k\":0,\"k\":!}");
     assert_eq!(e.offset, 7);
     assert!(e.message.contains("duplicate object key"));
+}
+
+/// An object with 300,000 distinct keys, then a repeat of the first: the
+/// duplicate check costs O(log n) per key, so the line is rejected in well
+/// under a second, where a scan of every earlier key per key (O(n²), about
+/// 4.5·10¹⁰ key comparisons) runs for minutes. The error is the same as on
+/// a small object: the second key, at its own offset, before its value.
+#[test]
+fn a_duplicate_after_300k_distinct_keys_is_found_in_n_log_n() {
+    const KEYS: usize = 300_000;
+    let mut text = String::from("{");
+    for key in 0..KEYS {
+        text.push_str(&format!("\"k{key}\":0,"));
+    }
+    let duplicate_offset = text.len();
+    text.push_str("\"k0\":!}");
+    let (done, result) = mpsc::channel();
+    // Detached on purpose: if the deadline passes, the test fails and the
+    // test process ends without waiting for the parse.
+    std::thread::spawn(move || done.send(JsonValue::parse(&text)));
+    let parsed = result
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the duplicate-key check must not be quadratic in the key count");
+    let e = parsed.expect_err("the repeated key is a duplicate");
+    assert_eq!(e.offset, duplicate_offset);
+    assert_eq!(e.message, "duplicate object key \"k0\"");
 }
 
 #[test]

@@ -9,8 +9,9 @@
 //! * the root values of all three upper bounds (charge, availability,
 //!   flow relaxation) next to the warm-start incumbent (how tight
 //!   is each bound before a single node is explored?), and
-//! * the full search (relaxation on) against the relaxation-ablated and
-//!   the charge-only searches (what does each bound buy in nodes?).
+//! * the full search against the charge-only search (what does the
+//!   availability bound buy in nodes?). The relaxation is a root bound
+//!   only, so it has no node ablation.
 //!
 //! ```text
 //! cargo run --release --example frontier_probe [NODE_BUDGET] [--smoke]
@@ -80,27 +81,20 @@ fn main() {
     let searched: &[(&str, SystemConfig)] = if smoke { &cases[..2] } else { &cases[..] };
     for (name, config) in searched {
         for (which, scheduler) in [
-            ("relax", OptimalScheduler::with_budget(budget)),
-            ("avail", OptimalScheduler::with_budget(budget).without_relax_bound()),
-            (
-                "charge",
-                OptimalScheduler::with_budget(budget)
-                    .without_relax_bound()
-                    .without_availability_bound(),
-            ),
+            ("avail", OptimalScheduler::with_budget(budget)),
+            ("charge", OptimalScheduler::with_budget(budget).without_availability_bound()),
         ] {
             let start = Instant::now();
             match scheduler.find_optimal(config, &load) {
                 Ok(outcome) => println!(
                     "  {name:>8} {which:>6}: {} steps, {} nodes, memo {}, dom {}, charge {}, \
-                     avail {}, relax {}, seeded {:?}, {:.2?}",
+                     avail {}, seeded {:?}, {:.2?}",
                     outcome.lifetime_steps,
                     outcome.nodes_explored,
                     outcome.memo_hits,
                     outcome.dominance_prunes,
                     outcome.charge_bound_prunes,
                     outcome.availability_bound_prunes,
-                    outcome.relax_bound_prunes,
                     outcome.seeded_by,
                     start.elapsed()
                 ),
