@@ -15,11 +15,11 @@
 //!
 //! Output: a table on stdout and `BENCH_kernel.json` (override with a
 //! positional path). The document also carries a `bound_probes` section —
-//! the wall time (`bound_micros`) of the optimal search's root phase (warm
-//! start plus root bounds, the part of every search that runs before the
-//! first node) on the coarse-grid alternating-load fleets, timed here because the
-//! relaxation root bound's column DP is itself a kernel, run once per battery
-//! by every search. A `grid` section measures the engine layer:
+//! the wall time (`bound_micros`) of the optimal search's root phase (the
+//! warm start's four policy simulations plus the charge and availability
+//! bounds, the part of every search that runs before the first node) on the
+//! coarse-grid alternating-load fleets, timed here because the warm start
+//! runs on the stepping kernels. A `grid` section measures the engine layer:
 //! cells/s of sweep-shaped [`engine::GridRun`]s (four fleets × the four
 //! deterministic policies × discretized and RV, 400-job random loads, one
 //! shared system cache) on one thread and on every core, and the parallel
@@ -260,8 +260,8 @@ fn measure_rv(batteries: usize, cycles: u64) -> Row {
     }
 }
 
-/// Times the search's root phase (charge + availability + relaxation
-/// bounds plus the warm start) on the coarse-grid alternating-load fleets
+/// Times the search's root phase (the warm start plus the charge and
+/// availability bounds) on the coarse-grid alternating-load fleets
 /// through [`OptimalScheduler::probe_root_bounds`]. Every search runs it
 /// once, before its first node, so its wall time (`bound_micros`, matching
 /// the per-cell field the scenario grids record) belongs in the kernel

@@ -146,10 +146,10 @@ mod tests {
         JsonValue::parse(text).unwrap()
     }
 
-    fn optimal_document(row: &str, relaxation: u64) -> JsonValue {
+    fn optimal_document(row: &str, availability: u64) -> JsonValue {
         parse(&format!(
             r#"{{"spec": {{"grid": 1}}, "results": [{{"load": "CL 500", "nodes_explored": 5}}, {row}],
-                "frontier_root_bounds": [{{"fleet": "3xB1", "relaxation_steps": {relaxation}}}]}}"#
+                "frontier_root_bounds": [{{"fleet": "3xB1", "availability_steps": {availability}}}]}}"#
         ))
     }
 

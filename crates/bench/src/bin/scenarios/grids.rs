@@ -126,8 +126,8 @@ pub fn optimal() -> Result<GatedGrid, Error> {
     })
 }
 
-/// Probes the root bounds (charge / availability / relaxation / warm
-/// start) of the alternating-load frontier fleets on the coarse grid — the
+/// Probes the root bounds (charge / availability / warm start) of the
+/// alternating-load frontier fleets on the coarse grid — the
 /// machine-readable trajectory of the bound-tightening work. A `null`
 /// bound means the backend could not produce it (never expected here).
 fn frontier_root_bounds() -> Result<JsonValue, Error> {
@@ -150,8 +150,8 @@ fn frontier_root_bounds() -> Result<JsonValue, Error> {
         let mut model = config.discretized_model();
         let bounds = OptimalScheduler::probe_root_bounds(&config, &load, &mut model)?;
         println!(
-            "  {name:<8} charge {}, availability {}, relaxation {}, warm start {}",
-            bounds.charge, bounds.availability, bounds.relaxation, bounds.warm_start
+            "  {name:<8} charge {}, availability {}, warm start {}",
+            bounds.charge, bounds.availability, bounds.warm_start
         );
         #[allow(clippy::cast_precision_loss)]
         let field = |steps: u64| {
@@ -166,7 +166,6 @@ fn frontier_root_bounds() -> Result<JsonValue, Error> {
             ("load", JsonValue::String(TestLoad::IlsAlt.name().to_owned())),
             ("charge_steps", field(bounds.charge)),
             ("availability_steps", field(bounds.availability)),
-            ("relaxation_steps", field(bounds.relaxation)),
             ("warm_start_steps", field(bounds.warm_start)),
         ]));
     }
@@ -381,4 +380,32 @@ pub fn crossmodel() -> Result<GatedGrid, Error> {
     ));
     let ceiling_rows = optimal_results.len();
     Ok(GatedGrid { document: JsonValue::object(fields), gated: optimal_results, ceiling_rows })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn frontier_root_bounds_rows_carry_the_charge_and_availability_bounds() {
+        let JsonValue::Array(rows) = frontier_root_bounds().unwrap() else {
+            panic!("the frontier section is an array");
+        };
+        let fleets: Vec<_> = rows.iter().map(|row| row.get("fleet").cloned()).collect();
+        let name = |fleet: &str| Some(JsonValue::String(fleet.to_owned()));
+        assert_eq!(fleets, [name("2xB1"), name("3xB1"), name("2xB1+B2"), name("4xB1")]);
+        for row in &rows {
+            let JsonValue::Object(fields) = row else {
+                panic!("each frontier row is an object");
+            };
+            let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+            assert_eq!(
+                keys,
+                ["fleet", "load", "charge_steps", "availability_steps", "warm_start_steps"]
+            );
+            for (key, value) in &fields[2..] {
+                assert!(value.as_u64().is_some(), "{key}: every fleet has a discretized bound");
+            }
+        }
+    }
 }

@@ -155,13 +155,6 @@ impl BatteryModel for DiscretizedKibam {
         Some(table)
     }
 
-    fn column_inputs(
-        &self,
-        index: usize,
-    ) -> Option<(DiscreteBattery, &BatteryParams, &dkibam::RecoveryTable)> {
-        Some((self.batteries[index], self.fleet.params_of(index), self.fleet.table_of(index)))
-    }
-
     fn states_identical(&self, a: usize, b: usize) -> bool {
         self.fleet.type_of(a) == self.fleet.type_of(b) && self.batteries[a] == self.batteries[b]
     }

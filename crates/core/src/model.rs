@@ -344,21 +344,6 @@ pub trait BatteryModel {
         None
     }
 
-    /// The exact discrete inputs for battery `index`'s service column —
-    /// its current [`dkibam::DiscreteBattery`] state plus its type's
-    /// parameters and recovery table — used by the relaxation root bound of
-    /// the optimal search to run the exact single-battery serve/skip DP
-    /// ([`dkibam::ColumnBuilder`]). Backends whose state is not the
-    /// discrete KiBaM return `None` (the default), which disables the
-    /// relaxation bound for them.
-    fn column_inputs(
-        &self,
-        index: usize,
-    ) -> Option<(dkibam::DiscreteBattery, &kibam::BatteryParams, &dkibam::RecoveryTable)> {
-        let _ = index;
-        None
-    }
-
     /// Whether batteries `a` and `b` are in identical states, so a search
     /// need only branch on one of them (symmetry pruning).
     fn states_identical(&self, a: usize, b: usize) -> bool;

@@ -24,19 +24,6 @@
 //!   search ~4× (53.6k nodes vs 208.5k, pinned in
 //!   `tests/bound_admissibility.rs`) and fires on roughly half of all
 //!   nodes there, where the charge bound fires on none,
-//! * a **relaxation root bound** that drops only the "one battery per
-//!   draw" coupling: each fresh battery's *exact* maximum cumulative
-//!   service through every job epoch is computed by the serve/skip
-//!   dynamic program of [`dkibam::ColumnBuilder`] over the whole load,
-//!   and a prefix-capacity transportation relaxation couples the columns
-//!   through the shared demand: its closed-form min cut, walked epoch by
-//!   epoch, yields an admissible death bound ([`RootBounds::relaxation`]).
-//!   It is evaluated once, in the root phase, and never at interior
-//!   nodes: there the column DP per battery state cost more time than
-//!   the nodes it saved (the paper-grid ``IL` 250`` search took 143 s
-//!   with it and 2.5 s without, at +0.2 % nodes). A test-only
-//!   max-flow reference (`tests/relaxation_reference.rs`) checks the walk
-//!   against the flow optimum,
 //! * **symmetry pruning** (batteries in identical states need only be tried
 //!   once),
 //! * a **transposition table** keyed by the canonicalized battery state and
@@ -55,8 +42,9 @@
 //!
 //! Every search starts with one **root phase**
 //! ([`OptimalScheduler::root_phase`]): the search is built against the
-//! fresh fleet with a zero incumbent, the three bounds are evaluated at the
-//! root ([`RootBounds`]) and the warm start runs. The incumbent is then installed and the exploration starts.
+//! fresh fleet with a zero incumbent, the charge and availability bounds
+//! are evaluated at the root ([`RootBounds`]) and the warm start runs. The
+//! incumbent is then installed and the exploration starts.
 //! [`OptimalScheduler::probe_root_bounds`] is the root phase without the
 //! exploration.
 //!
@@ -71,12 +59,10 @@
 //! alternating loads on two batteries (`ILs alt`) are already near-minimal
 //! after symmetry pruning and only the availability bound trims them
 //! further. The availability bound sits ~2× above the true optimum at the
-//! root of the alternating loads; the relaxation root bound's exact
-//! per-battery columns close most of that gap
-//! (`examples/frontier_probe.rs` reports the per-bound root tightness from
-//! [`OptimalScheduler::probe_root_bounds`]). The bench harness
-//! (`cargo run --release -p bench --bin scenarios -- --optimal`) prints the
-//! per-load node counts of both searches.
+//! root of the alternating loads (`examples/frontier_probe.rs` reports the
+//! per-bound root tightness from [`OptimalScheduler::probe_root_bounds`]).
+//! The bench harness (`cargo run --release -p bench --bin scenarios --
+//! --optimal`) prints the per-load node counts of both searches.
 //!
 //! The search is generic over the [`BatteryModel`] backend: it runs against
 //! the discretized KiBaM (the paper's model, [`OptimalScheduler::find_optimal`])
@@ -94,10 +80,7 @@ use crate::policy::{
 };
 use crate::system::{simulate_policy_with, SystemConfig};
 use crate::SchedError;
-use dkibam::{
-    ColumnBuilder, DiscreteEpoch, DiscretizedLoad, EnvelopeCursor, ServiceColumn, ServiceEnvelope,
-    ServiceRateTable,
-};
+use dkibam::{DiscreteEpoch, DiscretizedLoad, EnvelopeCursor, ServiceEnvelope, ServiceRateTable};
 use std::collections::HashMap; // xlint: allow(hash) -- see `FxMap` below
 use std::hash::{BuildHasherDefault, Hasher};
 use workload::LoadProfile;
@@ -220,8 +203,7 @@ pub struct OptimalOutcome {
     /// Nodes cut by the availability-aware upper bound (recovery-coupled
     /// service envelopes) after the charge bound failed to fire.
     pub availability_bound_prunes: usize,
-    /// Always 0: the flow relaxation is a root bound
-    /// ([`RootBounds::relaxation`]) and prunes no node. The field stays
+    /// Always 0: the search has no relaxation bound. The field stays
     /// because the repository benchmark (`perfbench`) still reads it.
     pub relax_bound_prunes: usize,
     /// The warm-start policy that seeded the incumbent: `"sequential"`,
@@ -363,8 +345,8 @@ impl OptimalScheduler {
 
     /// Runs the root phase every search starts with, without exploring:
     /// builds the search against the freshly reset model with a zero
-    /// incumbent, evaluates the charge, availability and relaxation bounds
-    /// at the root position, then runs the warm start and installs its
+    /// incumbent, evaluates the charge and availability bounds at the root
+    /// position, then runs the warm start and installs its
     /// incumbent. [`RootPhase::explore`] continues with the branch and
     /// bound.
     ///
@@ -382,9 +364,8 @@ impl OptimalScheduler {
         // the pruning margin.
         let charge = search.charge_bound(0, 0);
         let availability = search.availability_bound(0, 0, u64::MAX);
-        let relaxation = search.relax_bound();
         let seeded_by = search.warm_start(config, load)?;
-        let bounds = RootBounds { charge, availability, relaxation, warm_start: search.best_steps };
+        let bounds = RootBounds { charge, availability, warm_start: search.best_steps };
         Ok(RootPhase { search, bounds, seeded_by })
     }
 
@@ -414,11 +395,10 @@ impl OptimalScheduler {
 pub struct RootBounds {
     /// The usable-charge bound.
     pub charge: u64,
-    /// The availability (recovery-coupled service envelope) bound.
+    /// The availability (recovery-coupled service envelope) bound, or
+    /// `u64::MAX` when the backend cannot bound service (only the
+    /// discretized backend provides envelopes).
     pub availability: u64,
-    /// The flow relaxation bound over exact per-battery service columns,
-    /// or `u64::MAX` when the backend cannot provide columns.
-    pub relaxation: u64,
     /// The warm-start incumbent (the best deterministic policy).
     pub warm_start: u64,
 }
@@ -942,110 +922,6 @@ impl<M: BatteryModel> Search<'_, M> {
                 }
             }
             return steps + (draws_served + 1).min(draws_possible) * interval;
-        }
-        steps
-    }
-
-    /// Flow relaxation bound on the lifetime of the fresh fleet, evaluated
-    /// once by the root phase. It drops only the "one battery per draw"
-    /// coupling: battery `i`'s cumulative service through job epoch `e` is
-    /// bounded by its *exact* best-case column `columns[i][e]` (the
-    /// serve/skip DP of [`ColumnBuilder`] over the whole load, which prices
-    /// every recovery the battery would actually need), and the fleet
-    /// jointly covers each epoch's demand. Because the columns are
-    /// cumulative, the optimum of that transportation relaxation has a
-    /// closed-form min cut, and the demand walk uses its epoch form
-    /// directly: the system dies in the first epoch whose cumulative
-    /// demand exceeds the summed column capacities, and the last coverable
-    /// draw inside that epoch follows from the remaining unit budget.
-    /// `tests/relaxation_reference.rs` checks the walk against a max-flow
-    /// solve of the same network.
-    ///
-    /// Returns `u64::MAX` (no claim) when the backend cannot provide
-    /// column inputs.
-    fn relax_bound(&self) -> u64 {
-        let battery_count = self.model.battery_count();
-        if battery_count == 0 || battery_count > MAX_BOUND_BATTERIES {
-            return u64::MAX;
-        }
-        // One column per distinct (type, state), with the number of
-        // batteries sharing it: a fresh fleet of one type builds one column.
-        let mut builder = ColumnBuilder::default();
-        let mut columns: Vec<((usize, u128), u64, ServiceColumn)> = Vec::new();
-        let mut alive: u64 = 0;
-        for battery in 0..battery_count {
-            let Some((state, params, recovery)) = self.model.column_inputs(battery) else {
-                return u64::MAX;
-            };
-            alive += u64::from(!state.is_observed_empty());
-            let key = (self.model.type_of(battery), state.state_word());
-            if let Some((_, count, _)) = columns.iter_mut().find(|(seen, _, _)| *seen == key) {
-                *count += 1;
-                continue;
-            }
-            let mut column = ServiceColumn::default();
-            builder.build(state, params, recovery, self.epochs, &mut column);
-            columns.push((key, 1, column));
-        }
-        // Each column holds one entry per job epoch of the load, so the
-        // walk's `job_epoch` index is always in range.
-        let fleet_sum = |entries: fn(&ServiceColumn) -> &[u64], job_epoch: usize| -> u64 {
-            columns
-                .iter()
-                .map(|(_, count, column)| count.saturating_mul(entries(column)[job_epoch]))
-                .fold(0, u64::saturating_add)
-        };
-
-        let mut cumulative_demand: u64 = 0;
-        let mut whole_epochs: u64 = 0;
-        let mut steps: u64 = 0;
-        let mut job_epoch = 0usize;
-        for epoch in self.epochs {
-            let duration = epoch.duration_steps();
-            if epoch.is_idle() {
-                steps += duration;
-                continue;
-            }
-            let interval = u64::from(epoch.draw_interval_steps());
-            let units = u64::from(epoch.units_per_draw());
-            let draws_possible = duration / interval;
-            let epoch_demand = draws_possible * units;
-            let capacity = fleet_sum(|column| &column.units, job_epoch);
-            let mut death: Option<u64> = None;
-            if cumulative_demand.saturating_add(epoch_demand) > capacity {
-                // The relaxed fleet dies in this epoch: it can cover
-                // `capacity − cumulative_demand` more units, i.e. that many
-                // whole draws, and survives one draw interval past the last
-                // covered draw (or to the first draw, if none).
-                let draws_served = capacity.saturating_sub(cumulative_demand) / units;
-                death = Some(steps + (draws_served + 1).min(draws_possible) * interval);
-            }
-            // Serialization cut: of the `whole_epochs` job epochs so far,
-            // at most `alive` can be split between batteries (every
-            // mid-epoch handoff consumes one of the remaining deaths); the
-            // rest must each be served whole by a single battery, and
-            // `Σ full_epochs` caps how many whole serves the fleet has.
-            // The fractional LP may still split a whole serve across
-            // batteries, so this is the relaxation's integral face — it is
-            // what keeps the bound from degenerating to the charge budget
-            // on fresh fleets, where per-unit capacity is plentiful but
-            // serialized epoch coverage is not.
-            if epoch_demand > 0 {
-                whole_epochs += 1;
-                let full_serves = fleet_sum(|column| &column.full_epochs, job_epoch);
-                if whole_epochs.saturating_sub(alive) > full_serves {
-                    // Some prior whole epoch cannot be fully covered; the
-                    // system dies by this epoch's last draw at the latest.
-                    let at_last_draw = steps + draws_possible * interval;
-                    death = Some(death.map_or(at_last_draw, |d| d.min(at_last_draw)));
-                }
-            }
-            if let Some(death) = death {
-                return death;
-            }
-            cumulative_demand += epoch_demand;
-            steps += duration;
-            job_epoch += 1;
         }
         steps
     }

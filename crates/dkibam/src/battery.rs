@@ -183,8 +183,8 @@ impl DiscreteBattery {
         self.recovery_clock = recovery_clock;
     }
 
-    /// Reassembles a battery from raw state components: the service-column
-    /// builder's output and tests that need a battery mid-recovery.
+    /// Reassembles a battery from raw state components, for tests that need
+    /// a battery mid-recovery.
     #[must_use]
     pub fn from_raw_parts(
         n_gamma: u32,

@@ -125,6 +125,25 @@ mod tests {
     }
 
     #[test]
+    fn service_tables_follow_each_battery_type() {
+        let b1 = BatteryParams::itsy_b1();
+        let b2 = BatteryParams::itsy_b2();
+        let disc = Discretization::coarse();
+        let fleet = DiscreteFleet::new(FleetSpec::new(vec![b2, b1, b2]).unwrap(), disc);
+        assert!(std::ptr::eq(fleet.service_of(0), fleet.service_of(2)));
+        for index in 0..fleet.len() {
+            let params = fleet.params_of(index);
+            assert_eq!(
+                fleet.service_of(index),
+                &ServiceRateTable::for_battery(params, &disc),
+                "battery {index}: the shared table is its own type's"
+            );
+            assert_eq!(fleet.table_of(index), &RecoveryTable::for_battery(params, &disc));
+        }
+        assert_ne!(fleet.service_of(0), fleet.service_of(1), "B1 and B2 differ");
+    }
+
+    #[test]
     fn uniform_matches_the_explicit_construction() {
         let b1 = BatteryParams::itsy_b1();
         let disc = Discretization::paper_default();

@@ -20,10 +20,6 @@
 //!   battery type (the Eq. 8 frontier per charge level plus the fastest
 //!   recovery rate on the serviceable band), feeding the availability-aware
 //!   search bound of the `battery-sched` crate;
-//! * [`ColumnBuilder`] — exact per-battery service columns over a load's
-//!   draw-slot timeline (a serve/skip dynamic program with Pareto-front
-//!   pruning), the column generator of the `battery-sched` search's
-//!   relaxation root bound;
 //! * [`DiscreteBattery`] — the integer battery state (`n_gamma`, `m_delta`)
 //!   with discharge, recovery and the emptiness test of Eq. 8;
 //! * [`DiscretizedLoad`] — a [`workload::LoadProfile`] converted to the
@@ -65,7 +61,6 @@
 
 mod battery;
 pub mod checked;
-mod column;
 mod config;
 mod error;
 mod fleet;
@@ -77,7 +72,6 @@ mod service;
 pub mod sim;
 
 pub use battery::DiscreteBattery;
-pub use column::{ColumnBuilder, ServiceColumn, DEFAULT_FRONT_CAP};
 pub use config::Discretization;
 pub use error::DkibamError;
 pub use fleet::DiscreteFleet;

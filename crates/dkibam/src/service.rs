@@ -625,6 +625,86 @@ mod tests {
         // looser; admissibility is what the brute-force test above pins.
     }
 
+    #[test]
+    fn envelope_never_undercounts_multi_unit_draws() {
+        // A final draw may overshoot the service frontier by a whole draw
+        // (`max_units_per_draw`); with draws of several units that
+        // overshoot is what keeps the envelope admissible, so hold both
+        // queries to the brute force at two and three units per draw.
+        let (params, disc, table) = b1_coarse();
+        let recovery = RecoveryTable::for_battery(&params, &disc);
+        let mut env = ServiceEnvelope::new();
+        for units in [2u32, 3] {
+            for interval in [2u64, 4] {
+                let slots = 10u32;
+                for (n, m) in [(110, 0), (110, 18), (80, 14), (60, 11), (30, 5), (20, 3), (8, 1)] {
+                    let best = max_units_served(
+                        DiscreteBattery::from_units(n, m),
+                        &params,
+                        &recovery,
+                        interval,
+                        units,
+                        slots,
+                    );
+                    table.build_envelope(n, m, units, &mut env);
+                    let window = u64::from(slots) * interval;
+                    let mut cursor = EnvelopeCursor::default();
+                    let paced =
+                        table.units_within(&env, &mut cursor, window, u64::from(slots * units));
+                    let self_paced = table.self_paced_units(&env, window);
+                    for (name, bound) in [("demand-paced", paced), ("self-paced", self_paced)] {
+                        assert!(
+                            bound >= u64::from(best),
+                            "(n={n}, m={m}, {units} units every {interval} steps): {name} \
+                             envelope {bound} undercounts brute force {best}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn eq8_empty_but_unobserved_batteries_recover_into_the_envelope() {
+        // A battery inside the Eq. 8 emptiness region that was never
+        // *observed* empty skips the early draws, recovers and serves
+        // later; a zero envelope here would be an undercount.
+        let (params, disc, table) = b1_coarse();
+        let recovery = RecoveryTable::for_battery(&params, &disc);
+        let battery = DiscreteBattery::from_units(20, 20);
+        assert!(battery.is_empty(&params));
+        assert!(!battery.is_observed_empty());
+        let (interval, slots) = (32u64, 14u32);
+        let best = max_served(battery, &params, &recovery, interval, slots);
+        assert!(best > 0, "recovery lifts the battery back into service");
+        let mut env = ServiceEnvelope::new();
+        table.build_envelope(20, 20, 1, &mut env);
+        let window = u64::from(slots) * interval;
+        let mut cursor = EnvelopeCursor::default();
+        let bound = table.units_within(&env, &mut cursor, window, u64::from(slots));
+        assert!(bound >= u64::from(best), "envelope {bound} undercounts brute force {best}");
+        assert!(table.self_paced_units(&env, window) >= u64::from(best));
+        assert_eq!(units_at_window(&table, &env, 0), 0, "no service before recovering");
+    }
+
+    #[test]
+    fn reused_envelope_buffers_match_a_fresh_build() {
+        // The search rebuilds one envelope per battery per node into the
+        // same buffers; a rebuild must leave nothing of the previous state
+        // behind, whichever way the envelope's size changes.
+        let (_, _, table) = b1_coarse();
+        let states = [(110u32, 0u32), (8, 1), (80, 14), (0, 3), (110, 18), (20, 20)];
+        let mut reused = ServiceEnvelope::new();
+        for (n, m) in states {
+            for units in [1u32, 3] {
+                table.build_envelope(n, m, units, &mut reused);
+                let mut fresh = ServiceEnvelope::new();
+                table.build_envelope(n, m, units, &mut fresh);
+                assert_eq!(reused, fresh, "(n={n}, m={m}, {units} units per draw)");
+            }
+        }
+    }
+
     /// Brute force: the most draws a single battery can serve among the
     /// next `slots` draw instants (spaced `interval` steps), trying every
     /// serve/skip pattern under the real discrete dynamics (including
@@ -636,26 +716,39 @@ mod tests {
         interval: u64,
         slots: u32,
     ) -> u32 {
+        max_units_served(battery, params, recovery, interval, 1, slots)
+    }
+
+    /// [`max_served`] for draws of `units` charge units each: the most
+    /// units (not draws) any serve/skip pattern delivers.
+    fn max_units_served(
+        battery: DiscreteBattery,
+        params: &BatteryParams,
+        recovery: &RecoveryTable,
+        interval: u64,
+        units: u32,
+        slots: u32,
+    ) -> u32 {
         if slots == 0 {
             return 0;
         }
         // Skip this slot: recover through it.
         let mut skipped = battery;
         skipped.advance_recovery(interval, recovery);
-        let mut best = max_served(skipped, params, recovery, interval, slots - 1);
+        let mut best = max_units_served(skipped, params, recovery, interval, units, slots - 1);
         // Serve this slot if the battery is up to it: recovery runs up to
         // the draw instant, the draw lands if the battery is non-empty
         // there, and a post-draw emptiness observation retires it.
         let mut served = battery;
         served.advance_recovery(interval, recovery);
         if !served.is_empty(params) {
-            served.draw(1);
+            served.draw(units);
             let rest = if served.is_empty(params) {
                 0
             } else {
-                max_served(served, params, recovery, interval, slots - 1)
+                max_units_served(served, params, recovery, interval, units, slots - 1)
             };
-            best = best.max(1 + rest);
+            best = best.max(units + rest);
         }
         best
     }

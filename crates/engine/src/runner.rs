@@ -151,9 +151,9 @@ impl ScenarioResult {
 }
 
 /// Renders [`RootBounds`] as a JSON object. A bound of `u64::MAX` means
-/// "the backend cannot evaluate this bound" (e.g. the relaxation needs
-/// service columns only the discretized backend provides) and is rendered
-/// as `null`, not as a number.
+/// "the backend cannot evaluate this bound" (the availability bound needs
+/// service envelopes, which only the discretized backend provides) and is
+/// rendered as `null`, not as a number.
 fn root_bounds_to_json(bounds: RootBounds) -> JsonValue {
     #[allow(clippy::cast_precision_loss)]
     let steps = |value: u64| {
@@ -166,7 +166,6 @@ fn root_bounds_to_json(bounds: RootBounds) -> JsonValue {
     JsonValue::object(vec![
         ("charge", steps(bounds.charge)),
         ("availability", steps(bounds.availability)),
-        ("relaxation", steps(bounds.relaxation)),
         ("warm_start", steps(bounds.warm_start)),
     ])
 }
@@ -887,6 +886,23 @@ mod tests {
             policies: vec![PolicyKind::RoundRobin, PolicyKind::BestOfTwo],
             backends: vec![BackendKind::Discretized],
         }
+    }
+
+    #[test]
+    fn unevaluable_root_bounds_render_as_null() {
+        let render = |bounds: RootBounds| root_bounds_to_json(bounds).render().unwrap();
+        assert_eq!(
+            render(RootBounds { charge: 1140, availability: 650, warm_start: 328 }),
+            r#"{"charge":1140.0,"availability":650.0,"warm_start":328.0}"#
+        );
+        assert_eq!(
+            render(RootBounds { charge: 1140, availability: u64::MAX, warm_start: 328 }),
+            r#"{"charge":1140.0,"availability":null,"warm_start":328.0}"#
+        );
+        assert_eq!(
+            render(RootBounds { charge: u64::MAX, availability: u64::MAX, warm_start: 0 }),
+            r#"{"charge":null,"availability":null,"warm_start":0.0}"#
+        );
     }
 
     #[test]

@@ -310,3 +310,64 @@ fn optimal_rows_match_direct_core_searches() {
         );
     }
 }
+
+/// The wire shape of `root_bounds` on one backend: exactly the charge and
+/// availability bounds plus the warm start. Only the discretized backend
+/// provides service envelopes, so the availability bound is `null` (no
+/// claim, `u64::MAX` in core) everywhere else; the warm start never exceeds
+/// a bound that makes a claim.
+fn assert_root_bounds_shape(backend: BackendKind) {
+    let spec = ScenarioSpec {
+        batteries: vec![],
+        battery_counts: vec![],
+        fleets: vec![FleetDef::uniform(BatterySpec::b1(), 2)],
+        discretizations: vec![DiscSpec::coarse()],
+        loads: vec![LoadSpec::Paper(TestLoad::Cl500)],
+        policies: vec![PolicyKind::optimal()],
+        backends: vec![backend],
+    };
+    let rows = GridRun::new(&spec).threads(1).collect().expect("the optimal grid runs");
+    let [row] = rows.as_slice() else {
+        panic!("one cell, one row");
+    };
+    let context = row.scenario.label();
+    let rendered = row.to_json_value().render().expect("the row renders");
+    let parsed = JsonValue::parse(&rendered).expect("the rendered row parses");
+    let Some(JsonValue::Object(bounds)) = parsed.get("root_bounds") else {
+        panic!("{context}: an optimal row carries a root_bounds object");
+    };
+    let keys: Vec<&str> = bounds.iter().map(|(key, _)| key.as_str()).collect();
+    assert_eq!(keys, ["charge", "availability", "warm_start"], "{context}");
+    let availability = &bounds[1].1;
+    if backend == BackendKind::Discretized {
+        assert!(availability.as_u64().is_some(), "{context}: availability is a number");
+    } else {
+        assert_eq!(availability, &JsonValue::Null, "{context}: no availability claim");
+    }
+    let warm_start = bounds[2].1.as_u64().expect("the warm start is a number");
+    for (key, bound) in &bounds[..2] {
+        if let Some(bound) = bound.as_u64() {
+            assert!(warm_start <= bound, "{context}: warm start {warm_start} above {key} {bound}");
+        }
+    }
+}
+
+#[test]
+fn discretized_optimal_rows_render_the_availability_bound() {
+    assert_root_bounds_shape(BackendKind::Discretized);
+}
+
+#[test]
+fn ideal_optimal_rows_render_no_availability_claim() {
+    assert_root_bounds_shape(BackendKind::Ideal);
+}
+
+#[test]
+fn continuous_optimal_rows_render_no_availability_claim() {
+    assert_root_bounds_shape(BackendKind::Continuous);
+}
+
+#[test]
+fn rv_optimal_rows_render_no_availability_claim() {
+    assert_root_bounds_shape(BackendKind::Rv);
+}

@@ -6,12 +6,11 @@
 //! searches historically relied on state-space reduction alone. This probe
 //! prints, for each fleet,
 //!
-//! * the root values of all three upper bounds (charge, availability,
-//!   flow relaxation) next to the warm-start incumbent (how tight
-//!   is each bound before a single node is explored?), and
+//! * the root values of both upper bounds (charge and availability) next
+//!   to the warm-start incumbent (how tight is each bound before a single
+//!   node is explored?), and
 //! * the full search against the charge-only search (what does the
-//!   availability bound buy in nodes?). The relaxation is a root bound
-//!   only, so it has no node ablation.
+//!   availability bound buy in nodes?).
 //!
 //! ```text
 //! cargo run --release --example frontier_probe [NODE_BUDGET] [--smoke]
@@ -21,8 +20,8 @@
 //! measure how far a search gets before giving up. `--smoke` restricts
 //! the searches to the cheap fleets (2×B1 and 3×B1) so CI can exercise
 //! the probe end-to-end in seconds; the root-bound table still covers
-//! every fleet (bounds are four policy simulations plus one column build
-//! per battery, not searches).
+//! every fleet (the root phase is four policy simulations plus two bound
+//! walks, not a search).
 
 use battery_sched::optimal::OptimalScheduler;
 use battery_sched::system::SystemConfig;
@@ -72,8 +71,8 @@ fn main() {
         let mut model = config.discretized_model();
         let bounds = OptimalScheduler::probe_root_bounds(config, &discretized, &mut model).unwrap();
         println!(
-            "  {name:>8}: charge {}, availability {}, relaxation {}, warm start {}",
-            bounds.charge, bounds.availability, bounds.relaxation, bounds.warm_start
+            "  {name:>8}: charge {}, availability {}, warm start {}",
+            bounds.charge, bounds.availability, bounds.warm_start
         );
     }
 
