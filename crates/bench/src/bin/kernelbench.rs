@@ -19,7 +19,11 @@
 //! warm start's four policy simulations plus the charge and availability
 //! bounds, the part of every search that runs before the first node) on the
 //! coarse-grid alternating-load fleets, timed here because the warm start
-//! runs on the stepping kernels. A `grid` section measures the engine layer:
+//! runs on the stepping kernels. A `bound_stacking` section times whole
+//! optimal searches as the bounds stack up: nodes and median µs of the
+//! charge-only search and of the default search (plus the availability
+//! bound) on the coarse-grid instances of README's bounds-stacking table.
+//! A `grid` section measures the engine layer:
 //! cells/s of sweep-shaped [`engine::GridRun`]s (four fleets × the four
 //! deterministic policies × discretized and RV, 400-job random loads, one
 //! shared system cache) on one thread and on every core, and the parallel
@@ -27,7 +31,8 @@
 //! A `codec` section measures the request codec `served` runs on every
 //! line: the median µs per [`engine::Request::from_line`] and per
 //! [`engine::Response`] rendering, over seeded interactive re-plan requests
-//! and their answers. `--smoke` shrinks the workload for CI.
+//! and their answers. `--smoke` shrinks the workload for CI (and times
+//! only the 2xB1 bound-stacking rows).
 //!
 //! ```text
 //! kernelbench [OUT] [--smoke]
@@ -43,7 +48,7 @@ use engine::{
     BackendKind, BatterySpec, DiscSpec, FleetDef, GridRun, LoadSpec, PolicyKind, Request,
     RequestClass, Scenario, ScenarioSpec, SharedSystemCache, WorkerCache,
 };
-use kibam::BatteryParams;
+use kibam::{BatteryParams, FleetSpec};
 use rv::{RvCell, RvFleet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -297,6 +302,78 @@ fn measure_bound_probes(smoke: bool) -> JsonValue {
     JsonValue::Array(rows)
 }
 
+/// The instances of README's bounds-stacking table: a fleet label, its
+/// batteries and the paper load searched, on the coarse grid.
+fn stacking_instances(smoke: bool) -> Vec<(&'static str, Vec<BatteryParams>, TestLoad)> {
+    let b1 = BatteryParams::itsy_b1();
+    let mut instances =
+        vec![("2xB1", vec![b1; 2], TestLoad::Ils250), ("2xB1", vec![b1; 2], TestLoad::IlsAlt)];
+    if !smoke {
+        instances.push(("3xB1", vec![b1; 3], TestLoad::IlsAlt));
+        instances.push(("B1+B2", vec![b1, BatteryParams::itsy_b2()], TestLoad::IlsAlt));
+    }
+    instances
+}
+
+/// The search's numbers as its bounds stack up: the charge-only search
+/// (the full search without the availability bound) against the default
+/// one, in nodes and median µs of whole searches (root phase included),
+/// the two alternating run by run on one model that every search resets.
+fn measure_bound_stacking(smoke: bool) -> JsonValue {
+    let runs = if smoke { 3 } else { 7 };
+    println!("bounds stacking (coarse grid, median us of {runs} whole searches):");
+    println!(
+        "{:<17} {:>11} {:>9} {:>15} {:>9} {:>7}",
+        "instance", "charge-only", "us", "+availability", "us", "nodes"
+    );
+    let schedulers =
+        [OptimalScheduler::new().without_availability_bound(), OptimalScheduler::new()];
+    let mut rows = Vec::new();
+    for (fleet, batteries, test_load) in stacking_instances(smoke) {
+        let config = SystemConfig::from_fleet(
+            FleetSpec::new(batteries).expect("the stacking fleets are valid"),
+            Discretization::coarse(),
+        );
+        let load = config.discretize(&test_load.profile()).expect("the paper load discretizes");
+        let mut model = config.discretized_model();
+        let mut nodes = [0usize; 2];
+        let mut micros = [Vec::new(), Vec::new()];
+        for _ in 0..runs {
+            for (index, scheduler) in schedulers.iter().enumerate() {
+                let start = Instant::now();
+                let outcome = scheduler
+                    .find_optimal_with(&config, &load, &mut model)
+                    .expect("the stacking instances complete");
+                micros[index].push(start.elapsed().as_secs_f64() * 1e6);
+                nodes[index] = outcome.nodes_explored;
+            }
+        }
+        let [charge_micros, default_micros] = micros.map(|mut micros| {
+            micros.sort_by(f64::total_cmp);
+            micros[micros.len() / 2]
+        });
+        let [charge_nodes, default_nodes] = nodes;
+        #[allow(clippy::cast_precision_loss)]
+        let node_ratio = charge_nodes as f64 / default_nodes as f64;
+        println!(
+            "{:<17} {charge_nodes:>11} {charge_micros:>9.0} {default_nodes:>15} \
+             {default_micros:>9.0} {node_ratio:>6.1}x",
+            format!("{fleet:<5} {}", test_load.name()),
+        );
+        #[allow(clippy::cast_precision_loss)]
+        rows.push(JsonValue::object(vec![
+            ("fleet", JsonValue::String(fleet.to_owned())),
+            ("load", JsonValue::String(test_load.name().to_owned())),
+            ("charge_only_nodes", JsonValue::Number(charge_nodes as f64)),
+            ("charge_only_micros", JsonValue::Number(charge_micros)),
+            ("default_nodes", JsonValue::Number(default_nodes as f64)),
+            ("default_micros", JsonValue::Number(default_micros)),
+        ]));
+    }
+    println!();
+    JsonValue::Array(rows)
+}
+
 /// Jobs per random load of the grid section (the sweep benchmark's size).
 const GRID_JOBS: usize = 400;
 
@@ -534,6 +611,7 @@ fn main() {
     }
 
     let bound_probes = measure_bound_probes(options.smoke);
+    let bound_stacking = measure_bound_stacking(options.smoke);
     let grid = measure_grid(options.smoke);
     let codec = measure_codec(options.smoke);
 
@@ -544,6 +622,7 @@ fn main() {
         ("idle_steps", JsonValue::Number(IDLE_STEPS as f64)),
         ("backends", JsonValue::Array(backends)),
         ("bound_probes", bound_probes),
+        ("bound_stacking", bound_stacking),
         ("grid", grid),
         ("codec", codec),
     ]);

@@ -8,7 +8,7 @@
 //! [`dkibam::multi::MultiBatteryState`] stays the reference the kernel is
 //! held bit-identical to (the lockstep tests of this module's parent).
 
-use crate::model::{BatteryModel, ModelAdvance, StateKey};
+use crate::model::{BatteryModel, EnvelopeInput, ModelAdvance, StateKey};
 use crate::schedule::BatteryCharge;
 use crate::SchedError;
 use dkibam::{kernel, DiscreteBattery, DiscreteFleet, Discretization};
@@ -141,18 +141,17 @@ impl BatteryModel for DiscretizedKibam {
             .sum()
     }
 
-    fn service_envelope_into(
-        &self,
-        index: usize,
-        max_units_per_draw: u32,
-        out: &mut dkibam::ServiceEnvelope,
-    ) -> Option<&dkibam::ServiceRateTable> {
+    fn envelope_input(&self, index: usize) -> Option<(EnvelopeInput, &dkibam::ServiceRateTable)> {
         let battery = &self.batteries[index];
-        let table = self.fleet.service_of(index);
-        // A retired battery serves nothing, ever: build from zero charge.
-        let charge = if battery.is_observed_empty() { 0 } else { battery.charge_units() };
-        table.build_envelope(charge, battery.height_units(), max_units_per_draw, out);
-        Some(table)
+        // A retired battery serves nothing, ever: its envelope is that of
+        // zero charge, whatever charge it strands.
+        let charge_units = if battery.is_observed_empty() { 0 } else { battery.charge_units() };
+        let input = EnvelopeInput {
+            battery_type: self.fleet.type_of(index),
+            charge_units,
+            height_units: battery.height_units(),
+        };
+        Some((input, self.fleet.service_of(index)))
     }
 
     fn states_identical(&self, a: usize, b: usize) -> bool {
@@ -247,6 +246,30 @@ mod tests {
         assert!((prototype.total_charge() - 16.5).abs() < 1e-12, "the prototype is untouched");
         assert!((copy.total_charge() - 16.0).abs() < 1e-12);
         assert_ne!(copy.save_state(), prototype.save_state());
+    }
+
+    #[test]
+    fn retired_battery_keys_as_zero_charge() {
+        // B1+B2: the retired battery is the B2 (type 1), so the input must
+        // also carry its own type.
+        let mut model = b1_plus_b2();
+        assert!(!model.advance_job(1, 1_000_000, 2, 1).unwrap().completed);
+        let retired = model.save_state()[1];
+        assert!(retired.is_observed_empty());
+        assert!(retired.charge_units() > 0, "a retired battery strands charge");
+        let (input, table) = model.envelope_input(1).unwrap();
+        assert_eq!(
+            input,
+            EnvelopeInput {
+                battery_type: 1,
+                charge_units: 0,
+                height_units: retired.height_units()
+            }
+        );
+        assert!(std::ptr::eq(table, model.fleet().service_of(1)));
+        // The live B1 keys by its full charge.
+        let (live, _) = model.envelope_input(0).unwrap();
+        assert_eq!(live, EnvelopeInput { battery_type: 0, charge_units: 550, height_units: 0 });
     }
 
     #[test]

@@ -78,4 +78,4 @@ pub mod schedule;
 pub mod system;
 
 pub use error::SchedError;
-pub use model::{BatteryModel, ModelAdvance, StateKey, MAX_KEY_BATTERIES};
+pub use model::{BatteryModel, EnvelopeInput, ModelAdvance, StateKey, MAX_KEY_BATTERIES};

@@ -48,6 +48,22 @@ pub struct ModelAdvance {
     pub completed: bool,
 }
 
+/// What a battery's service envelope is built from
+/// ([`BatteryModel::envelope_input`]): its type group and its discrete
+/// state. Two batteries with equal inputs have equal envelopes, which is
+/// what lets a search memoize them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct EnvelopeInput {
+    /// The battery's type group ([`BatteryModel::type_of`]): the group
+    /// selects the [`dkibam::ServiceRateTable`] the envelope is built with.
+    pub battery_type: usize,
+    /// Charge units the battery can still serve: 0 once it has been
+    /// observed empty, whatever charge it strands.
+    pub charge_units: u32,
+    /// The battery's height difference, in height units.
+    pub height_units: u32,
+}
+
 /// The largest battery count a [`StateKey`] can canonicalize inline.
 ///
 /// Keys are fixed-size so transposition tables never allocate per node;
@@ -318,29 +334,23 @@ pub trait BatteryModel {
     /// this: retired charge can never be delivered.
     fn usable_charge(&self) -> f64;
 
-    /// Builds the recovery-coupled service envelope of battery `index` —
-    /// an admissible upper bound on the charge units it could serve within
-    /// any future window, given its *current* state — into `out`, and
-    /// returns the battery type's [`dkibam::ServiceRateTable`] for
-    /// querying it ([`dkibam::ServiceRateTable::units_within`]).
-    /// `max_units_per_draw` is the largest single-draw size of the load
-    /// ahead (one final draw may overshoot the battery's service
-    /// frontier).
+    /// The input that determines the recovery-coupled service envelope of
+    /// battery `index` — an admissible upper bound on the charge units it
+    /// could serve within any future window, given its *current* state —
+    /// together with the battery type's [`dkibam::ServiceRateTable`] that
+    /// builds it ([`dkibam::ServiceRateTable::build_envelope`]) and queries
+    /// it ([`dkibam::ServiceRateTable::units_within`]).
     ///
-    /// The envelope may never undercount what a real schedule can extract
-    /// — the availability-aware bound of the optimal search prunes on it,
-    /// and an undercount would prune optimal schedules. Backends that
-    /// cannot bound service return `None` (the default), which disables
-    /// the availability bound and degrades the search to pure charge
-    /// accounting. Retired batteries must report an envelope capped at
-    /// zero units.
-    fn service_envelope_into(
-        &self,
-        index: usize,
-        max_units_per_draw: u32,
-        out: &mut dkibam::ServiceEnvelope,
-    ) -> Option<&dkibam::ServiceRateTable> {
-        let _ = (index, max_units_per_draw, out);
+    /// The envelope is a pure function of the returned [`EnvelopeInput`]
+    /// (and the load's largest draw), so the optimal search memoizes it per
+    /// search by that input. It may never undercount what a real schedule
+    /// can extract — the availability-aware bound of the optimal search
+    /// prunes on it, and an undercount would prune optimal schedules.
+    /// Backends that cannot bound service return `None` (the default), which
+    /// disables the availability bound and degrades the search to pure
+    /// charge accounting. Retired batteries must report zero charge units.
+    fn envelope_input(&self, index: usize) -> Option<(EnvelopeInput, &dkibam::ServiceRateTable)> {
+        let _ = index;
         None
     }
 

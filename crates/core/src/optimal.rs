@@ -12,10 +12,11 @@
 //!   batteries jointly hold),
 //! * an **availability upper bound** that couples per-battery draw/recovery
 //!   dynamics with the load's duty cycle: each battery reports an
-//!   admissible service envelope ([`BatteryModel::service_envelope_into`],
-//!   backed by the per-type [`dkibam::ServiceRateTable`]) bounding the
-//!   units it can serve within any window given the demand delivered by
-//!   then, and the bound walks the remaining epochs charging every draw
+//!   admissible service envelope (built by the per-type
+//!   [`dkibam::ServiceRateTable`] from the battery's
+//!   [`BatteryModel::envelope_input`]) bounding the units it can serve
+//!   within any window given the demand delivered by then, and the bound
+//!   walks the remaining epochs charging every draw
 //!   against both the joint charge budget and the fleet's joint
 //!   availability. On loads that strand charge (`ILs alt` leaves ~70 %
 //!   behind) the charge bound never fires — batteries die from the Eq. 8
@@ -50,8 +51,14 @@
 //!
 //! The search runs on an explicit stack (no recursion) and is
 //! allocation-free per node in steady state: snapshots live in a pool
-//! indexed by depth, candidate buffers are arenas that grow only to the
-//! search's high-water mark, and availability queries reuse one buffer.
+//! indexed by depth, and candidate buffers are arenas that grow only to the
+//! search's high-water mark. Service envelopes are **memoized per search**
+//! by their input: a search meets far fewer distinct battery states
+//! `(type, charge, height)` than it builds envelopes for (652 states behind
+//! 725k builds on coarse B1+B2 `ILs 250`), so each envelope is built once
+//! and the availability walk reads it in place. The memo is capped at
+//! 16 MiB; past the cap, envelopes are built into a per-battery scratch
+//! buffer and not recorded.
 //!
 //! How much each pruning buys depends on the load: deep searches with
 //! converging histories (e.g. `ILs 250`, random loads, three-battery
@@ -74,7 +81,7 @@
 //! the given discretization together with the decision sequence that
 //! realises it (replayable through [`crate::policy::FixedSchedule`]).
 
-use crate::model::{BatteryModel, StateKey};
+use crate::model::{BatteryModel, EnvelopeInput, StateKey};
 use crate::policy::{
     BestAvailable, CapacityWeightedRoundRobin, RoundRobin, SchedulingPolicy, Sequential,
 };
@@ -126,6 +133,11 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
+    fn write_u32(&mut self, value: u32) {
+        self.mix(u64::from(value));
+    }
+
+    #[inline]
     fn write_u64(&mut self, value: u64) {
         self.mix(value);
     }
@@ -173,6 +185,14 @@ const MAX_STATES_PER_POSITION: usize = 16;
 /// explored but no longer recorded, so pruning degrades gracefully instead
 /// of exhausting memory.
 const MAX_MEMO_ENTRIES: usize = 1_000_000;
+
+/// The most heap bytes of service envelopes one search memoizes, analogous
+/// to [`MAX_MEMO_ENTRIES`]. An envelope takes up to 3.4 KB on the coarse
+/// grid and 17 KB for a paper-grid B2; the largest searches of the
+/// repository's grids memoize 1.8 MB (coarse B1+B2 ``IL` 250``, 1,006
+/// envelopes) and 15.4 MB (paper-grid B1+B2 `ILs alt`, 1,428). Past the
+/// cap, new envelopes are built per evaluation and not recorded.
+const MAX_ENVELOPE_BYTES: usize = 16 << 20;
 
 /// The most `(StateKey, elapsed)` entries retained across *all* dominance
 /// fronts, analogous to [`MAX_MEMO_ENTRIES`]: fine-grained loads can visit
@@ -469,8 +489,6 @@ struct Search<'a, M: BatteryModel> {
     model: &'a mut M,
     epochs: &'a [DiscreteEpoch],
     charge_unit: f64,
-    /// Largest single-draw size in the load, for the service envelopes.
-    max_units_per_draw: u32,
     budget: usize,
     memoize: bool,
     dominance: bool,
@@ -491,8 +509,8 @@ struct Search<'a, M: BatteryModel> {
     candidates: Vec<usize>,
     /// Reusable availability buffer.
     avail: Vec<usize>,
-    /// Reusable per-battery service envelopes for the availability bound.
-    envelopes: Vec<ServiceEnvelope>,
+    /// The service envelopes of the availability bound, memoized by input.
+    envelopes: EnvelopeMemo,
     /// Per-battery envelope cursors of the availability walk (windows and
     /// demands are queried in non-decreasing order, so each cursor only
     /// moves forward).
@@ -531,7 +549,6 @@ impl<'a, M: BatteryModel> Search<'a, M> {
             model,
             epochs: load.epochs(),
             charge_unit: config.disc().charge_unit(),
-            max_units_per_draw,
             budget: scheduler.budget,
             memoize: scheduler.memoize,
             dominance: scheduler.dominance,
@@ -548,7 +565,7 @@ impl<'a, M: BatteryModel> Search<'a, M> {
             pool: Vec::new(),
             candidates: Vec::new(),
             avail: Vec::new(),
-            envelopes: Vec::new(),
+            envelopes: EnvelopeMemo::new(max_units_per_draw, MAX_ENVELOPE_BYTES),
             cursors: Vec::new(),
             cursors_mark: Vec::new(),
             seen: FxMap::default(),
@@ -819,7 +836,7 @@ impl<M: BatteryModel> Search<'_, M> {
     /// *some* battery, so the cumulative demand up to any draw instant can
     /// never exceed the fleet's joint service capability over that window
     /// — the sum of the per-battery recovery-coupled service envelopes
-    /// ([`BatteryModel::service_envelope_into`]), each also paced by the
+    /// (memoized by [`BatteryModel::envelope_input`]), each also paced by the
     /// demand delivered so far (a battery's recovery state only climbs by
     /// serving). The walk checks that necessary condition at the last draw
     /// of every remaining job epoch and, once it fails, locates the last
@@ -834,20 +851,13 @@ impl<M: BatteryModel> Search<'_, M> {
         if battery_count > MAX_BOUND_BATTERIES {
             return u64::MAX;
         }
-        if self.envelopes.len() < battery_count {
-            self.envelopes.resize_with(battery_count, ServiceEnvelope::new);
-        }
-        let mut tables: [Option<&ServiceRateTable>; MAX_BOUND_BATTERIES] =
+        let mut envelope_of: [Option<(&ServiceRateTable, EnvelopeSlot)>; MAX_BOUND_BATTERIES] =
             [None; MAX_BOUND_BATTERIES];
-        for (battery, slot) in tables.iter_mut().enumerate().take(battery_count) {
-            match self.model.service_envelope_into(
-                battery,
-                self.max_units_per_draw,
-                &mut self.envelopes[battery],
-            ) {
-                Some(table) => *slot = Some(table),
-                None => return u64::MAX,
-            }
+        for (battery, entry) in envelope_of.iter_mut().enumerate().take(battery_count) {
+            let Some((input, table)) = self.model.envelope_input(battery) else {
+                return u64::MAX;
+            };
+            *entry = Some((table, self.envelopes.slot(battery, input, table)));
         }
         self.cursors.clear();
         self.cursors.resize(battery_count, EnvelopeCursor::default());
@@ -858,11 +868,11 @@ impl<M: BatteryModel> Search<'_, M> {
             let mut total: u64 = 0;
             for battery in 0..battery_count {
                 // xlint: allow(panic) -- every index was populated in the loop above
-                let table = tables[battery].expect("all envelope tables were filled above");
+                let (table, slot) = envelope_of[battery].expect("every slot was filled above");
                 #[cfg(debug_assertions)]
                 let cursor_before = cursors[battery];
                 total = total.saturating_add(table.units_within(
-                    &envelopes[battery],
+                    envelopes.get(slot),
                     &mut cursors[battery],
                     window,
                     demand,
@@ -951,6 +961,92 @@ impl<M: BatteryModel> Search<'_, M> {
         }
         self.model.reset();
         Ok(seeded_by)
+    }
+}
+
+/// The service envelopes of one search, memoized by their input
+/// ([`BatteryModel::envelope_input`]). An envelope is a pure function of
+/// its input and the load's largest draw, and the latter is fixed per
+/// search, so it stays out of the key. The memo belongs to the search, not
+/// to the backend: backends are shared across threads, a search is not.
+struct EnvelopeMemo {
+    /// The largest single draw of the load (one final draw may overshoot a
+    /// battery's service frontier by that much).
+    max_units_per_draw: u32,
+    /// Envelopes are recorded while their heap bytes stay under this.
+    capacity_bytes: usize,
+    /// Heap bytes of the recorded envelopes.
+    bytes: usize,
+    /// The slot of every recorded input in `entries`.
+    slots: FxMap<EnvelopeInput, usize>,
+    /// The recorded envelopes, each sized to its contents.
+    entries: Vec<ServiceEnvelope>,
+    /// Per-battery build buffers: every miss is built here, then copied
+    /// into `entries` if it fits under the cap, else read from here until
+    /// that battery's next miss.
+    scratch: Vec<ServiceEnvelope>,
+}
+
+/// Where [`EnvelopeMemo::slot`] left an envelope.
+#[derive(Debug, Clone, Copy)]
+enum EnvelopeSlot {
+    /// Index into the recorded envelopes.
+    Recorded(usize),
+    /// The build buffer of this battery.
+    Scratch(usize),
+}
+
+impl EnvelopeMemo {
+    fn new(max_units_per_draw: u32, capacity_bytes: usize) -> Self {
+        EnvelopeMemo {
+            max_units_per_draw,
+            capacity_bytes,
+            bytes: 0,
+            slots: FxMap::default(),
+            entries: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// The slot of the envelope of `input`, the state of battery
+    /// `battery`, building the envelope with `table` unless it is recorded.
+    fn slot(
+        &mut self,
+        battery: usize,
+        input: EnvelopeInput,
+        table: &ServiceRateTable,
+    ) -> EnvelopeSlot {
+        if let Some(&index) = self.slots.get(&input) {
+            return EnvelopeSlot::Recorded(index);
+        }
+        if self.scratch.len() <= battery {
+            self.scratch.resize_with(battery + 1, ServiceEnvelope::new);
+        }
+        let built = &mut self.scratch[battery];
+        table.build_envelope(
+            input.charge_units,
+            input.height_units,
+            self.max_units_per_draw,
+            built,
+        );
+        if self.bytes >= self.capacity_bytes {
+            return EnvelopeSlot::Scratch(battery);
+        }
+        // A clone allocates exactly its length: recorded envelopes keep no
+        // slack from the buffer's earlier, larger builds.
+        let recorded = built.clone();
+        self.bytes += recorded.heap_bytes();
+        self.entries.push(recorded);
+        self.slots.insert(input, self.entries.len() - 1);
+        EnvelopeSlot::Recorded(self.entries.len() - 1)
+    }
+
+    /// The envelope in `slot`.
+    fn get(&self, slot: EnvelopeSlot) -> &ServiceEnvelope {
+        match slot {
+            EnvelopeSlot::Recorded(index) => &self.entries[index],
+            EnvelopeSlot::Scratch(battery) => &self.scratch[battery],
+        }
     }
 }
 
@@ -1115,6 +1211,116 @@ mod tests {
         let outcome =
             crate::system::simulate_policy_with(&config, &load, &mut replay, &mut model).unwrap();
         assert_eq!(outcome.lifetime_steps(), Some(optimal.lifetime_steps));
+    }
+
+    /// Runs the default search on `config`'s discretized backend, checks
+    /// that every memoized envelope equals a fresh build of its input, and
+    /// returns the memoized inputs.
+    fn memoized_inputs_after_search(config: &SystemConfig, load: TestLoad) -> Vec<EnvelopeInput> {
+        let load = config.discretize(&load.profile()).unwrap();
+        let max_units_per_draw =
+            load.epochs().iter().map(DiscreteEpoch::units_per_draw).max().unwrap();
+        let mut model = config.discretized_model();
+        let tables: Vec<(usize, ServiceRateTable)> = (0..model.battery_count())
+            .map(|battery| {
+                let (input, table) = model.envelope_input(battery).unwrap();
+                (input.battery_type, table.clone())
+            })
+            .collect();
+        let mut search =
+            OptimalScheduler::new().root_phase(config, &load, &mut model).unwrap().search;
+        search.explore().unwrap();
+        let memo = &search.envelopes;
+        assert_eq!(memo.max_units_per_draw, max_units_per_draw);
+        assert!(memo.bytes < MAX_ENVELOPE_BYTES, "every input was recorded");
+        assert_eq!(memo.slots.len(), memo.entries.len());
+        assert_eq!(memo.bytes, memo.entries.iter().map(ServiceEnvelope::heap_bytes).sum::<usize>());
+        for (input, &index) in &memo.slots {
+            let (_, table) = tables.iter().find(|(kind, _)| *kind == input.battery_type).unwrap();
+            let mut fresh = ServiceEnvelope::new();
+            table.build_envelope(
+                input.charge_units,
+                input.height_units,
+                max_units_per_draw,
+                &mut fresh,
+            );
+            assert_eq!(memo.get(EnvelopeSlot::Recorded(index)), &fresh, "{input:?}");
+        }
+        memo.slots.keys().copied().collect()
+    }
+
+    #[test]
+    fn memoized_envelopes_equal_fresh_builds() {
+        let inputs = memoized_inputs_after_search(&coarse_config(), TestLoad::Ils250);
+        assert!(inputs.len() > 100, "the deep search meets many states ({})", inputs.len());
+
+        // B1 and B2 meet the same (charge, height) states with different
+        // envelopes, so a key without the type would hand one battery the
+        // other's envelope.
+        let mixed = SystemConfig::from_fleet(
+            kibam::FleetSpec::new(vec![BatteryParams::itsy_b1(), BatteryParams::itsy_b2()])
+                .unwrap(),
+            Discretization::coarse(),
+        );
+        let inputs = memoized_inputs_after_search(&mixed, TestLoad::IlsAlt);
+        let shared = inputs
+            .iter()
+            .filter(|input| input.battery_type == 0)
+            .filter(|input| inputs.contains(&EnvelopeInput { battery_type: 1, ..**input }))
+            .count();
+        assert!(shared > 0, "B1 and B2 share no memoized state");
+    }
+
+    #[test]
+    fn full_envelope_memo_builds_without_recording() {
+        let table =
+            ServiceRateTable::for_battery(&BatteryParams::itsy_b1(), &Discretization::coarse());
+        let fresh = |input: EnvelopeInput| {
+            let mut envelope = ServiceEnvelope::new();
+            table.build_envelope(input.charge_units, input.height_units, 2, &mut envelope);
+            envelope
+        };
+        let input = |charge_units, height_units| EnvelopeInput {
+            battery_type: 0,
+            charge_units,
+            height_units,
+        };
+        let (kept, first, second) = (input(110, 0), input(80, 14), input(20, 20));
+        // A one-byte cap: the first envelope is recorded and fills it.
+        let mut memo = EnvelopeMemo::new(2, 1);
+        let kept_slot = memo.slot(0, kept, &table);
+        assert!(matches!(kept_slot, EnvelopeSlot::Recorded(0)));
+        assert_eq!(memo.get(kept_slot), &fresh(kept));
+
+        // The memo is full: both misses are built into their battery's
+        // scratch buffer, read back correctly and not recorded.
+        let first_slot = memo.slot(0, first, &table);
+        let second_slot = memo.slot(1, second, &table);
+        assert_eq!(memo.get(first_slot), &fresh(first));
+        assert_eq!(memo.get(second_slot), &fresh(second));
+        assert_eq!(memo.entries.len(), 1);
+        assert!(!memo.slots.contains_key(&first) && !memo.slots.contains_key(&second));
+
+        // The recorded envelope survives the overflow builds.
+        assert!(matches!(memo.slot(1, kept, &table), EnvelopeSlot::Recorded(0)));
+        assert_eq!(memo.get(kept_slot), &fresh(kept));
+
+        // A search whose memo holds no envelope builds every one per
+        // evaluation, and still visits exactly the same nodes.
+        let config = coarse_config();
+        let load = config.discretize(&TestLoad::IlsAlt.profile()).unwrap();
+        let memoized = OptimalScheduler::new().find_optimal_on(&config, &load).unwrap();
+        let mut model = config.discretized_model();
+        let mut search = Search::new(&config, &load, &mut model, OptimalScheduler::new());
+        search.envelopes = EnvelopeMemo::new(search.envelopes.max_units_per_draw, 0);
+        search.warm_start(&config, &load).unwrap();
+        search.explore().unwrap();
+        assert!(search.envelopes.entries.is_empty());
+        assert_eq!(
+            (search.nodes, search.availability_bound_prunes, search.best_steps),
+            (memoized.nodes_explored, memoized.availability_bound_prunes, memoized.lifetime_steps)
+        );
+        assert_eq!(search.best_decisions, memoized.decisions);
     }
 
     #[test]

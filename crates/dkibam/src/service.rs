@@ -68,8 +68,9 @@ pub struct ServiceRateTable {
 pub struct ServiceEnvelope {
     /// `units_at[r]` = the most charge units servable given `r` completed
     /// recovery units (the shrinking-frontier condition); non-decreasing,
-    /// capped at the remaining charge.
-    units_at: Vec<u64>,
+    /// capped at the remaining charge (a `u32`, like the charge units of a
+    /// battery state).
+    units_at: Vec<u32>,
     /// `frontier_height[j]` = the largest height at which the `j`-th
     /// recovery unit can occur, ignoring demand pacing (1-indexed via
     /// `frontier_height[j - 1]`); non-increasing.
@@ -95,7 +96,16 @@ impl ServiceEnvelope {
     /// The most units this battery can ever serve, regardless of time.
     #[must_use]
     pub fn max_units(&self) -> u64 {
-        self.units_at.last().copied().unwrap_or(0)
+        self.units_at.last().copied().map_or(0, u64::from)
+    }
+
+    /// The heap bytes held by the envelope's buffers (their capacity), for
+    /// callers that bound the memory of the envelopes they keep.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.units_at.capacity() * std::mem::size_of::<u32>()
+            + self.frontier_height.capacity() * std::mem::size_of::<u32>()
+            + self.frontier_prefix.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -223,7 +233,8 @@ impl ServiceRateTable {
             {
                 served += 1;
             }
-            out.units_at.push(served);
+            // `served` never exceeds the u32 charge `n`.
+            out.units_at.push(crate::checked::to_u32(crate::checked::index_u64(served)));
             if served >= out.charge {
                 break;
             }
@@ -336,10 +347,10 @@ impl ServiceRateTable {
         // Charge conservation: no window lets a battery serve more units
         // than the charge it held when the envelope was built.
         debug_assert!(
-            envelope.units_at[cursor.recovered] <= envelope.charge,
+            u64::from(envelope.units_at[cursor.recovered]) <= envelope.charge,
             "service envelope promised more units than the battery's charge"
         );
-        envelope.units_at[cursor.recovered].min(demand_units)
+        u64::from(envelope.units_at[cursor.recovered]).min(demand_units)
     }
 
     /// The largest recovery count `r` whose first `r` units fit in
@@ -413,7 +424,7 @@ impl ServiceRateTable {
         let mut serves = self.units_within(envelope, cursor, window_steps, u64::MAX);
         loop {
             let r = self.max_recoveries_within(envelope, window_steps, serves);
-            let paced = envelope.units_at[r].min(serves);
+            let paced = u64::from(envelope.units_at[r]).min(serves);
             if paced >= serves {
                 return serves;
             }
@@ -689,9 +700,9 @@ mod tests {
 
     #[test]
     fn reused_envelope_buffers_match_a_fresh_build() {
-        // The search rebuilds one envelope per battery per node into the
-        // same buffers; a rebuild must leave nothing of the previous state
-        // behind, whichever way the envelope's size changes.
+        // The search builds every envelope it has not memoized into one
+        // buffer per battery; a rebuild must leave nothing of the previous
+        // state behind, whichever way the envelope's size changes.
         let (_, _, table) = b1_coarse();
         let states = [(110u32, 0u32), (8, 1), (80, 14), (0, 3), (110, 18), (20, 20)];
         let mut reused = ServiceEnvelope::new();
