@@ -4,9 +4,11 @@
 //! The backend owns one [`DiscreteBattery`] per battery and reads the
 //! fleet's static data — parameters, discretization, per-type recovery and
 //! service-rate tables — through a shared [`Arc<DiscreteFleet>`], so a copy
-//! of a built system costs the battery states alone. The scalar
-//! [`dkibam::multi::MultiBatteryState`] stays the reference the kernel is
-//! held bit-identical to (the lockstep tests of this module's parent).
+//! of a built system costs the battery states alone, and every search on
+//! any copy reuses the service envelopes the fleet's stores have built.
+//! The scalar [`dkibam::multi::MultiBatteryState`] stays the reference the
+//! kernel is held bit-identical to (the lockstep tests of this module's
+//! parent).
 
 use crate::model::{BatteryModel, EnvelopeInput, ModelAdvance, StateKey};
 use crate::schedule::BatteryCharge;
@@ -20,9 +22,9 @@ use std::sync::Arc;
 /// Holds the static data (the fleet: per-battery parameters,
 /// discretization, per-type recovery tables) behind an `Arc` next to the
 /// dynamic battery states, so that searches snapshot just the states and
-/// clones share the tables. Fleets may be heterogeneous;
-/// [`DiscretizedKibam::new`] is the uniform convenience constructor the
-/// paper's systems use.
+/// clones share the tables and envelope stores. Fleets may be
+/// heterogeneous; [`DiscretizedKibam::new`] is the uniform convenience
+/// constructor the paper's systems use.
 #[derive(Debug, Clone)]
 pub struct DiscretizedKibam {
     fleet: Arc<DiscreteFleet>,
@@ -141,7 +143,7 @@ impl BatteryModel for DiscretizedKibam {
             .sum()
     }
 
-    fn envelope_input(&self, index: usize) -> Option<(EnvelopeInput, &dkibam::ServiceRateTable)> {
+    fn envelope_input(&self, index: usize) -> Option<(EnvelopeInput, &dkibam::EnvelopeStore)> {
         let battery = &self.batteries[index];
         // A retired battery serves nothing, ever: its envelope is that of
         // zero charge, whatever charge it strands.
@@ -151,7 +153,7 @@ impl BatteryModel for DiscretizedKibam {
             charge_units,
             height_units: battery.height_units(),
         };
-        Some((input, self.fleet.service_of(index)))
+        Some((input, self.fleet.envelopes_of(index)))
     }
 
     fn states_identical(&self, a: usize, b: usize) -> bool {
@@ -207,10 +209,10 @@ mod tests {
     fn tracks_the_underlying_multi_battery_state() {
         // The scalar reference, stepped through the same job and idle
         // period, leaves the same charge units behind.
-        let fleet =
-            DiscreteFleet::uniform(&BatteryParams::itsy_b1(), &Discretization::paper_default(), 2);
+        let mut model =
+            DiscretizedKibam::new(&BatteryParams::itsy_b1(), &Discretization::paper_default(), 2);
+        let fleet = Arc::clone(model.fleet());
         let mut reference = dkibam::multi::MultiBatteryState::new_full(&fleet);
-        let mut model = DiscretizedKibam::from_fleet_data(fleet.clone());
         reference.advance_job(0, 100, 2, 1, &fleet).unwrap();
         model.advance_job(0, 100, 2, 1).unwrap();
         reference.advance_idle(50, &fleet);
@@ -257,7 +259,7 @@ mod tests {
         let retired = model.save_state()[1];
         assert!(retired.is_observed_empty());
         assert!(retired.charge_units() > 0, "a retired battery strands charge");
-        let (input, table) = model.envelope_input(1).unwrap();
+        let (input, store) = model.envelope_input(1).unwrap();
         assert_eq!(
             input,
             EnvelopeInput {
@@ -266,7 +268,7 @@ mod tests {
                 height_units: retired.height_units()
             }
         );
-        assert!(std::ptr::eq(table, model.fleet().service_of(1)));
+        assert!(std::ptr::eq(store, model.fleet().envelopes_of(1)));
         // The live B1 keys by its full charge.
         let (live, _) = model.envelope_input(0).unwrap();
         assert_eq!(live, EnvelopeInput { battery_type: 0, charge_units: 550, height_units: 0 });

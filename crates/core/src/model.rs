@@ -51,7 +51,7 @@ pub struct ModelAdvance {
 /// What a battery's service envelope is built from
 /// ([`BatteryModel::envelope_input`]): its type group and its discrete
 /// state. Two batteries with equal inputs have equal envelopes, which is
-/// what lets a search memoize them.
+/// what lets searches share them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EnvelopeInput {
     /// The battery's type group ([`BatteryModel::type_of`]): the group
@@ -337,19 +337,19 @@ pub trait BatteryModel {
     /// The input that determines the recovery-coupled service envelope of
     /// battery `index` — an admissible upper bound on the charge units it
     /// could serve within any future window, given its *current* state —
-    /// together with the battery type's [`dkibam::ServiceRateTable`] that
-    /// builds it ([`dkibam::ServiceRateTable::build_envelope`]) and queries
-    /// it ([`dkibam::ServiceRateTable::units_within`]).
+    /// together with the battery type's [`dkibam::EnvelopeStore`], which
+    /// builds it once per system ([`dkibam::EnvelopeStore::envelope`]) and
+    /// whose table queries it ([`dkibam::ServiceRateTable::units_within`]).
     ///
     /// The envelope is a pure function of the returned [`EnvelopeInput`]
-    /// (and the load's largest draw), so the optimal search memoizes it per
-    /// search by that input. It may never undercount what a real schedule
+    /// (and the load's largest draw), so the optimal search keeps its
+    /// handles by that input. It may never undercount what a real schedule
     /// can extract — the availability-aware bound of the optimal search
     /// prunes on it, and an undercount would prune optimal schedules.
     /// Backends that cannot bound service return `None` (the default), which
     /// disables the availability bound and degrades the search to pure
     /// charge accounting. Retired batteries must report zero charge units.
-    fn envelope_input(&self, index: usize) -> Option<(EnvelopeInput, &dkibam::ServiceRateTable)> {
+    fn envelope_input(&self, index: usize) -> Option<(EnvelopeInput, &dkibam::EnvelopeStore)> {
         let _ = index;
         None
     }

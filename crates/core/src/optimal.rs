@@ -52,13 +52,15 @@
 //! The search runs on an explicit stack (no recursion) and is
 //! allocation-free per node in steady state: snapshots live in a pool
 //! indexed by depth, and candidate buffers are arenas that grow only to the
-//! search's high-water mark. Service envelopes are **memoized per search**
-//! by their input: a search meets far fewer distinct battery states
-//! `(type, charge, height)` than it builds envelopes for (652 states behind
-//! 725k builds on coarse B1+B2 `ILs 250`), so each envelope is built once
-//! and the availability walk reads it in place. The memo is capped at
-//! 16 MiB; past the cap, envelopes are built into a per-battery scratch
-//! buffer and not recorded.
+//! search's high-water mark. Service envelopes are **shared per cached
+//! system**: an envelope is a pure function of its input, searches meet far
+//! fewer distinct battery states `(type, charge, height)` than they read
+//! envelopes for (652 states behind 725k reads on coarse B1+B2 `ILs 250`),
+//! and searches on one system meet the same states again and again. So
+//! each envelope is built once by the system's per-type
+//! [`dkibam::EnvelopeStore`] (capped at [`dkibam::MAX_ENVELOPE_BYTES`]) and
+//! every search keeps a lock-free map from input to its handle, which the
+//! availability walk reads in place.
 //!
 //! How much each pruning buys depends on the load: deep searches with
 //! converging histories (e.g. `ILs 250`, random loads, three-battery
@@ -87,9 +89,13 @@ use crate::policy::{
 };
 use crate::system::{simulate_policy_with, SystemConfig};
 use crate::SchedError;
-use dkibam::{DiscreteEpoch, DiscretizedLoad, EnvelopeCursor, ServiceEnvelope, ServiceRateTable};
+use dkibam::{
+    DiscreteEpoch, DiscretizedLoad, EnvelopeCursor, EnvelopeKey, EnvelopeStore, ServiceEnvelope,
+    ServiceRateTable,
+};
 use std::collections::HashMap; // xlint: allow(hash) -- see `FxMap` below
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 use workload::LoadProfile;
 
 /// A minimal Fx-style hasher (multiply–xor–rotate, as used by rustc). The
@@ -185,14 +191,6 @@ const MAX_STATES_PER_POSITION: usize = 16;
 /// explored but no longer recorded, so pruning degrades gracefully instead
 /// of exhausting memory.
 const MAX_MEMO_ENTRIES: usize = 1_000_000;
-
-/// The most heap bytes of service envelopes one search memoizes, analogous
-/// to [`MAX_MEMO_ENTRIES`]. An envelope takes up to 3.4 KB on the coarse
-/// grid and 17 KB for a paper-grid B2; the largest searches of the
-/// repository's grids memoize 1.8 MB (coarse B1+B2 ``IL` 250``, 1,006
-/// envelopes) and 15.4 MB (paper-grid B1+B2 `ILs alt`, 1,428). Past the
-/// cap, new envelopes are built per evaluation and not recorded.
-const MAX_ENVELOPE_BYTES: usize = 16 << 20;
 
 /// The most `(StateKey, elapsed)` entries retained across *all* dominance
 /// fronts, analogous to [`MAX_MEMO_ENTRIES`]: fine-grained loads can visit
@@ -509,15 +507,8 @@ struct Search<'a, M: BatteryModel> {
     candidates: Vec<usize>,
     /// Reusable availability buffer.
     avail: Vec<usize>,
-    /// The service envelopes of the availability bound, memoized by input.
-    envelopes: EnvelopeMemo,
-    /// Per-battery envelope cursors of the availability walk (windows and
-    /// demands are queried in non-decreasing order, so each cursor only
-    /// moves forward).
-    cursors: Vec<EnvelopeCursor>,
-    /// Cursor snapshot at the start of the epoch under test, for the
-    /// in-epoch death scan (whose windows restart below the epoch's end).
-    cursors_mark: Vec<EnvelopeCursor>,
+    /// Handles on the service envelopes of the availability bound, by input.
+    envelopes: EnvelopeHandles,
     /// Transposition table: the lifetime accumulated when a canonical state
     /// was first expanded at a load position. Exact-equality revisits are
     /// pruned in O(1).
@@ -528,6 +519,10 @@ struct Search<'a, M: BatteryModel> {
     fronts: FxMap<(usize, u64), Vec<(StateKey, u64)>>,
     /// Total entries across all fronts, enforcing [`MAX_FRONT_ENTRIES`].
     front_entries: usize,
+    /// When set, every node's availability bound is checked against the
+    /// exact scan, and counted here.
+    #[cfg(test)]
+    scan_audits: Option<usize>,
 }
 
 impl<'a, M: BatteryModel> Search<'a, M> {
@@ -565,12 +560,12 @@ impl<'a, M: BatteryModel> Search<'a, M> {
             pool: Vec::new(),
             candidates: Vec::new(),
             avail: Vec::new(),
-            envelopes: EnvelopeMemo::new(max_units_per_draw, MAX_ENVELOPE_BYTES),
-            cursors: Vec::new(),
-            cursors_mark: Vec::new(),
+            envelopes: EnvelopeHandles::new(max_units_per_draw),
             seen: FxMap::default(),
             fronts: FxMap::default(),
             front_entries: 0,
+            #[cfg(test)]
+            scan_audits: None,
         }
     }
 }
@@ -680,6 +675,8 @@ impl<M: BatteryModel> Search<'_, M> {
         if self.availability {
             let margin = self.best_steps.saturating_sub(elapsed);
             let bound = self.availability_bound(epoch_index, offset, margin);
+            #[cfg(test)]
+            self.audit_scan(epoch_index, offset, margin, bound);
             if elapsed.saturating_add(bound) <= self.best_steps {
                 self.availability_bound_prunes += 1;
                 return Ok(false);
@@ -836,53 +833,52 @@ impl<M: BatteryModel> Search<'_, M> {
     /// *some* battery, so the cumulative demand up to any draw instant can
     /// never exceed the fleet's joint service capability over that window
     /// — the sum of the per-battery recovery-coupled service envelopes
-    /// (memoized by [`BatteryModel::envelope_input`]), each also paced by the
+    /// (shared by [`BatteryModel::envelope_input`]), each also paced by the
     /// demand delivered so far (a battery's recovery state only climbs by
     /// serving). The walk checks that necessary condition at the last draw
     /// of every remaining job epoch and, once it fails, locates the last
     /// coverable draw inside the failing epoch.
     ///
     /// Returns `u64::MAX` (no claim) when the backend cannot bound
-    /// service, and may return early with any value above `limit` once the
-    /// walk has survived past it (the caller only compares against
-    /// `limit`, so the exact value no longer matters).
+    /// service. With `limit == u64::MAX` the value is the exact bound;
+    /// otherwise it is `≤ limit` exactly when the exact bound is, and then
+    /// no smaller than the exact bound. The caller only compares against
+    /// `limit`, so the walk stops once it has survived past `limit`, and the
+    /// death scan tries only the draws that could lift the bound past it.
     fn availability_bound(&mut self, epoch_index: usize, offset: u64, limit: u64) -> u64 {
         let battery_count = self.model.battery_count();
         if battery_count > MAX_BOUND_BATTERIES {
             return u64::MAX;
         }
-        let mut envelope_of: [Option<(&ServiceRateTable, EnvelopeSlot)>; MAX_BOUND_BATTERIES] =
+        let mut slots: [Option<(&ServiceRateTable, usize)>; MAX_BOUND_BATTERIES] =
             [None; MAX_BOUND_BATTERIES];
-        for (battery, entry) in envelope_of.iter_mut().enumerate().take(battery_count) {
-            let Some((input, table)) = self.model.envelope_input(battery) else {
+        for (battery, entry) in slots.iter_mut().enumerate().take(battery_count) {
+            let Some((input, store)) = self.model.envelope_input(battery) else {
                 return u64::MAX;
             };
-            *entry = Some((table, self.envelopes.slot(battery, input, table)));
+            *entry = Some((store.table(), self.envelopes.slot(input, store)));
         }
-        self.cursors.clear();
-        self.cursors.resize(battery_count, EnvelopeCursor::default());
         let envelopes = &self.envelopes;
-        let cursors = &mut self.cursors;
-        let marks = &mut self.cursors_mark;
+        let envelope_of =
+            slots.map(|entry| entry.map(|(table, slot)| (table, envelopes.get(slot))));
+        // Per-battery envelope cursors (windows and demands are queried in
+        // non-decreasing order, so each cursor only moves forward), and
+        // their snapshot at the start of the epoch under test, for the
+        // in-epoch death scan (whose windows restart below the epoch's end).
+        let mut cursors = [EnvelopeCursor::default(); MAX_BOUND_BATTERIES];
+        let mut marks: [EnvelopeCursor; MAX_BOUND_BATTERIES];
         let fleet_units = |cursors: &mut [EnvelopeCursor], window: u64, demand: u64| -> u64 {
             let mut total: u64 = 0;
-            for battery in 0..battery_count {
-                // xlint: allow(panic) -- every index was populated in the loop above
-                let (table, slot) = envelope_of[battery].expect("every slot was filled above");
+            for (&(table, envelope), cursor) in envelope_of.iter().flatten().zip(cursors) {
                 #[cfg(debug_assertions)]
-                let cursor_before = cursors[battery];
-                total = total.saturating_add(table.units_within(
-                    envelopes.get(slot),
-                    &mut cursors[battery],
-                    window,
-                    demand,
-                ));
+                let cursor_before = *cursor;
+                total = total.saturating_add(table.units_within(envelope, cursor, window, demand));
                 // Cursor monotonicity: the availability walk queries windows
                 // and demands in non-decreasing order, so a cursor only
                 // advances; the only rewind is the explicit `marks` restore.
                 #[cfg(debug_assertions)]
                 debug_assert!(
-                    cursor_before <= cursors[battery],
+                    cursor_before <= *cursor,
                     "envelope cursor moved backwards inside the walk"
                 );
             }
@@ -912,8 +908,9 @@ impl<M: BatteryModel> Search<'_, M> {
             // demand peaks there while the envelopes keep growing through
             // the idle time that follows. The cursor snapshot lets the
             // death scan below rewind to the epoch's start.
-            marks.clone_from(cursors);
-            if epoch_demand <= fleet_units(cursors, steps + draws_possible * interval, epoch_demand)
+            marks = cursors;
+            if epoch_demand
+                <= fleet_units(&mut cursors, steps + draws_possible * interval, epoch_demand)
             {
                 demand = epoch_demand;
                 steps += duration;
@@ -921,19 +918,56 @@ impl<M: BatteryModel> Search<'_, M> {
             }
             // The fleet cannot cover this epoch: the system dies at (or
             // before) the first uncoverable draw. Envelopes regenerate
-            // stepwise, so scan for the last draw whose cumulative demand
-            // still fits.
-            cursors.clone_from(marks);
-            let mut draws_served = 0;
-            for draw in 1..=draws_possible {
+            // stepwise, so the exact bound comes from the last draw whose
+            // cumulative demand still fits; serving through draw `d` bounds
+            // the lifetime by `steps + (d + 1).min(draws_possible) ·
+            // interval`, non-decreasing in `d`.
+            cursors = marks;
+            let exact = limit == u64::MAX;
+            // Below a limit, only the draws whose bound passes it can
+            // change the caller's decision: scan those (from `first`) and
+            // stop at the first that fits — the exact bound is at least its
+            // bound, so above `limit` too. If none fits, the last fitting
+            // draw lies below `first`, and the bound of `first − 1` is
+            // `≤ limit` and at least the exact one. (`steps ≤ limit` here.)
+            let first = if exact {
+                1
+            } else {
+                // Draw `d` passes `limit` iff `d ≥ k` and `draws_possible > k`.
+                let k = (limit - steps) / interval;
+                if k >= draws_possible {
+                    draws_possible + 1
+                } else {
+                    k.max(1)
+                }
+            };
+            let mut draws_served = first - 1;
+            for draw in first..=draws_possible {
                 let at_draw = demand + draw * units;
-                if at_draw <= fleet_units(cursors, steps + draw * interval, at_draw) {
+                if at_draw <= fleet_units(&mut cursors, steps + draw * interval, at_draw) {
                     draws_served = draw;
+                    if !exact {
+                        break;
+                    }
                 }
             }
             return steps + (draws_served + 1).min(draws_possible) * interval;
         }
         steps
+    }
+
+    /// Holds `bound`, the availability bound under `limit`, to the exact
+    /// scan's prune decision (and, when it prunes, never below the exact
+    /// value), if auditing.
+    #[cfg(test)]
+    fn audit_scan(&mut self, epoch_index: usize, offset: u64, limit: u64, bound: u64) {
+        let Some(audits) = self.scan_audits else {
+            return;
+        };
+        let exact = self.availability_bound(epoch_index, offset, u64::MAX);
+        assert_eq!(bound <= limit, exact <= limit, "limit {limit}: {bound} vs exact {exact}");
+        assert!(bound > limit || bound >= exact, "{bound} is below the exact bound {exact}");
+        self.scan_audits = Some(audits + 1);
     }
 
     /// Simulates every deterministic policy from the fresh fleet, installs
@@ -964,89 +998,45 @@ impl<M: BatteryModel> Search<'_, M> {
     }
 }
 
-/// The service envelopes of one search, memoized by their input
-/// ([`BatteryModel::envelope_input`]). An envelope is a pure function of
-/// its input and the load's largest draw, and the latter is fixed per
-/// search, so it stays out of the key. The memo belongs to the search, not
-/// to the backend: backends are shared across threads, a search is not.
-struct EnvelopeMemo {
+/// The handles on the service envelopes one search has read, by input
+/// ([`BatteryModel::envelope_input`]). The envelopes themselves live in the
+/// system's [`EnvelopeStore`]s, shared with every other search on it; the
+/// search keeps its own handles so the per-node path takes no lock. An
+/// envelope is a pure function of its input and the load's largest draw,
+/// and the latter is fixed per search, so it stays out of the input.
+struct EnvelopeHandles {
     /// The largest single draw of the load (one final draw may overshoot a
     /// battery's service frontier by that much).
     max_units_per_draw: u32,
-    /// Envelopes are recorded while their heap bytes stay under this.
-    capacity_bytes: usize,
-    /// Heap bytes of the recorded envelopes.
-    bytes: usize,
-    /// The slot of every recorded input in `entries`.
+    /// The slot of every input in `entries`.
     slots: FxMap<EnvelopeInput, usize>,
-    /// The recorded envelopes, each sized to its contents.
-    entries: Vec<ServiceEnvelope>,
-    /// Per-battery build buffers: every miss is built here, then copied
-    /// into `entries` if it fits under the cap, else read from here until
-    /// that battery's next miss.
-    scratch: Vec<ServiceEnvelope>,
+    entries: Vec<Arc<ServiceEnvelope>>,
 }
 
-/// Where [`EnvelopeMemo::slot`] left an envelope.
-#[derive(Debug, Clone, Copy)]
-enum EnvelopeSlot {
-    /// Index into the recorded envelopes.
-    Recorded(usize),
-    /// The build buffer of this battery.
-    Scratch(usize),
-}
-
-impl EnvelopeMemo {
-    fn new(max_units_per_draw: u32, capacity_bytes: usize) -> Self {
-        EnvelopeMemo {
-            max_units_per_draw,
-            capacity_bytes,
-            bytes: 0,
-            slots: FxMap::default(),
-            entries: Vec::new(),
-            scratch: Vec::new(),
-        }
+impl EnvelopeHandles {
+    fn new(max_units_per_draw: u32) -> Self {
+        EnvelopeHandles { max_units_per_draw, slots: FxMap::default(), entries: Vec::new() }
     }
 
-    /// The slot of the envelope of `input`, the state of battery
-    /// `battery`, building the envelope with `table` unless it is recorded.
-    fn slot(
-        &mut self,
-        battery: usize,
-        input: EnvelopeInput,
-        table: &ServiceRateTable,
-    ) -> EnvelopeSlot {
-        if let Some(&index) = self.slots.get(&input) {
-            return EnvelopeSlot::Recorded(index);
+    /// The slot of the envelope of `input`, fetched from `store` (which
+    /// builds it unless another search has) on the search's first read.
+    fn slot(&mut self, input: EnvelopeInput, store: &EnvelopeStore) -> usize {
+        match self.slots.entry(input) {
+            std::collections::hash_map::Entry::Occupied(entry) => *entry.get(),
+            std::collections::hash_map::Entry::Vacant(entry) => {
+                self.entries.push(store.envelope(EnvelopeKey {
+                    charge_units: input.charge_units,
+                    height_units: input.height_units,
+                    max_units_per_draw: self.max_units_per_draw,
+                }));
+                *entry.insert(self.entries.len() - 1)
+            }
         }
-        if self.scratch.len() <= battery {
-            self.scratch.resize_with(battery + 1, ServiceEnvelope::new);
-        }
-        let built = &mut self.scratch[battery];
-        table.build_envelope(
-            input.charge_units,
-            input.height_units,
-            self.max_units_per_draw,
-            built,
-        );
-        if self.bytes >= self.capacity_bytes {
-            return EnvelopeSlot::Scratch(battery);
-        }
-        // A clone allocates exactly its length: recorded envelopes keep no
-        // slack from the buffer's earlier, larger builds.
-        let recorded = built.clone();
-        self.bytes += recorded.heap_bytes();
-        self.entries.push(recorded);
-        self.slots.insert(input, self.entries.len() - 1);
-        EnvelopeSlot::Recorded(self.entries.len() - 1)
     }
 
     /// The envelope in `slot`.
-    fn get(&self, slot: EnvelopeSlot) -> &ServiceEnvelope {
-        match slot {
-            EnvelopeSlot::Recorded(index) => &self.entries[index],
-            EnvelopeSlot::Scratch(battery) => &self.scratch[battery],
-        }
+    fn get(&self, slot: usize) -> &ServiceEnvelope {
+        &self.entries[slot]
     }
 }
 
@@ -1214,28 +1204,26 @@ mod tests {
     }
 
     /// Runs the default search on `config`'s discretized backend, checks
-    /// that every memoized envelope equals a fresh build of its input, and
-    /// returns the memoized inputs.
-    fn memoized_inputs_after_search(config: &SystemConfig, load: TestLoad) -> Vec<EnvelopeInput> {
+    /// that every envelope handle equals a fresh build of its input, and
+    /// returns the inputs.
+    fn handle_inputs_after_search(config: &SystemConfig, load: TestLoad) -> Vec<EnvelopeInput> {
         let load = config.discretize(&load.profile()).unwrap();
         let max_units_per_draw =
             load.epochs().iter().map(DiscreteEpoch::units_per_draw).max().unwrap();
         let mut model = config.discretized_model();
         let tables: Vec<(usize, ServiceRateTable)> = (0..model.battery_count())
             .map(|battery| {
-                let (input, table) = model.envelope_input(battery).unwrap();
-                (input.battery_type, table.clone())
+                let (input, store) = model.envelope_input(battery).unwrap();
+                (input.battery_type, store.table().clone())
             })
             .collect();
         let mut search =
             OptimalScheduler::new().root_phase(config, &load, &mut model).unwrap().search;
         search.explore().unwrap();
-        let memo = &search.envelopes;
-        assert_eq!(memo.max_units_per_draw, max_units_per_draw);
-        assert!(memo.bytes < MAX_ENVELOPE_BYTES, "every input was recorded");
-        assert_eq!(memo.slots.len(), memo.entries.len());
-        assert_eq!(memo.bytes, memo.entries.iter().map(ServiceEnvelope::heap_bytes).sum::<usize>());
-        for (input, &index) in &memo.slots {
+        let handles = &search.envelopes;
+        assert_eq!(handles.max_units_per_draw, max_units_per_draw);
+        assert_eq!(handles.slots.len(), handles.entries.len());
+        for (input, &slot) in &handles.slots {
             let (_, table) = tables.iter().find(|(kind, _)| *kind == input.battery_type).unwrap();
             let mut fresh = ServiceEnvelope::new();
             table.build_envelope(
@@ -1244,14 +1232,14 @@ mod tests {
                 max_units_per_draw,
                 &mut fresh,
             );
-            assert_eq!(memo.get(EnvelopeSlot::Recorded(index)), &fresh, "{input:?}");
+            assert_eq!(handles.get(slot), &fresh, "{input:?}");
         }
-        memo.slots.keys().copied().collect()
+        handles.slots.keys().copied().collect()
     }
 
     #[test]
-    fn memoized_envelopes_equal_fresh_builds() {
-        let inputs = memoized_inputs_after_search(&coarse_config(), TestLoad::Ils250);
+    fn envelope_handles_equal_fresh_builds() {
+        let inputs = handle_inputs_after_search(&coarse_config(), TestLoad::Ils250);
         assert!(inputs.len() > 100, "the deep search meets many states ({})", inputs.len());
 
         // B1 and B2 meet the same (charge, height) states with different
@@ -1262,65 +1250,117 @@ mod tests {
                 .unwrap(),
             Discretization::coarse(),
         );
-        let inputs = memoized_inputs_after_search(&mixed, TestLoad::IlsAlt);
+        let inputs = handle_inputs_after_search(&mixed, TestLoad::IlsAlt);
         let shared = inputs
             .iter()
             .filter(|input| input.battery_type == 0)
             .filter(|input| inputs.contains(&EnvelopeInput { battery_type: 1, ..**input }))
             .count();
-        assert!(shared > 0, "B1 and B2 share no memoized state");
+        assert!(shared > 0, "B1 and B2 share no state");
+    }
+
+    /// Checks that every envelope in the stores of `model`'s fleet equals
+    /// a fresh build of its key, and returns how many there are.
+    fn stored_envelopes_are_fresh_builds(model: &crate::backends::DiscretizedKibam) -> usize {
+        let fleet = model.fleet();
+        let mut stores: Vec<&EnvelopeStore> = Vec::new();
+        for battery in 0..fleet.len() {
+            let store = fleet.envelopes_of(battery);
+            if !stores.iter().any(|&seen| std::ptr::eq(seen, store)) {
+                stores.push(store);
+            }
+        }
+        let mut stored = 0;
+        for store in stores {
+            for (key, envelope) in store.entries() {
+                let mut fresh = ServiceEnvelope::new();
+                store.table().build_envelope(
+                    key.charge_units,
+                    key.height_units,
+                    key.max_units_per_draw,
+                    &mut fresh,
+                );
+                assert_eq!(*envelope, fresh, "{key:?}");
+                stored += 1;
+            }
+        }
+        stored
     }
 
     #[test]
-    fn full_envelope_memo_builds_without_recording() {
-        let table =
-            ServiceRateTable::for_battery(&BatteryParams::itsy_b1(), &Discretization::coarse());
-        let fresh = |input: EnvelopeInput| {
-            let mut envelope = ServiceEnvelope::new();
-            table.build_envelope(input.charge_units, input.height_units, 2, &mut envelope);
-            envelope
-        };
-        let input = |charge_units, height_units| EnvelopeInput {
-            battery_type: 0,
-            charge_units,
-            height_units,
-        };
-        let (kept, first, second) = (input(110, 0), input(80, 14), input(20, 20));
-        // A one-byte cap: the first envelope is recorded and fills it.
-        let mut memo = EnvelopeMemo::new(2, 1);
-        let kept_slot = memo.slot(0, kept, &table);
-        assert!(matches!(kept_slot, EnvelopeSlot::Recorded(0)));
-        assert_eq!(memo.get(kept_slot), &fresh(kept));
-
-        // The memo is full: both misses are built into their battery's
-        // scratch buffer, read back correctly and not recorded.
-        let first_slot = memo.slot(0, first, &table);
-        let second_slot = memo.slot(1, second, &table);
-        assert_eq!(memo.get(first_slot), &fresh(first));
-        assert_eq!(memo.get(second_slot), &fresh(second));
-        assert_eq!(memo.entries.len(), 1);
-        assert!(!memo.slots.contains_key(&first) && !memo.slots.contains_key(&second));
-
-        // The recorded envelope survives the overflow builds.
-        assert!(matches!(memo.slot(1, kept, &table), EnvelopeSlot::Recorded(0)));
-        assert_eq!(memo.get(kept_slot), &fresh(kept));
-
-        // A search whose memo holds no envelope builds every one per
-        // evaluation, and still visits exactly the same nodes.
-        let config = coarse_config();
-        let load = config.discretize(&TestLoad::IlsAlt.profile()).unwrap();
-        let memoized = OptimalScheduler::new().find_optimal_on(&config, &load).unwrap();
-        let mut model = config.discretized_model();
-        let mut search = Search::new(&config, &load, &mut model, OptimalScheduler::new());
-        search.envelopes = EnvelopeMemo::new(search.envelopes.max_units_per_draw, 0);
-        search.warm_start(&config, &load).unwrap();
-        search.explore().unwrap();
-        assert!(search.envelopes.entries.is_empty());
-        assert_eq!(
-            (search.nodes, search.availability_bound_prunes, search.best_steps),
-            (memoized.nodes_explored, memoized.availability_bound_prunes, memoized.lifetime_steps)
+    fn searches_on_one_system_share_its_envelopes() {
+        let mixed = SystemConfig::from_fleet(
+            kibam::FleetSpec::new(vec![BatteryParams::itsy_b1(), BatteryParams::itsy_b2()])
+                .unwrap(),
+            Discretization::coarse(),
         );
-        assert_eq!(search.best_decisions, memoized.decisions);
+        for (config, first, second) in [
+            (coarse_config(), TestLoad::Ils250, TestLoad::IlsAlt),
+            (mixed, TestLoad::Ils500, TestLoad::IlsAlt),
+        ] {
+            let first = config.discretize(&first.profile()).unwrap();
+            let second = config.discretize(&second.profile()).unwrap();
+            let search = |load: &DiscretizedLoad, model: &mut crate::backends::DiscretizedKibam| {
+                OptimalScheduler::new().find_optimal_with(&config, load, model).unwrap()
+            };
+            // Each load alone, on a fresh system.
+            let mut alone = config.discretized_model();
+            search(&first, &mut alone);
+            let first_alone = stored_envelopes_are_fresh_builds(&alone);
+            let mut alone = config.discretized_model();
+            let second_on_fresh = search(&second, &mut alone);
+            let second_alone = stored_envelopes_are_fresh_builds(&alone);
+
+            // Both loads on one system: the second search runs on a store
+            // the first has filled, hits it, and still finds exactly what
+            // it finds on a fresh system.
+            let mut shared = config.discretized_model();
+            search(&first, &mut shared);
+            let second_on_shared = search(&second, &mut shared.clone());
+            assert_eq!(second_on_shared, second_on_fresh);
+            let both = stored_envelopes_are_fresh_builds(&shared);
+            assert!(
+                both < first_alone + second_alone,
+                "the second search built every envelope again ({both} = {first_alone} + \
+                 {second_alone})"
+            );
+        }
+    }
+
+    #[test]
+    fn the_limit_aware_death_scan_keeps_every_prune_decision() {
+        let b1 = BatteryParams::itsy_b1();
+        let fleet = |batteries: Vec<BatteryParams>| {
+            SystemConfig::from_fleet(
+                kibam::FleetSpec::new(batteries).unwrap(),
+                Discretization::coarse(),
+            )
+        };
+        let mut instances = vec![
+            (fleet(vec![b1; 2]), TestLoad::Ils250.profile()),
+            (fleet(vec![b1; 2]), TestLoad::IlsAlt.profile()),
+            (fleet(vec![b1; 3]), TestLoad::IlsAlt.profile()),
+            (fleet(vec![b1, BatteryParams::itsy_b2()]), TestLoad::IlsAlt.profile()),
+        ];
+        let random = workload::random::RandomLoadSpec::new(vec![0.25, 0.5], 1.0, 0.5, 20).unwrap();
+        for seed in 0..10 {
+            instances.push((fleet(vec![b1; 2]), random.generate(seed).unwrap()));
+        }
+        for (config, profile) in instances {
+            let load = config.discretize(&profile).unwrap();
+            let plain = OptimalScheduler::new().find_optimal_on(&config, &load).unwrap();
+            let mut model = config.discretized_model();
+            let mut search =
+                OptimalScheduler::new().root_phase(&config, &load, &mut model).unwrap().search;
+            search.scan_audits = Some(0);
+            search.explore().unwrap();
+            let audits = search.scan_audits.unwrap();
+            assert!(audits > 0 && audits <= search.nodes, "{audits} of {} nodes", search.nodes);
+            assert_eq!(
+                (search.nodes, search.availability_bound_prunes, search.best_steps),
+                (plain.nodes_explored, plain.availability_bound_prunes, plain.lifetime_steps)
+            );
+        }
     }
 
     #[test]

@@ -8,35 +8,44 @@
 //! [`RecoveryTable`] per battery *type group* (identical batteries share a
 //! table, so a `2×B1 + 1×B2` fleet builds two tables, not three). A
 //! [`DiscreteFleet`] bundles that static side, which every copy of a system
-//! can share read-only.
+//! shares. Its one mutable part is the per-type [`EnvelopeStore`]: the
+//! service envelopes the optimal search builds, kept for every later search
+//! on the same system.
 
-use crate::{Discretization, RecoveryTable, ServiceRateTable};
+use crate::{Discretization, EnvelopeStore, RecoveryTable, ServiceRateTable};
 use kibam::{BatteryParams, FleetSpec};
 
 /// The static side of a discretized multi-battery system: fleet parameters,
-/// discretization and per-type recovery and service-rate tables.
-#[derive(Debug, Clone)]
+/// discretization, per-type recovery tables and per-type envelope stores
+/// (each holding its type's service-rate table).
+#[derive(Debug)]
 pub struct DiscreteFleet {
     spec: FleetSpec,
     disc: Discretization,
     tables: Vec<RecoveryTable>,
-    services: Vec<ServiceRateTable>,
+    envelopes: Vec<EnvelopeStore>,
 }
 
 impl DiscreteFleet {
     /// Builds the static data for a fleet: one recovery table and one
-    /// service-rate table per distinct battery type.
+    /// envelope store over a service-rate table per distinct battery type.
     #[must_use]
     pub fn new(spec: FleetSpec, disc: Discretization) -> Self {
         let tables: Vec<RecoveryTable> = (0..spec.type_count())
             .map(|t| RecoveryTable::for_battery(spec.type_params(t), &disc))
             .collect();
-        let services = tables
+        let envelopes = tables
             .iter()
             .enumerate()
-            .map(|(t, table)| ServiceRateTable::from_recovery(spec.type_params(t), &disc, table))
+            .map(|(t, table)| {
+                EnvelopeStore::new(ServiceRateTable::from_recovery(
+                    spec.type_params(t),
+                    &disc,
+                    table,
+                ))
+            })
             .collect();
-        Self { spec, disc, tables, services }
+        Self { spec, disc, tables, envelopes }
     }
 
     /// The static data for `count` identical batteries (the paper's
@@ -90,11 +99,12 @@ impl DiscreteFleet {
         &self.tables[self.spec.type_of(index)]
     }
 
-    /// The service-rate table of battery `index` (shared within its type
-    /// group), used by the availability-aware search bound.
+    /// The envelope store of battery `index` (shared within its type group
+    /// and by every search on this fleet), with the type's service-rate
+    /// table, used by the availability-aware search bound.
     #[must_use]
-    pub fn service_of(&self, index: usize) -> &ServiceRateTable {
-        &self.services[self.spec.type_of(index)]
+    pub fn envelopes_of(&self, index: usize) -> &EnvelopeStore {
+        &self.envelopes[self.spec.type_of(index)]
     }
 
     /// The type-group id of battery `index`.
@@ -130,17 +140,18 @@ mod tests {
         let b2 = BatteryParams::itsy_b2();
         let disc = Discretization::coarse();
         let fleet = DiscreteFleet::new(FleetSpec::new(vec![b2, b1, b2]).unwrap(), disc);
-        assert!(std::ptr::eq(fleet.service_of(0), fleet.service_of(2)));
+        let service_of = |index| fleet.envelopes_of(index).table();
+        assert!(std::ptr::eq(fleet.envelopes_of(0), fleet.envelopes_of(2)));
         for index in 0..fleet.len() {
             let params = fleet.params_of(index);
             assert_eq!(
-                fleet.service_of(index),
+                service_of(index),
                 &ServiceRateTable::for_battery(params, &disc),
                 "battery {index}: the shared table is its own type's"
             );
             assert_eq!(fleet.table_of(index), &RecoveryTable::for_battery(params, &disc));
         }
-        assert_ne!(fleet.service_of(0), fleet.service_of(1), "B1 and B2 differ");
+        assert_ne!(service_of(0), service_of(1), "B1 and B2 differ");
     }
 
     #[test]

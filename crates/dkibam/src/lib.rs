@@ -19,7 +19,9 @@
 //! * [`ServiceRateTable`] — the recovery-coupled service envelope of a
 //!   battery type (the Eq. 8 frontier per charge level plus the fastest
 //!   recovery rate on the serviceable band), feeding the availability-aware
-//!   search bound of the `battery-sched` crate;
+//!   search bound of the `battery-sched` crate, and the [`EnvelopeStore`]
+//!   that shares the envelopes built from it across every search on a
+//!   system;
 //! * [`DiscreteBattery`] — the integer battery state (`n_gamma`, `m_delta`)
 //!   with discharge, recovery and the emptiness test of Eq. 8;
 //! * [`DiscretizedLoad`] — a [`workload::LoadProfile`] converted to the
@@ -28,7 +30,8 @@
 //!   discrete simulation used to validate the model (Tables 3 and 4);
 //! * [`DiscreteFleet`] — the static side of a (possibly heterogeneous)
 //!   multi-battery system: per-battery parameters from a
-//!   [`kibam::FleetSpec`] plus one recovery table per battery type;
+//!   [`kibam::FleetSpec`] plus one recovery table and one envelope store
+//!   per battery type;
 //! * [`kernel`] — the multi-battery dynamics of one system, stepped in
 //!   place over its batteries: the stepping kernel behind the schedulers of
 //!   the `battery-sched` crate (including the optimal one);
@@ -77,4 +80,7 @@ pub use error::DkibamError;
 pub use fleet::DiscreteFleet;
 pub use load::{DiscreteEpoch, DiscretizedLoad};
 pub use recovery::RecoveryTable;
-pub use service::{EnvelopeCursor, ServiceEnvelope, ServiceRateTable};
+pub use service::{
+    EnvelopeCursor, EnvelopeKey, EnvelopeStore, ServiceEnvelope, ServiceRateTable,
+    MAX_ENVELOPE_BYTES,
+};

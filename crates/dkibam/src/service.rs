@@ -33,7 +33,9 @@
 //! [`ServiceRateTable::build_envelope`] bakes the state-dependent parts
 //! into a [`ServiceEnvelope`]; [`ServiceRateTable::units_within`] then
 //! answers `(Δ, D)` queries against it in amortized constant time via a
-//! monotone [`EnvelopeCursor`]. The `battery-sched` search sums these
+//! monotone [`EnvelopeCursor`], which prices each recovery it grants in
+//! O(1). An [`EnvelopeStore`] per battery type builds each envelope once
+//! for every search on a system. The `battery-sched` search sums these
 //! per-battery envelopes into an availability-aware upper bound on the
 //! remaining system lifetime; admissibility (the envelope may never
 //! undercount what a real schedule serves) is asserted against brute-force
@@ -41,13 +43,16 @@
 
 use crate::{Discretization, RecoveryTable};
 use kibam::BatteryParams;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Precomputed service-rate data of one battery type: the emptiness
 /// frontier per charge level and the recovery cost structure it couples to.
 ///
 /// Built once per battery type next to the [`RecoveryTable`] (see
-/// [`crate::DiscreteFleet`]), shared by every search cell that uses the
-/// type.
+/// [`crate::DiscreteFleet`]) and held by the type's [`EnvelopeStore`],
+/// which builds each envelope from it once for every search on the system
+/// (at most [`MAX_ENVELOPE_BYTES`] of them at a time).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceRateTable {
     /// `threshold[n]` = the largest height difference `m` at which a
@@ -107,6 +112,43 @@ impl ServiceEnvelope {
             + self.frontier_height.capacity() * std::mem::size_of::<u32>()
             + self.frontier_prefix.capacity() * std::mem::size_of::<u64>()
     }
+
+    /// The demand-paced height ceiling plus one under demand cap
+    /// `demand_units`: recovery `j` can occur at height at most
+    /// `climb − j = m₀ + min(D, charge) + 1 − j`.
+    fn climb(&self, demand_units: u64) -> u64 {
+        u64::from(self.height) + self.charge.min(demand_units) + 1
+    }
+
+    /// How many recoveries the frontier branch prices under `climb`: the
+    /// recoveries `j` with `frontier_height[j] + j ≤ climb`.
+    /// `frontier_height[j] + j` is non-decreasing (the frontier shrinks by
+    /// at most one per recovery, asserted in
+    /// [`ServiceRateTable::build_envelope`]), so that set is a prefix,
+    /// found by binary search; a cursor extends it one
+    /// [`ServiceEnvelope::frontier_governs`] check at a time instead.
+    fn frontier_governed(&self, climb: u64) -> usize {
+        let mut lo = 0usize;
+        let mut hi = self.frontier_height.len();
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.frontier_governs(mid, climb) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Whether the frontier branch prices recovery `j = index + 1` under
+    /// `climb`, i.e. `frontier_height[j] + j ≤ climb` (false past the
+    /// frontier ladder).
+    fn frontier_governs(&self, index: usize, climb: u64) -> bool {
+        self.frontier_height
+            .get(index)
+            .is_some_and(|&height| u64::from(height) + crate::checked::to_u64(index) < climb)
+    }
 }
 
 /// Monotone query cursor over a [`ServiceEnvelope`]: windows and demands
@@ -116,6 +158,13 @@ impl ServiceEnvelope {
 pub struct EnvelopeCursor {
     /// Recovery units granted.
     recovered: usize,
+    /// How many leading recoveries are known to be frontier-governed
+    /// ([`ServiceEnvelope::frontier_governed`]), at most `recovered` (the
+    /// recoveries priced for the next grant). Demands only grow, and with
+    /// them the climb, so a recovery governed at one query stays governed
+    /// at every later one: each query extends this count instead of
+    /// searching for it.
+    governed: usize,
 }
 
 impl ServiceRateTable {
@@ -268,10 +317,13 @@ impl ServiceRateTable {
                 break;
             }
             // Envelope monotonicity: the recovery frontier only shrinks as
-            // units are served, so the priced heights are non-increasing.
+            // units are served, so the priced heights are non-increasing —
+            // by at most one per recovery, which keeps the frontier-governed
+            // recoveries a prefix ([`ServiceEnvelope::frontier_governed`]).
             debug_assert!(
-                out.frontier_height.last().map_or(true, |&prev| height <= u64::from(prev)),
-                "service frontier heights must be non-increasing"
+                out.frontier_height.last().map_or(true, |&prev| height <= u64::from(prev)
+                    && height + 1 >= u64::from(prev)),
+                "service frontier heights must fall by at most one per recovery"
             );
             // `height` was validated against the u32 recovery table above.
             out.frontier_height.push(crate::checked::to_u32(crate::checked::index_u64(height)));
@@ -281,36 +333,22 @@ impl ServiceRateTable {
         }
     }
 
-    /// The minimum time (steps) for the first `r` recovery units of
-    /// `envelope` under demand cap `demand_units`: each recovery is priced
-    /// at the cheapest (largest) height it could occur at — the frontier
-    /// ladder capped by the demand-paced climb `m₀ + D − (j − 1)` — with
-    /// the first recovery riding free on a pre-accumulated clock.
-    fn recovery_time(&self, envelope: &ServiceEnvelope, r: usize, demand_units: u64) -> u64 {
-        if r <= 1 {
-            return 0;
-        }
-        let priced = r - 1;
-        // Demand-paced ceiling for recovery j: m₀ + min(D, charge) + 1 − j.
-        let climb = u64::from(envelope.height) + envelope.charge.min(demand_units) + 1;
-        // The frontier branch governs recoveries j with
-        // frontier_height[j] + j ≤ climb; frontier_height[j] + j is
-        // non-decreasing (the frontier shrinks by at most one per serve),
-        // so that set is a prefix — find its end by binary search over the
-        // first `priced` entries (j is 1-based, stored at index j − 1).
-        let limit = priced.min(envelope.frontier_height.len());
-        let mut lo = 0usize;
-        let mut hi = limit;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if u64::from(envelope.frontier_height[mid]) + (crate::checked::to_u64(mid) + 1) <= climb
-            {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let split = lo;
+    /// The minimum time (steps) for the first `priced + 1` recovery units
+    /// of `envelope` under the demand-paced ceiling `climb`
+    /// ([`ServiceEnvelope::climb`]): each recovery is priced at the
+    /// cheapest (largest) height it could occur at — the frontier ladder
+    /// capped by the demand-paced climb `m₀ + D − (j − 1)` — with the first
+    /// recovery riding free on a pre-accumulated clock. The frontier ladder
+    /// prices the first `split` of the `priced` recoveries (at most
+    /// [`ServiceEnvelope::frontier_governed`]), the climb the rest, so the
+    /// price is O(1).
+    fn recovery_time(
+        &self,
+        envelope: &ServiceEnvelope,
+        priced: usize,
+        split: usize,
+        climb: u64,
+    ) -> u64 {
         let mut total = if split > 0 { envelope.frontier_prefix[split - 1] } else { 0 };
         if split < priced {
             // Demand-paced heights climb − (split+1) down to climb − priced.
@@ -339,10 +377,25 @@ impl ServiceRateTable {
         window_steps: u64,
         demand_units: u64,
     ) -> u64 {
-        while cursor.recovered + 1 < envelope.units_at.len()
-            && self.recovery_time(envelope, cursor.recovered + 1, demand_units) <= window_steps
-        {
-            cursor.recovered += 1;
+        if cursor.recovered + 1 < envelope.units_at.len() {
+            // Granting recovery `r + 1` prices `r` recoveries after the
+            // free first one, the first `governed` of them on the frontier
+            // ladder. The governed prefix only grows, by one check per
+            // recovery, across all the cursor's queries.
+            let climb = envelope.climb(demand_units);
+            let governed = &mut cursor.governed;
+            while *governed < cursor.recovered && envelope.frontier_governs(*governed, climb) {
+                *governed += 1;
+            }
+            while cursor.recovered + 1 < envelope.units_at.len()
+                && self.recovery_time(envelope, cursor.recovered, *governed, climb) <= window_steps
+            {
+                cursor.recovered += 1;
+                if *governed + 1 == cursor.recovered && envelope.frontier_governs(*governed, climb)
+                {
+                    *governed += 1;
+                }
+            }
         }
         // Charge conservation: no window lets a battery serve more units
         // than the charge it held when the envelope was built.
@@ -366,11 +419,14 @@ impl ServiceRateTable {
         if envelope.units_at.is_empty() {
             return 0;
         }
+        let climb = envelope.climb(demand_units);
+        let governed = envelope.frontier_governed(climb);
         let mut lo = 0usize;
         let mut hi = envelope.units_at.len() - 1;
         while lo < hi {
             let mid = lo + (hi - lo).div_ceil(2);
-            if self.recovery_time(envelope, mid, demand_units) <= window_steps {
+            let priced = mid.saturating_sub(1);
+            if self.recovery_time(envelope, priced, governed.min(priced), climb) <= window_steps {
                 lo = mid;
             } else {
                 hi = mid - 1;
@@ -430,6 +486,117 @@ impl ServiceRateTable {
             }
             serves = paced;
         }
+    }
+}
+
+/// The most heap bytes of service envelopes one [`EnvelopeStore`] keeps.
+/// An envelope takes up to 3.4 KB on the coarse grid and 17 KB for a
+/// paper-grid B2; the largest searches of the repository's grids meet
+/// 1.8 MB of them (coarse B1+B2 ``IL` 250``, 1,006 envelopes) and 15.4 MB
+/// (paper-grid B1+B2 `ILs alt`, 1,428).
+pub const MAX_ENVELOPE_BYTES: usize = 16 << 20;
+
+/// What a service envelope is built from, besides its battery type's
+/// [`ServiceRateTable`]: the battery's state and the load's largest single
+/// draw ([`ServiceRateTable::build_envelope`]'s arguments).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct EnvelopeKey {
+    /// Charge units the battery can still serve.
+    pub charge_units: u32,
+    /// The battery's height difference, in height units.
+    pub height_units: u32,
+    /// The largest single draw of the load ahead, in charge units.
+    pub max_units_per_draw: u32,
+}
+
+/// A battery type's [`ServiceRateTable`] together with every envelope built
+/// from it, shared by all searches on one system ([`crate::DiscreteFleet`]
+/// holds one store per battery type).
+///
+/// An envelope is a pure function of its [`EnvelopeKey`], and searches on
+/// one system meet the same few hundred keys again and again, so each is
+/// built once, under the store's lock, and handed out as an `Arc`. The
+/// store keeps at most [`MAX_ENVELOPE_BYTES`]: when a build would pass the
+/// cap, the store empties itself first. Handles already handed out stay
+/// valid, so a search never loses an envelope it holds, and a long-running
+/// process never stops caching.
+#[derive(Debug)]
+pub struct EnvelopeStore {
+    table: ServiceRateTable,
+    capacity_bytes: usize,
+    stored: Mutex<StoredEnvelopes>,
+}
+
+/// The envelopes of an [`EnvelopeStore`], behind its lock.
+#[derive(Debug, Default)]
+struct StoredEnvelopes {
+    /// Heap bytes of the stored envelopes.
+    bytes: usize,
+    envelopes: BTreeMap<EnvelopeKey, Arc<ServiceEnvelope>>,
+    /// Every build runs in here; the stored copy is sized to its contents.
+    buffer: ServiceEnvelope,
+}
+
+impl EnvelopeStore {
+    /// An empty store over `table`, capped at [`MAX_ENVELOPE_BYTES`].
+    #[must_use]
+    pub fn new(table: ServiceRateTable) -> Self {
+        Self::with_capacity_bytes(table, MAX_ENVELOPE_BYTES)
+    }
+
+    fn with_capacity_bytes(table: ServiceRateTable, capacity_bytes: usize) -> Self {
+        Self { table, capacity_bytes, stored: Mutex::default() }
+    }
+
+    /// The service-rate table the envelopes are built with.
+    #[must_use]
+    pub fn table(&self) -> &ServiceRateTable {
+        &self.table
+    }
+
+    /// The envelope of `key`, built on the first request.
+    #[must_use]
+    pub fn envelope(&self, key: EnvelopeKey) -> Arc<ServiceEnvelope> {
+        let mut stored = self.lock();
+        if let Some(envelope) = stored.envelopes.get(&key) {
+            return Arc::clone(envelope);
+        }
+        let StoredEnvelopes { bytes, envelopes, buffer } = &mut *stored;
+        self.table.build_envelope(
+            key.charge_units,
+            key.height_units,
+            key.max_units_per_draw,
+            buffer,
+        );
+        // A clone allocates exactly its length: stored envelopes keep no
+        // slack from the buffer's earlier, larger builds.
+        let envelope = Arc::new(buffer.clone());
+        let size = envelope.heap_bytes();
+        if *bytes + size > self.capacity_bytes {
+            envelopes.clear();
+            *bytes = 0;
+        }
+        *bytes += size;
+        envelopes.insert(key, Arc::clone(&envelope));
+        envelope
+    }
+
+    /// The stored envelopes, in key order.
+    #[must_use]
+    pub fn entries(&self) -> Vec<(EnvelopeKey, Arc<ServiceEnvelope>)> {
+        self.lock().envelopes.iter().map(|(key, envelope)| (*key, Arc::clone(envelope))).collect()
+    }
+
+    /// The number of stored envelopes.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.lock().envelopes.len()
+    }
+
+    /// The stored envelopes. A panic under the lock leaves them whole (a
+    /// build only touches the buffer), so a poisoned lock is still usable.
+    fn lock(&self) -> MutexGuard<'_, StoredEnvelopes> {
+        self.stored.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -700,9 +867,9 @@ mod tests {
 
     #[test]
     fn reused_envelope_buffers_match_a_fresh_build() {
-        // The search builds every envelope it has not memoized into one
-        // buffer per battery; a rebuild must leave nothing of the previous
-        // state behind, whichever way the envelope's size changes.
+        // An envelope store builds every envelope into its one buffer; a
+        // rebuild must leave nothing of the previous state behind,
+        // whichever way the envelope's size changes.
         let (_, _, table) = b1_coarse();
         let states = [(110u32, 0u32), (8, 1), (80, 14), (0, 3), (110, 18), (20, 20)];
         let mut reused = ServiceEnvelope::new();
@@ -712,6 +879,187 @@ mod tests {
                 let mut fresh = ServiceEnvelope::new();
                 table.build_envelope(n, m, units, &mut fresh);
                 assert_eq!(reused, fresh, "(n={n}, m={m}, {units} units per draw)");
+            }
+        }
+    }
+
+    /// The pricing [`ServiceRateTable::recovery_time`] replaced: the
+    /// frontier-governed prefix found anew, by binary search over the first
+    /// `r − 1` recoveries, for every `r`.
+    fn recovery_time_by_search(
+        table: &ServiceRateTable,
+        envelope: &ServiceEnvelope,
+        r: usize,
+        demand_units: u64,
+    ) -> u64 {
+        if r <= 1 {
+            return 0;
+        }
+        let priced = r - 1;
+        let climb = u64::from(envelope.height) + envelope.charge.min(demand_units) + 1;
+        let mut lo = 0usize;
+        let mut hi = priced.min(envelope.frontier_height.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if u64::from(envelope.frontier_height[mid]) + (mid as u64 + 1) <= climb {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let split = lo;
+        let mut total = if split > 0 { envelope.frontier_prefix[split - 1] } else { 0 };
+        if split < priced {
+            let high = climb.saturating_sub(split as u64 + 1);
+            let low = climb.saturating_sub(priced as u64);
+            if low <= 1 {
+                return u64::MAX;
+            }
+            total = total
+                .saturating_add(table.height_range_cost(high))
+                .saturating_sub(table.height_range_cost(low - 1));
+        }
+        total
+    }
+
+    /// The cursor advance [`ServiceRateTable::units_within`] replaced:
+    /// every step priced by [`recovery_time_by_search`].
+    fn units_within_by_search(
+        table: &ServiceRateTable,
+        envelope: &ServiceEnvelope,
+        cursor: &mut EnvelopeCursor,
+        window_steps: u64,
+        demand_units: u64,
+    ) -> u64 {
+        while cursor.recovered + 1 < envelope.units_at.len()
+            && recovery_time_by_search(table, envelope, cursor.recovered + 1, demand_units)
+                <= window_steps
+        {
+            cursor.recovered += 1;
+        }
+        u64::from(envelope.units_at[cursor.recovered]).min(demand_units)
+    }
+
+    #[test]
+    fn split_pricing_equals_the_per_step_binary_search() {
+        let (params, _, b1) = b1_coarse();
+        let b2 =
+            ServiceRateTable::for_battery(&BatteryParams::itsy_b2(), &Discretization::coarse());
+        let paper = ServiceRateTable::for_battery(&params, &Discretization::paper_default());
+        let mut rng = workload::random::SplitMix64::new(29);
+        let mut env = ServiceEnvelope::new();
+        let (mut prices, mut queries) = (0, 0);
+        for table in [&b1, &b2, &paper] {
+            let top = table.threshold.len() - 1;
+            for _ in 0..200 {
+                let n = crate::checked::to_u32(rng.next_index(top + 1));
+                let m =
+                    crate::checked::to_u32(rng.next_index(table.service_threshold(n) as usize + 8));
+                let units = 1 + crate::checked::to_u32(rng.next_index(3));
+                table.build_envelope(n, m, units, &mut env);
+                // Every price, with the whole ladder's governed prefix
+                // capped at the recoveries priced.
+                for _ in 0..4 {
+                    let demand = match rng.next_index(3) {
+                        0 => u64::MAX,
+                        _ => rng.next_index(n as usize + 20) as u64,
+                    };
+                    let climb = env.climb(demand);
+                    let governed = env.frontier_governed(climb);
+                    for r in 0..env.units_at.len() {
+                        let priced = r.saturating_sub(1);
+                        assert_eq!(
+                            table.recovery_time(&env, priced, governed.min(priced), climb),
+                            recovery_time_by_search(table, &env, r, demand),
+                            "(n={n}, m={m}, {units} units per draw): r={r}, demand {demand}"
+                        );
+                        prices += 1;
+                    }
+                }
+                // Cursor walks over non-decreasing windows and demands,
+                // the way the availability bound queries.
+                let (mut fast, mut slow) = (EnvelopeCursor::default(), EnvelopeCursor::default());
+                let (mut window, mut demand) = (0u64, 0u64);
+                for _ in 0..12 {
+                    window += rng.next_index(60) as u64;
+                    demand += rng.next_index(12) as u64;
+                    assert_eq!(
+                        table.units_within(&env, &mut fast, window, demand),
+                        units_within_by_search(table, &env, &mut slow, window, demand),
+                        "(n={n}, m={m}, {units} units per draw): window {window}, demand {demand}"
+                    );
+                    assert_eq!(fast.recovered, slow.recovered);
+                    queries += 1;
+                }
+            }
+        }
+        assert!(prices > 10_000 && queries > 5_000, "{prices} prices, {queries} queries compared");
+    }
+
+    fn b1_key(charge_units: u32, height_units: u32) -> EnvelopeKey {
+        EnvelopeKey { charge_units, height_units, max_units_per_draw: 2 }
+    }
+
+    fn fresh_build(table: &ServiceRateTable, key: EnvelopeKey) -> ServiceEnvelope {
+        let mut envelope = ServiceEnvelope::new();
+        table.build_envelope(
+            key.charge_units,
+            key.height_units,
+            key.max_units_per_draw,
+            &mut envelope,
+        );
+        envelope
+    }
+
+    #[test]
+    fn the_store_builds_each_key_once() {
+        let (_, _, table) = b1_coarse();
+        let store = EnvelopeStore::new(table.clone());
+        assert_eq!(store.len(), 0);
+        let first = store.envelope(b1_key(110, 0));
+        let again = store.envelope(b1_key(110, 0));
+        assert!(Arc::ptr_eq(&first, &again), "a stored key is handed out, not rebuilt");
+        // The largest draw is part of the key.
+        let wider = store.envelope(EnvelopeKey { max_units_per_draw: 3, ..b1_key(110, 0) });
+        assert!(!Arc::ptr_eq(&first, &wider));
+        assert_eq!(store.len(), 2);
+        for (key, envelope) in store.entries() {
+            assert_eq!(*envelope, fresh_build(&table, key), "{key:?}");
+            assert_eq!(envelope.heap_bytes(), envelope.clone().heap_bytes(), "stored compactly");
+        }
+    }
+
+    #[test]
+    fn a_full_store_empties_itself_and_keeps_building_correctly() {
+        let (_, _, table) = b1_coarse();
+        let keys = [b1_key(110, 0), b1_key(80, 14), b1_key(20, 20), b1_key(60, 11)];
+        let bytes = |key| fresh_build(&table, key).clone().heap_bytes();
+        // Room for the first two envelopes, not for the third.
+        let store =
+            EnvelopeStore::with_capacity_bytes(table.clone(), bytes(keys[0]) + bytes(keys[1]));
+        let held: Vec<_> = keys[..2].iter().map(|&key| store.envelope(key)).collect();
+        assert_eq!(store.len(), 2);
+        let third = store.envelope(keys[2]);
+        assert_eq!(store.entries().len(), 1, "the third build emptied the store");
+        assert!(Arc::ptr_eq(&store.entries()[0].1, &third));
+        // Handles taken before the reset survive it.
+        for (key, envelope) in keys.iter().zip(&held) {
+            assert_eq!(**envelope, fresh_build(&table, *key), "{key:?}");
+        }
+        // The store goes on caching after the reset, counting from zero:
+        // the third envelope is no larger than the second, so it and the
+        // first fit together again.
+        assert!(bytes(keys[2]) <= bytes(keys[1]));
+        let rebuilt = store.envelope(keys[0]);
+        assert!(!Arc::ptr_eq(&rebuilt, &held[0]));
+        assert!(Arc::ptr_eq(&rebuilt, &store.envelope(keys[0])));
+        assert_eq!(store.len(), 2, "the store emptied itself again below its cap");
+        // A cap below any envelope keeps just the latest build, correctly.
+        let tiny = EnvelopeStore::with_capacity_bytes(table.clone(), 1);
+        for _ in 0..2 {
+            for key in keys {
+                assert_eq!(*tiny.envelope(key), fresh_build(&table, key), "{key:?}");
+                assert_eq!(tiny.len(), 1);
             }
         }
     }

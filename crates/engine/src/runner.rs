@@ -238,7 +238,10 @@ impl SystemKey {
 /// are the expensive part (the recovery table alone is `O(N)` log
 /// evaluations); the discretized and RV backends hold theirs behind an
 /// `Arc`, so every cell runs on a clone of the backend it needs — its own
-/// battery state over the prototype's tables, read in place.
+/// battery state over the prototype's tables, read in place. The
+/// discretized backend's `Arc` also carries the per-type envelope stores,
+/// so every optimal search on the system, from any worker or connection,
+/// reuses the service envelopes earlier searches built.
 #[derive(Debug)]
 struct CachedSystem {
     config: SystemConfig,

@@ -19,10 +19,11 @@ use dkibam::DiscretizedLoad;
 use engine::api::run_requests;
 use engine::json::JsonValue;
 use engine::{
-    results_from_json, run_scenario, BackendKind, BatterySpec, DiscSpec, FleetDef, GridRun,
-    LoadSpec, PolicyKind, Request, Scenario, ScenarioResult, ScenarioSpec, SearchStats, ServeError,
-    WorkerCache,
+    results_from_json, run_scenario, run_scenario_with_cache, BackendKind, BatterySpec, DiscSpec,
+    FleetDef, GridRun, LoadSpec, PolicyKind, Request, Scenario, ScenarioResult, ScenarioSpec,
+    SearchStats, ServeError, SharedSystemCache, WorkerCache,
 };
+use std::sync::{Arc, Barrier};
 use workload::paper_loads::TestLoad;
 
 /// Both fleet shapes of the paper experiments: the uniform pair and the
@@ -308,6 +309,62 @@ fn optimal_rows_match_direct_core_searches() {
             Some(outcome.lifetime_minutes(&config).to_bits()),
             "{context}: lifetime diverged"
         );
+    }
+}
+
+#[test]
+fn concurrent_searches_on_one_cached_system_match_serial_ones() {
+    // Searches on one cached system share its envelope stores: two threads
+    // searching it at once, each on its own loads and in its own order,
+    // must still produce exactly the rows of serial runs on fresh systems.
+    let spec = ScenarioSpec {
+        batteries: vec![],
+        battery_counts: vec![],
+        fleets: vec![FleetDef::mixed(vec![BatterySpec::b1(), BatterySpec::b2()])],
+        discretizations: vec![DiscSpec::coarse()],
+        loads: vec![
+            LoadSpec::Paper(TestLoad::IlsAlt),
+            LoadSpec::Paper(TestLoad::Ils500),
+            LoadSpec::random_paper_levels(3, 20),
+            LoadSpec::random_paper_levels(4, 20),
+        ],
+        policies: vec![PolicyKind::optimal()],
+        backends: vec![BackendKind::Discretized],
+    };
+    let scenarios = spec.expand();
+    let serial: Vec<ScenarioResult> =
+        scenarios.iter().map(|scenario| run_scenario(scenario).unwrap()).collect();
+    let shared = Arc::new(SharedSystemCache::new());
+    let start = Barrier::new(2);
+    let orders: [Vec<usize>; 2] =
+        [(0..scenarios.len()).collect(), (0..scenarios.len()).rev().collect()];
+    let rows: Vec<Vec<(usize, ScenarioResult)>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = orders
+            .iter()
+            .map(|order| {
+                let (cache, start, scenarios) =
+                    (WorkerCache::with_shared(Arc::clone(&shared)), &start, &scenarios);
+                scope.spawn(move || {
+                    start.wait();
+                    order
+                        .iter()
+                        .map(|&index| {
+                            (index, run_scenario_with_cache(&scenarios[index], &cache).unwrap())
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|worker| worker.join().unwrap()).collect()
+    });
+    assert_eq!(shared.stats().builds, 1, "both threads searched one cached system");
+    for (thread, rows) in rows.iter().enumerate() {
+        assert_eq!(rows.len(), serial.len());
+        for (index, row) in rows {
+            let context = format!("thread {thread}: {}", row.scenario.label());
+            assert_identical(row, &serial[*index], &context);
+            assert_eq!(row.root_bounds, serial[*index].root_bounds, "{context}: root bounds");
+        }
     }
 }
 
