@@ -20,9 +20,10 @@
 //! bounds, the part of every search that runs before the first node) on the
 //! coarse-grid alternating-load fleets, timed here because the warm start
 //! runs on the stepping kernels. A `bound_stacking` section times whole
-//! optimal searches as the bounds stack up: nodes and median µs of the
-//! charge-only search and of the default search (plus the availability
-//! bound) on the coarse-grid instances of README's bounds-stacking table,
+//! optimal searches with and without the availability bound: nodes and
+//! median µs of the search without it (`charge_only_*`: its nodes evaluate
+//! the charge bound instead) and of the default search on the coarse-grid
+//! instances of README's bounds-stacking table,
 //! each on a freshly built system, plus the default search again on the
 //! system the first one warmed (its envelope stores filled).
 //! A `grid` section measures the engine layer:
@@ -317,9 +318,10 @@ fn stacking_instances(smoke: bool) -> Vec<(&'static str, Vec<BatteryParams>, Tes
     instances
 }
 
-/// The search's numbers as its bounds stack up: the charge-only search
-/// (the full search without the availability bound) against the default
-/// one, in nodes and median µs of whole searches (root phase included).
+/// The search's numbers with and without the availability bound: the full
+/// search without it (whose nodes evaluate the charge bound instead)
+/// against the default one, in nodes and median µs of whole searches (root
+/// phase included).
 /// Every timed run builds a fresh system first (untimed), so both searches
 /// start on empty envelope stores, as the first search on a system does;
 /// the default search then runs once more on its warmed system
@@ -329,7 +331,7 @@ fn measure_bound_stacking(smoke: bool) -> JsonValue {
     println!("bounds stacking (coarse grid, median us of {runs} whole searches):");
     println!(
         "{:<17} {:>11} {:>9} {:>15} {:>9} {:>9} {:>7}",
-        "instance", "charge-only", "us", "+availability", "us", "warm us", "nodes"
+        "instance", "w/o avail", "us", "default", "us", "warm us", "nodes"
     );
     let charge_only = OptimalScheduler::new().without_availability_bound();
     let default = OptimalScheduler::new();

@@ -19,5 +19,6 @@ fn main() {
         }
     }
     println!("\nNote: ILs r1 / ILs r2 use seeded random job sequences; the paper's exact");
-    println!("sequences are not published, so their absolute values differ (see EXPERIMENTS.md).");
+    println!("sequences are not published, so their absolute values differ (see README,");
+    println!("\"Results vs. the paper\").");
 }

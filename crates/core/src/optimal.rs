@@ -6,25 +6,29 @@
 //! state, branching only at scheduling points (job starts and battery-empty
 //! events), with
 //!
-//! * a **charge upper bound** on the remaining lifetime derived from the
-//!   remaining usable charge and the load ahead (a schedule can never
-//!   outlive the point at which the load has requested more charge than all
-//!   batteries jointly hold),
-//! * an **availability upper bound** that couples per-battery draw/recovery
-//!   dynamics with the load's duty cycle: each battery reports an
-//!   admissible service envelope (built by the per-type
-//!   [`dkibam::ServiceRateTable`] from the battery's
-//!   [`BatteryModel::envelope_input`]) bounding the units it can serve
-//!   within any window given the demand delivered by then, and the bound
-//!   walks the remaining epochs charging every draw
-//!   against both the joint charge budget and the fleet's joint
-//!   availability. On loads that strand charge (`ILs alt` leaves ~70 %
-//!   behind) the charge bound never fires — batteries die from the Eq. 8
-//!   emptiness criterion, not exhaustion — while the availability bound
-//!   tracks exactly that criterion: it shrinks the 3-battery alternating
-//!   search ~4× (53.6k nodes vs 208.5k, pinned in
-//!   `tests/bound_admissibility.rs`) and fires on roughly half of all
-//!   nodes there, where the charge bound fires on none,
+//! * one **upper bound** on the remaining lifetime per node, compared
+//!   against the incumbent:
+//!   - the **availability bound** wherever the backend reports service
+//!     envelopes (the discretized KiBaM, fleets of up to eight batteries).
+//!     It couples per-battery draw/recovery dynamics with the load's duty
+//!     cycle: each battery reports an admissible service envelope (built
+//!     by the per-type [`dkibam::ServiceRateTable`] from the battery's
+//!     [`BatteryModel::envelope_input`]) bounding the units it can serve
+//!     within any window given the demand delivered by then, and the bound
+//!     walks the remaining epochs charging every draw against both the
+//!     joint charge budget and the fleet's joint availability. So it is
+//!     never above the charge bound, and every bound prune there counts as
+//!     an availability prune. On loads that strand charge (`ILs alt` leaves
+//!     ~70 % behind) the charge budget never binds — batteries die from the
+//!     Eq. 8 emptiness criterion, not exhaustion — while the availability
+//!     walk tracks exactly that criterion: it shrinks the 3-battery
+//!     alternating search ~4× against the charge bound alone (53.6k nodes
+//!     vs 208.5k, pinned in `tests/bound_admissibility.rs`) and prunes
+//!     roughly half of all nodes there;
+//!   - the **charge bound** everywhere else (backends without envelopes,
+//!     larger fleets, [`OptimalScheduler::without_availability_bound`]):
+//!     a schedule can never outlive the point at which the load has
+//!     requested more charge than all usable batteries jointly hold,
 //! * **symmetry pruning** (batteries in identical states need only be tried
 //!   once),
 //! * a **transposition table** keyed by the canonicalized battery state and
@@ -178,7 +182,7 @@ pub const DEFAULT_BUDGET: usize = 20_000_000;
 
 /// The most batteries the availability bound handles (per-battery table
 /// references live in a fixed-size array on the bound's hot path); larger
-/// fleets simply skip the availability bound.
+/// fleets fall back to the charge bound.
 const MAX_BOUND_BATTERIES: usize = 8;
 
 /// The most Pareto-maximal expanded states retained per load position for
@@ -217,9 +221,12 @@ pub struct OptimalOutcome {
     /// least as good.
     pub dominance_prunes: usize,
     /// Nodes cut by the usable-charge upper bound against the incumbent.
+    /// A node evaluates it only where the availability bound makes no
+    /// claim, so it stays 0 on the discretized backend's default search.
     pub charge_bound_prunes: usize,
     /// Nodes cut by the availability-aware upper bound (recovery-coupled
-    /// service envelopes) after the charge bound failed to fire.
+    /// service envelopes, capped by the usable charge): every bound prune of
+    /// a search that evaluates it.
     pub availability_bound_prunes: usize,
     /// Always 0: the search has no relaxation bound. The field stays
     /// because the repository benchmark (`perfbench`) still reads it.
@@ -297,9 +304,10 @@ impl OptimalScheduler {
         self
     }
 
-    /// Disables the availability-aware bound, leaving only the charge
-    /// bound (for ablation: this is the full pre-availability search, so
-    /// node-count comparisons against it isolate what the new bound buys).
+    /// Disables the availability-aware bound, so every node evaluates the
+    /// charge bound instead (for ablation: this is the full
+    /// pre-availability search, so node-count comparisons against it
+    /// isolate what the availability bound buys).
     #[must_use]
     pub fn without_availability_bound(mut self) -> Self {
         self.availability = false;
@@ -662,25 +670,25 @@ impl<M: BatteryModel> Search<'_, M> {
             return Err(SchedError::SearchBudgetExceeded { budget: self.budget });
         }
 
-        // Charge bound: even if every remaining unit of usable charge were
-        // extractable, the load ahead limits how long the system can live.
-        if elapsed + self.charge_bound(epoch_index, offset) <= self.best_steps {
-            self.charge_bound_prunes += 1;
-            return Ok(false);
-        }
-        // Availability bound: recovery dynamics limit how fast that charge
-        // can actually be served. Evaluated only when the (cheaper) charge
-        // bound fails to fire, so the split counters attribute each prune
-        // to the weakest bound that achieves it.
-        if self.availability {
-            let margin = self.best_steps.saturating_sub(elapsed);
-            let bound = self.availability_bound(epoch_index, offset, margin);
+        // One bound per node. The availability bound already includes the
+        // charge cap; the charge bound stands in only where the walk makes
+        // no claim (no envelopes, too many batteries, or switched off).
+        let margin = self.best_steps.saturating_sub(elapsed);
+        let bound = if self.availability {
+            self.availability_bound(epoch_index, offset, margin)
+        } else {
+            u64::MAX
+        };
+        if bound != u64::MAX {
             #[cfg(test)]
             self.audit_scan(epoch_index, offset, margin, bound);
             if elapsed.saturating_add(bound) <= self.best_steps {
                 self.availability_bound_prunes += 1;
                 return Ok(false);
             }
+        } else if elapsed + self.charge_bound(epoch_index, offset) <= self.best_steps {
+            self.charge_bound_prunes += 1;
+            return Ok(false);
         }
 
         // Transposition table + dominance pruning. An earlier visit of the
@@ -839,6 +847,17 @@ impl<M: BatteryModel> Search<'_, M> {
     /// of every remaining job epoch and, once it fails, locates the last
     /// coverable draw inside the failing epoch.
     ///
+    /// An epoch also fails once its cumulative demand reaches the fleet's
+    /// usable charge (the inputs' charge units), so the bound is at most
+    /// [`Search::charge_bound`] and the search needs no second bound.
+    /// Proof that this is exactly `min(A, C)`, with `A` the walk without
+    /// that check and `C` the charge bound: envelopes are capped at their
+    /// battery's charge, so the fleet's units never exceed the usable
+    /// charge. `A` therefore passes an epoch that `C` fails only when the
+    /// epoch's demand equals the usable charge exactly. `C` ends such an
+    /// epoch at its last draw (Eq. 8 retires a battery at the draw that
+    /// empties it), and so does the death scan, whose last draw is covered.
+    ///
     /// Returns `u64::MAX` (no claim) when the backend cannot bound
     /// service. With `limit == u64::MAX` the value is the exact bound;
     /// otherwise it is `≤ limit` exactly when the exact bound is, and then
@@ -852,10 +871,13 @@ impl<M: BatteryModel> Search<'_, M> {
         }
         let mut slots: [Option<(&ServiceRateTable, usize)>; MAX_BOUND_BATTERIES] =
             [None; MAX_BOUND_BATTERIES];
+        // The fleet's usable charge, in units: retired batteries report 0.
+        let mut usable: u64 = 0;
         for (battery, entry) in slots.iter_mut().enumerate().take(battery_count) {
             let Some((input, store)) = self.model.envelope_input(battery) else {
                 return u64::MAX;
             };
+            usable += u64::from(input.charge_units);
             *entry = Some((store.table(), self.envelopes.slot(input, store)));
         }
         let envelopes = &self.envelopes;
@@ -907,10 +929,13 @@ impl<M: BatteryModel> Search<'_, M> {
             // The binding check sits at the epoch's last draw instant:
             // demand peaks there while the envelopes keep growing through
             // the idle time that follows. The cursor snapshot lets the
-            // death scan below rewind to the epoch's start.
+            // death scan below rewind to the epoch's start. An epoch whose
+            // demand empties the fleet's charge is not survived either: Eq. 8
+            // retires a battery at the draw that empties it.
             marks = cursors;
-            if epoch_demand
-                <= fleet_units(&mut cursors, steps + draws_possible * interval, epoch_demand)
+            if epoch_demand < usable
+                && epoch_demand
+                    <= fleet_units(&mut cursors, steps + draws_possible * interval, epoch_demand)
             {
                 demand = epoch_demand;
                 steps += duration;
@@ -958,7 +983,7 @@ impl<M: BatteryModel> Search<'_, M> {
 
     /// Holds `bound`, the availability bound under `limit`, to the exact
     /// scan's prune decision (and, when it prunes, never below the exact
-    /// value), if auditing.
+    /// value), and the exact bound to at most the charge bound, if auditing.
     #[cfg(test)]
     fn audit_scan(&mut self, epoch_index: usize, offset: u64, limit: u64, bound: u64) {
         let Some(audits) = self.scan_audits else {
@@ -967,6 +992,8 @@ impl<M: BatteryModel> Search<'_, M> {
         let exact = self.availability_bound(epoch_index, offset, u64::MAX);
         assert_eq!(bound <= limit, exact <= limit, "limit {limit}: {bound} vs exact {exact}");
         assert!(bound > limit || bound >= exact, "{bound} is below the exact bound {exact}");
+        let charge = self.charge_bound(epoch_index, offset);
+        assert!(exact <= charge, "exact bound {exact} above the charge bound {charge}");
         self.scan_audits = Some(audits + 1);
     }
 
@@ -1361,6 +1388,65 @@ mod tests {
                 (plain.nodes_explored, plain.availability_bound_prunes, plain.lifetime_steps)
             );
         }
+    }
+
+    #[test]
+    fn the_availability_bound_includes_the_charge_cap() {
+        // Two batteries holding one charge unit each, and a job that asks
+        // for exactly those two units (60 idle steps, then one unit every 4
+        // of 10 steps). The fleet's envelopes cover that demand, but Eq. 8
+        // retires each battery at the draw that empties it: the system
+        // cannot live past the second draw, at step 68. A walk that only
+        // checks the envelopes survives the whole job (70 steps), and 94
+        // with a second job appended.
+        let config = coarse_config();
+        let job = |builder: LoadProfileBuilder| builder.idle(3.0).job(0.25, 0.5);
+        let once = job(LoadProfileBuilder::new()).build_finite().unwrap();
+        let twice = job(job(LoadProfileBuilder::new()).idle(1.0)).build_finite().unwrap();
+        for profile in [once, twice] {
+            let load = config.discretize(&profile).unwrap();
+            let mut model = config.discretized_model();
+            let mut search = Search::new(&config, &load, &mut model, OptimalScheduler::new());
+            search.model.restore_state(&vec![dkibam::DiscreteBattery::from_units(1, 0); 2]);
+            assert_eq!(search.charge_bound(0, 0), 68);
+            assert_eq!(search.availability_bound(0, 0, u64::MAX), 68);
+        }
+    }
+
+    /// Enters the root of a fresh search whose incumbent equals the charge
+    /// bound, and returns its (charge, availability) prune counts.
+    fn root_prunes<M: BatteryModel>(
+        config: &SystemConfig,
+        load: &DiscretizedLoad,
+        model: &mut M,
+        scheduler: OptimalScheduler,
+    ) -> (usize, usize) {
+        let mut search = Search::new(config, load, model, scheduler);
+        search.best_steps = search.charge_bound(0, 0);
+        assert!(!search.enter_position(0, 0, 0).unwrap(), "the root is pruned");
+        (search.charge_bound_prunes, search.availability_bound_prunes)
+    }
+
+    #[test]
+    fn each_node_evaluates_one_bound() {
+        // A node that both bounds prune counts once: as an availability
+        // prune where the walk makes a claim, and as a charge prune where
+        // it does not (switched off, more than `MAX_BOUND_BATTERIES`
+        // batteries, a backend without envelopes).
+        let profile = LoadProfileBuilder::new().idle(3.0).job(0.25, 0.5).build_finite().unwrap();
+        let fleet = |count| {
+            SystemConfig::new(BatteryParams::itsy_b1(), Discretization::coarse(), count).unwrap()
+        };
+        let pair = fleet(2);
+        let load = pair.discretize(&profile).unwrap();
+        let default = OptimalScheduler::new();
+        let charge_only = OptimalScheduler::new().without_availability_bound();
+        assert_eq!(root_prunes(&pair, &load, &mut pair.discretized_model(), default), (0, 1));
+        assert_eq!(root_prunes(&pair, &load, &mut pair.discretized_model(), charge_only), (1, 0));
+        assert_eq!(root_prunes(&pair, &load, &mut pair.ideal_model(), default), (1, 0));
+        let large = fleet(MAX_BOUND_BATTERIES + 1);
+        let load = large.discretize(&profile).unwrap();
+        assert_eq!(root_prunes(&large, &load, &mut large.discretized_model(), default), (1, 0));
     }
 
     #[test]

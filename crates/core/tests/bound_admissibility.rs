@@ -132,9 +132,10 @@ fn three_battery_bound_is_admissible() {
 }
 
 /// The frontier golden: 3×B1 on the alternating load. The charge bound
-/// never fires here (the load strands ~70 % of the charge), so the whole
-/// reduction against the charge-only search is the availability bound's
-/// doing. Values are pinned exactly — node counts are deterministic.
+/// never fires here, not even in the charge-only search (the load strands
+/// ~70 % of the charge), so the whole reduction against that search is the
+/// availability bound's doing. Values are pinned exactly — node counts are
+/// deterministic.
 #[test]
 fn three_b1_alternating_frontier_is_pinned() {
     let config = coarse_uniform(3);
@@ -148,7 +149,8 @@ fn three_b1_alternating_frontier_is_pinned() {
     assert_eq!(full.lifetime_steps, charge_only.lifetime_steps);
     assert_eq!(full.nodes_explored, 53_595, "availability-bounded node count");
     assert_eq!(charge_only.nodes_explored, 208_504, "charge-only node count");
-    assert_eq!(full.charge_bound_prunes, 0, "the charge bound never fires on ILs alt");
+    assert_eq!(charge_only.charge_bound_prunes, 0, "the charge bound never fires on ILs alt");
+    assert_eq!(full.charge_bound_prunes, 0, "the default search evaluates one bound per node");
     assert!(full.availability_bound_prunes > 5_000, "the availability bound does the pruning");
     assert_eq!(full.relax_bound_prunes, 0, "the search has no relaxation bound");
     assert_eq!(full.seeded_by, Some("round robin"));

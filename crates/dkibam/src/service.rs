@@ -98,12 +98,6 @@ impl ServiceEnvelope {
         Self::default()
     }
 
-    /// The most units this battery can ever serve, regardless of time.
-    #[must_use]
-    pub fn max_units(&self) -> u64 {
-        self.units_at.last().copied().map_or(0, u64::from)
-    }
-
     /// The heap bytes held by the envelope's buffers (their capacity), for
     /// callers that bound the memory of the envelopes they keep.
     #[must_use]
@@ -120,30 +114,12 @@ impl ServiceEnvelope {
         u64::from(self.height) + self.charge.min(demand_units) + 1
     }
 
-    /// How many recoveries the frontier branch prices under `climb`: the
-    /// recoveries `j` with `frontier_height[j] + j ≤ climb`.
-    /// `frontier_height[j] + j` is non-decreasing (the frontier shrinks by
-    /// at most one per recovery, asserted in
-    /// [`ServiceRateTable::build_envelope`]), so that set is a prefix,
-    /// found by binary search; a cursor extends it one
-    /// [`ServiceEnvelope::frontier_governs`] check at a time instead.
-    fn frontier_governed(&self, climb: u64) -> usize {
-        let mut lo = 0usize;
-        let mut hi = self.frontier_height.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.frontier_governs(mid, climb) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
     /// Whether the frontier branch prices recovery `j = index + 1` under
     /// `climb`, i.e. `frontier_height[j] + j ≤ climb` (false past the
-    /// frontier ladder).
+    /// frontier ladder). `frontier_height[j] + j` is non-decreasing (the
+    /// frontier shrinks by at most one per recovery, asserted in
+    /// [`ServiceRateTable::build_envelope`]), so the recoveries the frontier
+    /// governs form a prefix, which a cursor extends one check at a time.
     fn frontier_governs(&self, index: usize, climb: u64) -> bool {
         self.frontier_height
             .get(index)
@@ -159,7 +135,7 @@ pub struct EnvelopeCursor {
     /// Recovery units granted.
     recovered: usize,
     /// How many leading recoveries are known to be frontier-governed
-    /// ([`ServiceEnvelope::frontier_governed`]), at most `recovered` (the
+    /// ([`ServiceEnvelope::frontier_governs`]), at most `recovered` (the
     /// recoveries priced for the next grant). Demands only grow, and with
     /// them the climb, so a recovery governed at one query stays governed
     /// at every later one: each query extends this count instead of
@@ -319,7 +295,7 @@ impl ServiceRateTable {
             // Envelope monotonicity: the recovery frontier only shrinks as
             // units are served, so the priced heights are non-increasing —
             // by at most one per recovery, which keeps the frontier-governed
-            // recoveries a prefix ([`ServiceEnvelope::frontier_governed`]).
+            // recoveries a prefix ([`ServiceEnvelope::frontier_governs`]).
             debug_assert!(
                 out.frontier_height.last().map_or(true, |&prev| height <= u64::from(prev)
                     && height + 1 >= u64::from(prev)),
@@ -339,9 +315,9 @@ impl ServiceRateTable {
     /// cheapest (largest) height it could occur at — the frontier ladder
     /// capped by the demand-paced climb `m₀ + D − (j − 1)` — with the first
     /// recovery riding free on a pre-accumulated clock. The frontier ladder
-    /// prices the first `split` of the `priced` recoveries (at most
-    /// [`ServiceEnvelope::frontier_governed`]), the climb the rest, so the
-    /// price is O(1).
+    /// prices the first `split` of the `priced` recoveries (the
+    /// frontier-governed prefix, [`ServiceEnvelope::frontier_governs`]), the
+    /// climb the rest, so the price is O(1).
     fn recovery_time(
         &self,
         envelope: &ServiceEnvelope,
@@ -404,88 +380,6 @@ impl ServiceRateTable {
             "service envelope promised more units than the battery's charge"
         );
         u64::from(envelope.units_at[cursor.recovered]).min(demand_units)
-    }
-
-    /// The largest recovery count `r` whose first `r` units fit in
-    /// `window_steps` under demand cap `demand_units`
-    /// ([`ServiceRateTable::recovery_time`] is non-decreasing in `r`, so
-    /// this is a plain binary search — no monotone cursor required).
-    fn max_recoveries_within(
-        &self,
-        envelope: &ServiceEnvelope,
-        window_steps: u64,
-        demand_units: u64,
-    ) -> usize {
-        if envelope.units_at.is_empty() {
-            return 0;
-        }
-        let climb = envelope.climb(demand_units);
-        let governed = envelope.frontier_governed(climb);
-        let mut lo = 0usize;
-        let mut hi = envelope.units_at.len() - 1;
-        while lo < hi {
-            let mid = lo + (hi - lo).div_ceil(2);
-            let priced = mid.saturating_sub(1);
-            if self.recovery_time(envelope, priced, governed.min(priced), climb) <= window_steps {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        lo
-    }
-
-    /// **Self-paced** upper bound on the units this battery can serve
-    /// within `window_steps`, independent of the load's demand.
-    ///
-    /// [`ServiceRateTable::units_within`] paces recoveries by the *load's*
-    /// delivered units `D` — loose when many batteries share the load,
-    /// because a battery's height difference only climbs by its **own**
-    /// serves. If the battery itself serves `s` units in the window, its
-    /// recoveries are paced by `s`, so `s` must satisfy `s ≤ g(s)` where
-    /// `g(s)` is the envelope evaluated with demand cap `s`. `g` is
-    /// monotone non-decreasing (larger demand → higher climb → cheaper
-    /// recoveries) and `g(s) ≤ s` by the demand cap, so iterating
-    /// `s ← g(s)` downward from the unbounded-demand value converges to
-    /// the **greatest** fixed point — every true serve count is a fixed
-    /// point candidate below the start and can never be stepped over
-    /// (`s_k ≥ s* ⇒ g(s_k) ≥ g(s*) ≥ s*`). Admissibility against the real
-    /// discrete dynamics is brute-force-checked in this module's tests.
-    ///
-    /// On the paper's battery types the frontier ladder already prices
-    /// recoveries at heights reachable only by serving, so this cap
-    /// coincides with the unbounded-demand envelope there; it is kept as a
-    /// cheap guard for parameterizations where the ladder is looser.
-    #[must_use]
-    pub fn self_paced_units(&self, envelope: &ServiceEnvelope, window_steps: u64) -> u64 {
-        let mut cursor = EnvelopeCursor::default();
-        self.self_paced_units_with(envelope, &mut cursor, window_steps)
-    }
-
-    /// [`ServiceRateTable::self_paced_units`] seeded by a monotone cursor:
-    /// the unbounded-demand start of the fixed-point iteration advances
-    /// the cursor (amortized O(1) over non-decreasing windows); the
-    /// downward iteration itself runs on binary searches and leaves the
-    /// cursor at the unbounded frontier.
-    #[must_use]
-    pub fn self_paced_units_with(
-        &self,
-        envelope: &ServiceEnvelope,
-        cursor: &mut EnvelopeCursor,
-        window_steps: u64,
-    ) -> u64 {
-        if envelope.units_at.is_empty() {
-            return 0;
-        }
-        let mut serves = self.units_within(envelope, cursor, window_steps, u64::MAX);
-        loop {
-            let r = self.max_recoveries_within(envelope, window_steps, serves);
-            let paced = u64::from(envelope.units_at[r]).min(serves);
-            if paced >= serves {
-                return serves;
-            }
-            serves = paced;
-        }
     }
 }
 
@@ -664,7 +558,7 @@ mod tests {
                 "(n={n}, m={m}): costs monotone"
             );
             assert!(
-                env.max_units() <= u64::from(n),
+                env.units_at.last().is_some_and(|&units| units <= n),
                 "(n={n}, m={m}): can never serve more than the remaining charge"
             );
             // Queries are monotone in the window and capped by demand.
@@ -753,62 +647,11 @@ mod tests {
     }
 
     #[test]
-    fn self_paced_cap_never_undercounts_brute_force_service() {
-        // The self-paced bound drops the load-demand crutch entirely — its
-        // admissibility rests on the greatest-fixed-point argument, so
-        // check it against the same exhaustive serve/skip enumeration.
-        let (params, disc, table) = b1_coarse();
-        let recovery = RecoveryTable::for_battery(&params, &disc);
-        let mut env = ServiceEnvelope::new();
-        for interval in [2u64, 4] {
-            let slots = 11u32;
-            for (n, m) in [(110, 0), (110, 18), (80, 14), (60, 11), (30, 5), (20, 3), (8, 1)] {
-                let best = max_served(
-                    DiscreteBattery::from_units(n, m),
-                    &params,
-                    &recovery,
-                    interval,
-                    slots,
-                );
-                table.build_envelope(n, m, 1, &mut env);
-                let window = u64::from(slots) * interval;
-                let bound = table.self_paced_units(&env, window);
-                assert!(
-                    bound >= u64::from(best),
-                    "(n={n}, m={m}, interval={interval}): self-paced {bound} undercounts \
-                     brute force {best}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn self_paced_cap_tightens_the_demand_paced_envelope() {
-        let (_, _, table) = b1_coarse();
-        let mut env = ServiceEnvelope::new();
-        table.build_envelope(110, 0, 1, &mut env);
-        let mut previous = 0;
-        for window in [0u64, 20, 80, 200, 400, 1_000] {
-            let self_paced = table.self_paced_units(&env, window);
-            // Never looser than the unbounded-demand envelope...
-            assert!(self_paced <= units_at_window(&table, &env, window));
-            // ...and monotone in the window.
-            assert!(self_paced >= previous, "window {window}: self-paced cap not monotone");
-            previous = self_paced;
-        }
-        // Note: on the paper's battery types the two sides coincide — the
-        // frontier ladder already prices recoveries at heights the battery
-        // can only reach by serving, so the climb cap is implied. The cap
-        // stays as a cheap guard for chemistries where the ladder is
-        // looser; admissibility is what the brute-force test above pins.
-    }
-
-    #[test]
     fn envelope_never_undercounts_multi_unit_draws() {
         // A final draw may overshoot the service frontier by a whole draw
         // (`max_units_per_draw`); with draws of several units that
-        // overshoot is what keeps the envelope admissible, so hold both
-        // queries to the brute force at two and three units per draw.
+        // overshoot is what keeps the envelope admissible, so hold the
+        // envelope to the brute force at two and three units per draw.
         let (params, disc, table) = b1_coarse();
         let recovery = RecoveryTable::for_battery(&params, &disc);
         let mut env = ServiceEnvelope::new();
@@ -827,16 +670,13 @@ mod tests {
                     table.build_envelope(n, m, units, &mut env);
                     let window = u64::from(slots) * interval;
                     let mut cursor = EnvelopeCursor::default();
-                    let paced =
+                    let bound =
                         table.units_within(&env, &mut cursor, window, u64::from(slots * units));
-                    let self_paced = table.self_paced_units(&env, window);
-                    for (name, bound) in [("demand-paced", paced), ("self-paced", self_paced)] {
-                        assert!(
-                            bound >= u64::from(best),
-                            "(n={n}, m={m}, {units} units every {interval} steps): {name} \
-                             envelope {bound} undercounts brute force {best}"
-                        );
-                    }
+                    assert!(
+                        bound >= u64::from(best),
+                        "(n={n}, m={m}, {units} units every {interval} steps): envelope \
+                         {bound} undercounts brute force {best}"
+                    );
                 }
             }
         }
@@ -861,7 +701,6 @@ mod tests {
         let mut cursor = EnvelopeCursor::default();
         let bound = table.units_within(&env, &mut cursor, window, u64::from(slots));
         assert!(bound >= u64::from(best), "envelope {bound} undercounts brute force {best}");
-        assert!(table.self_paced_units(&env, window) >= u64::from(best));
         assert_eq!(units_at_window(&table, &env, 0), 0, "no service before recovering");
     }
 
@@ -965,7 +804,9 @@ mod tests {
                         _ => rng.next_index(n as usize + 20) as u64,
                     };
                     let climb = env.climb(demand);
-                    let governed = env.frontier_governed(climb);
+                    let governed = (0..env.frontier_height.len())
+                        .take_while(|&index| env.frontier_governs(index, climb))
+                        .count();
                     for r in 0..env.units_at.len() {
                         let priced = r.saturating_sub(1);
                         assert_eq!(

@@ -51,9 +51,13 @@ pub struct SearchStats {
     pub memo_hits: u64,
     /// Nodes pruned by state dominance.
     pub dominance_prunes: u64,
-    /// Nodes cut by the usable-charge upper bound.
+    /// Nodes cut by the usable-charge upper bound, which a node evaluates
+    /// only where the availability bound makes no claim (0 on the
+    /// discretized backend, up to eight batteries).
     pub charge_bound_prunes: u64,
-    /// Nodes cut by the availability-aware (recovery-coupled) upper bound.
+    /// Nodes cut by the availability-aware (recovery-coupled) upper bound,
+    /// which includes the charge cap: on the discretized backend (up to
+    /// eight batteries), every bound prune.
     pub availability_bound_prunes: u64,
 }
 

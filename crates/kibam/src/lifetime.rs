@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn alternating_continuous_matches_table_3() {
         // CL alt: alternating 500 mA / 250 mA one-minute jobs, starting with
-        // the high-current job (see EXPERIMENTS.md on calibration).
+        // the high-current job (see README, "Results vs. the paper", on calibration).
         let pattern = vec![Segment::new(0.5, 1.0).unwrap(), Segment::new(0.25, 1.0).unwrap()];
         let result = lifetime_for_segments(&b1(), repeat_jobs(pattern)).unwrap();
         assert!((result.lifetime - 2.58).abs() < 0.01, "got {}", result.lifetime);

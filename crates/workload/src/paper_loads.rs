@@ -11,8 +11,8 @@
 //! The one-minute job duration and the "alternating loads start with the
 //! high-current job" convention are not stated explicitly in the paper; they
 //! were calibrated against Tables 3 and 4 (every non-random entry is then
-//! reproduced to within 0.01 min by the analytical KiBaM) — see
-//! EXPERIMENTS.md in the repository root.
+//! reproduced to within 0.01 min by the analytical KiBaM) — see "Results
+//! vs. the paper" in the repository's README.
 //!
 //! The two random loads use this crate's seeded generator
 //! ([`crate::random::RandomLoadSpec`]); their exact job sequences are not

@@ -49,8 +49,8 @@ fn table4_reproduces_for_b2() {
 }
 
 /// Table 5 (deterministic columns): the sequential, round-robin and
-/// best-of-two lifetimes of every non-random load are within a few percent
-/// of the published values.
+/// best-of-two lifetimes of every non-random load sit at most 0.085 min
+/// below the published values and never above them.
 #[test]
 fn table5_deterministic_columns_match_paper() {
     let config = SystemConfig::paper_two_b1();
@@ -65,10 +65,13 @@ fn table5_deterministic_columns_match_paper() {
             (row.round_robin_minutes, paper_rr, "round robin"),
             (row.best_of_two_minutes, paper_best, "best of two"),
         ] {
-            let relative = (ours - paper).abs() / paper;
+            // The paper rounds to 0.01 min. Ours sit 0–0.08 min below it
+            // and never above; the widest gap is CL alt sequential, 5.40
+            // against 5.48.
+            let offset = ours - paper;
             assert!(
-                relative < 0.04,
-                "{load} {name}: ours {ours:.2} vs paper {paper:.2} ({relative:.3} rel)"
+                offset <= 0.005 && paper - ours <= 0.085,
+                "{load} {name}: ours {ours:.3} vs paper {paper:.2} (offset {offset:+.3} min)"
             );
         }
     }
