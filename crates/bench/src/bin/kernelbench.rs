@@ -25,7 +25,10 @@
 //! the charge bound instead) and of the default search on the coarse-grid
 //! instances of README's bounds-stacking table,
 //! each on a freshly built system, plus the default search again on the
-//! system the first one warmed (its envelope stores filled).
+//! system the first one warmed (its envelope stores filled), and the
+//! median over runs of each run's default / charge-only time ratio
+//! (`default_over_charge_only`: the two searches run back to back, so
+//! drift between runs cancels).
 //! A `grid` section measures the engine layer:
 //! cells/s of sweep-shaped [`engine::GridRun`]s (four fleets × the four
 //! deterministic policies × discretized and RV, 400-job random loads, one
@@ -312,8 +315,10 @@ fn stacking_instances(smoke: bool) -> Vec<(&'static str, Vec<BatteryParams>, Tes
     let mut instances =
         vec![("2xB1", vec![b1; 2], TestLoad::Ils250), ("2xB1", vec![b1; 2], TestLoad::IlsAlt)];
     if !smoke {
+        let b2 = BatteryParams::itsy_b2();
         instances.push(("3xB1", vec![b1; 3], TestLoad::IlsAlt));
-        instances.push(("B1+B2", vec![b1, BatteryParams::itsy_b2()], TestLoad::IlsAlt));
+        instances.push(("B1+B2", vec![b1, b2], TestLoad::IlsAlt));
+        instances.push(("B1+B2", vec![b1, b2], TestLoad::Ils250));
     }
     instances
 }
@@ -321,7 +326,7 @@ fn stacking_instances(smoke: bool) -> Vec<(&'static str, Vec<BatteryParams>, Tes
 /// The search's numbers with and without the availability bound: the full
 /// search without it (whose nodes evaluate the charge bound instead)
 /// against the default one, in nodes and median µs of whole searches (root
-/// phase included).
+/// phase included), and the median ratio of the two within a run.
 /// Every timed run builds a fresh system first (untimed), so both searches
 /// start on empty envelope stores, as the first search on a system does;
 /// the default search then runs once more on its warmed system
@@ -330,8 +335,8 @@ fn measure_bound_stacking(smoke: bool) -> JsonValue {
     let runs = if smoke { 3 } else { 7 };
     println!("bounds stacking (coarse grid, median us of {runs} whole searches):");
     println!(
-        "{:<17} {:>11} {:>9} {:>15} {:>9} {:>9} {:>7}",
-        "instance", "w/o avail", "us", "default", "us", "warm us", "nodes"
+        "{:<17} {:>11} {:>9} {:>15} {:>9} {:>9} {:>7} {:>7}",
+        "instance", "w/o avail", "us", "default", "us", "warm us", "nodes", "time"
     );
     let charge_only = OptimalScheduler::new().without_availability_bound();
     let default = OptimalScheduler::new();
@@ -350,7 +355,7 @@ fn measure_bound_stacking(smoke: bool) -> JsonValue {
             (outcome.nodes_explored, start.elapsed().as_secs_f64() * 1e6)
         };
         let mut nodes = [0usize; 3];
-        let mut micros = [Vec::new(), Vec::new(), Vec::new()];
+        let mut micros = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
         for _ in 0..runs {
             let (charge_nodes, charge_micros) =
                 timed(&charge_only, &mut config.discretized_model());
@@ -358,13 +363,15 @@ fn measure_bound_stacking(smoke: bool) -> JsonValue {
             let (cold_nodes, cold_micros) = timed(&default, &mut model);
             let (warm_nodes, warm_micros) = timed(&default, &mut model);
             nodes = [charge_nodes, cold_nodes, warm_nodes];
-            for (column, value) in micros.iter_mut().zip([charge_micros, cold_micros, warm_micros])
+            let ratio = cold_micros / charge_micros;
+            for (column, value) in
+                micros.iter_mut().zip([charge_micros, cold_micros, warm_micros, ratio])
             {
                 column.push(value);
             }
         }
         assert_eq!(nodes[1], nodes[2], "a warm store cannot change the search");
-        let [charge_micros, default_micros, warm_micros] = micros.map(|mut micros| {
+        let [charge_micros, default_micros, warm_micros, time_ratio] = micros.map(|mut micros| {
             micros.sort_by(f64::total_cmp);
             micros[micros.len() / 2]
         });
@@ -373,7 +380,7 @@ fn measure_bound_stacking(smoke: bool) -> JsonValue {
         let node_ratio = charge_nodes as f64 / default_nodes as f64;
         println!(
             "{:<17} {charge_nodes:>11} {charge_micros:>9.0} {default_nodes:>15} \
-             {default_micros:>9.0} {warm_micros:>9.0} {node_ratio:>6.1}x",
+             {default_micros:>9.0} {warm_micros:>9.0} {node_ratio:>6.1}x {time_ratio:>6.2}x",
             format!("{fleet:<5} {}", test_load.name()),
         );
         #[allow(clippy::cast_precision_loss)]
@@ -385,6 +392,7 @@ fn measure_bound_stacking(smoke: bool) -> JsonValue {
             ("default_nodes", JsonValue::Number(default_nodes as f64)),
             ("default_micros", JsonValue::Number(default_micros)),
             ("default_warm_micros", JsonValue::Number(warm_micros)),
+            ("default_over_charge_only", JsonValue::Number(time_ratio)),
         ]));
     }
     println!();

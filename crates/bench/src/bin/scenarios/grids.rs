@@ -129,7 +129,8 @@ pub fn optimal() -> Result<GatedGrid, Error> {
 /// Probes the root bounds (charge / availability / warm start) of the
 /// alternating-load frontier fleets on the coarse grid — the
 /// machine-readable trajectory of the bound-tightening work. A `null`
-/// bound means the backend could not produce it (never expected here).
+/// availability bound means the backend reports no envelopes (never
+/// expected here).
 fn frontier_root_bounds() -> Result<JsonValue, Error> {
     let fleets: [(&str, &[BatteryParams]); 4] = [
         ("2xB1", &[BatteryParams::itsy_b1(); 2]),
@@ -149,23 +150,18 @@ fn frontier_root_bounds() -> Result<JsonValue, Error> {
         let load = config.discretize(&profile)?;
         let mut model = config.discretized_model();
         let bounds = OptimalScheduler::probe_root_bounds(&config, &load, &mut model)?;
+        let availability = bounds.availability.map_or("none".to_owned(), |steps| steps.to_string());
         println!(
-            "  {name:<8} charge {}, availability {}, warm start {}",
-            bounds.charge, bounds.availability, bounds.warm_start
+            "  {name:<8} charge {}, availability {availability}, warm start {}",
+            bounds.charge, bounds.warm_start
         );
         #[allow(clippy::cast_precision_loss)]
-        let field = |steps: u64| {
-            if steps == u64::MAX {
-                JsonValue::Null
-            } else {
-                JsonValue::Number(steps as f64)
-            }
-        };
+        let field = |steps: u64| JsonValue::Number(steps as f64);
         rows.push(JsonValue::object(vec![
             ("fleet", JsonValue::String(name.to_owned())),
             ("load", JsonValue::String(TestLoad::IlsAlt.name().to_owned())),
             ("charge_steps", field(bounds.charge)),
-            ("availability_steps", field(bounds.availability)),
+            ("availability_steps", bounds.availability.map_or(JsonValue::Null, field)),
             ("warm_start_steps", field(bounds.warm_start)),
         ]));
     }

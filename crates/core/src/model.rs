@@ -346,9 +346,10 @@ pub trait BatteryModel {
     /// handles by that input. It may never undercount what a real schedule
     /// can extract — the availability-aware bound of the optimal search
     /// prunes on it, and an undercount would prune optimal schedules.
-    /// Backends that cannot bound service return `None` (the default), which
-    /// disables the availability bound and degrades the search to pure
-    /// charge accounting. Retired batteries must report zero charge units.
+    /// Backends that cannot bound service return `None` (the default): the
+    /// search's bound walk then charges demand against the usable charge
+    /// alone, and [`crate::optimal::RootBounds::availability`] is `None`.
+    /// Retired batteries must report zero charge units.
     fn envelope_input(&self, index: usize) -> Option<(EnvelopeInput, &dkibam::EnvelopeStore)> {
         let _ = index;
         None

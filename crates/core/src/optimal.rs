@@ -7,28 +7,28 @@
 //! events), with
 //!
 //! * one **upper bound** on the remaining lifetime per node, compared
-//!   against the incumbent:
-//!   - the **availability bound** wherever the backend reports service
-//!     envelopes (the discretized KiBaM, fleets of up to eight batteries).
-//!     It couples per-battery draw/recovery dynamics with the load's duty
-//!     cycle: each battery reports an admissible service envelope (built
-//!     by the per-type [`dkibam::ServiceRateTable`] from the battery's
+//!   against the incumbent: a walk over the remaining epochs that charges
+//!   the load's cumulative demand against what the fleet can serve. The
+//!   fleet's capability is
+//!   - its **service envelopes** wherever the backend reports them (the
+//!     discretized KiBaM): the **availability bound**. It couples
+//!     per-battery draw/recovery dynamics with the load's duty cycle: each
+//!     battery reports an admissible service envelope (built by the
+//!     per-type [`dkibam::ServiceRateTable`] from the battery's
 //!     [`BatteryModel::envelope_input`]) bounding the units it can serve
-//!     within any window given the demand delivered by then, and the bound
-//!     walks the remaining epochs charging every draw against both the
-//!     joint charge budget and the fleet's joint availability. So it is
-//!     never above the charge bound, and every bound prune there counts as
-//!     an availability prune. On loads that strand charge (`ILs alt` leaves
-//!     ~70 % behind) the charge budget never binds — batteries die from the
-//!     Eq. 8 emptiness criterion, not exhaustion — while the availability
-//!     walk tracks exactly that criterion: it shrinks the 3-battery
-//!     alternating search ~4× against the charge bound alone (53.6k nodes
-//!     vs 208.5k, pinned in `tests/bound_admissibility.rs`) and prunes
-//!     roughly half of all nodes there;
-//!   - the **charge bound** everywhere else (backends without envelopes,
-//!     larger fleets, [`OptimalScheduler::without_availability_bound`]):
-//!     a schedule can never outlive the point at which the load has
-//!     requested more charge than all usable batteries jointly hold,
+//!     within any window given the demand delivered by then. Envelopes
+//!     are capped at their battery's charge, so this bound is never above
+//!     the charge bound. On loads that strand charge (`ILs alt` leaves
+//!     ~70 % behind) the charge budget never binds — batteries die from
+//!     the Eq. 8 emptiness criterion, not exhaustion — while the envelopes
+//!     track exactly that criterion: the availability bound shrinks the
+//!     3-battery alternating search ~4× against the charge bound alone
+//!     (53.6k nodes vs 208.5k, pinned in `tests/bound_admissibility.rs`)
+//!     and prunes roughly half of all nodes there;
+//!   - its **usable charge** everywhere else (backends without envelopes,
+//!     [`OptimalScheduler::without_availability_bound`]): the **charge
+//!     bound**. A schedule can never outlive the point at which the load
+//!     has requested more charge than all usable batteries jointly hold,
 //! * **symmetry pruning** (batteries in identical states need only be tried
 //!   once),
 //! * a **transposition table** keyed by the canonicalized battery state and
@@ -180,11 +180,6 @@ type FxMap<K, V> = HashMap<K, V, FxBuild>;
 /// Default node budget of the search (decision nodes, not states).
 pub const DEFAULT_BUDGET: usize = 20_000_000;
 
-/// The most batteries the availability bound handles (per-battery table
-/// references live in a fixed-size array on the bound's hot path); larger
-/// fleets fall back to the charge bound.
-const MAX_BOUND_BATTERIES: usize = 8;
-
 /// The most Pareto-maximal expanded states retained per load position for
 /// dominance checks. The cap bounds both memory and the per-node scan cost;
 /// states beyond it are still explored, just not recorded as pruners.
@@ -220,13 +215,14 @@ pub struct OptimalOutcome {
     /// position (an elder sibling or a transposition) was component-wise at
     /// least as good.
     pub dominance_prunes: usize,
-    /// Nodes cut by the usable-charge upper bound against the incumbent.
-    /// A node evaluates it only where the availability bound makes no
-    /// claim, so it stays 0 on the discretized backend's default search.
+    /// Nodes cut by the bound walk over the fleet's usable charge: every
+    /// bound prune of a search without envelopes (a backend that reports
+    /// none, or [`OptimalScheduler::without_availability_bound`]), so 0 on
+    /// the discretized backend's default search.
     pub charge_bound_prunes: usize,
-    /// Nodes cut by the availability-aware upper bound (recovery-coupled
-    /// service envelopes, capped by the usable charge): every bound prune of
-    /// a search that evaluates it.
+    /// Nodes cut by the bound walk over the fleet's service envelopes
+    /// (recovery-coupled, capped by the usable charge): every bound prune
+    /// of a search that has them.
     pub availability_bound_prunes: usize,
     /// Always 0: the search has no relaxation bound. The field stays
     /// because the repository benchmark (`perfbench`) still reads it.
@@ -304,10 +300,10 @@ impl OptimalScheduler {
         self
     }
 
-    /// Disables the availability-aware bound, so every node evaluates the
-    /// charge bound instead (for ablation: this is the full
-    /// pre-availability search, so node-count comparisons against it
-    /// isolate what the availability bound buys).
+    /// Disables the availability-aware bound, so every node's bound walk
+    /// charges demand against the usable charge instead (for ablation: this
+    /// is the full pre-availability search, so node-count comparisons
+    /// against it isolate what the availability bound buys).
     #[must_use]
     pub fn without_availability_bound(mut self) -> Self {
         self.availability = false;
@@ -386,10 +382,12 @@ impl OptimalScheduler {
         model: &'a mut M,
     ) -> Result<RootPhase<'a, M>, SchedError> {
         let mut search = Search::new(config, load, model, *self);
-        // Evaluated against the zero incumbent, so no bound early-exits at
-        // the pruning margin.
-        let charge = search.charge_bound(0, 0);
-        let availability = search.availability_bound(0, 0, u64::MAX);
+        // Evaluated without a limit, so no walk early-exits at the pruning
+        // margin. Without envelopes, the first walk is the charge bound.
+        let (charge, availability) = match search.bound(0, 0, u64::MAX, true) {
+            (steps, Capability::Envelopes) => (search.bound(0, 0, u64::MAX, false).0, Some(steps)),
+            (steps, Capability::Charge) => (steps, None),
+        };
         let seeded_by = search.warm_start(config, load)?;
         let bounds = RootBounds { charge, availability, warm_start: search.best_steps };
         Ok(RootPhase { search, bounds, seeded_by })
@@ -422,9 +420,9 @@ pub struct RootBounds {
     /// The usable-charge bound.
     pub charge: u64,
     /// The availability (recovery-coupled service envelope) bound, or
-    /// `u64::MAX` when the backend cannot bound service (only the
-    /// discretized backend provides envelopes).
-    pub availability: u64,
+    /// `None` when the backend reports no envelopes (only the discretized
+    /// backend does).
+    pub availability: Option<u64>,
     /// The warm-start incumbent (the best deterministic policy).
     pub warm_start: u64,
 }
@@ -491,6 +489,16 @@ struct Frame {
     next_candidate: usize,
 }
 
+/// The fleet capability a bound walk charges the load's demand against
+/// ([`Search::bound`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Capability {
+    /// The fleet's usable charge: the charge bound.
+    Charge,
+    /// The batteries' summed service envelopes: the availability bound.
+    Envelopes,
+}
+
 struct Search<'a, M: BatteryModel> {
     model: &'a mut M,
     epochs: &'a [DiscreteEpoch],
@@ -517,6 +525,12 @@ struct Search<'a, M: BatteryModel> {
     avail: Vec<usize>,
     /// Handles on the service envelopes of the availability bound, by input.
     envelopes: EnvelopeHandles,
+    /// The bound walk's per-battery buffers, sized to the fleet: each
+    /// battery's handle slot in `envelopes`, its envelope cursor, and the
+    /// cursor's mark at the start of the epoch under test.
+    slots: Vec<usize>,
+    cursors: Vec<EnvelopeCursor>,
+    marks: Vec<EnvelopeCursor>,
     /// Transposition table: the lifetime accumulated when a canonical state
     /// was first expanded at a load position. Exact-equality revisits are
     /// pruned in O(1).
@@ -547,6 +561,7 @@ impl<'a, M: BatteryModel> Search<'a, M> {
         // serviceable band by at most one draw).
         let max_units_per_draw =
             load.epochs().iter().map(DiscreteEpoch::units_per_draw).max().unwrap_or(0);
+        let battery_count = model.battery_count();
         model.reset();
         Search {
             model,
@@ -569,6 +584,9 @@ impl<'a, M: BatteryModel> Search<'a, M> {
             candidates: Vec::new(),
             avail: Vec::new(),
             envelopes: EnvelopeHandles::new(max_units_per_draw),
+            slots: vec![0; battery_count],
+            cursors: vec![EnvelopeCursor::default(); battery_count],
+            marks: vec![EnvelopeCursor::default(); battery_count],
             seen: FxMap::default(),
             fronts: FxMap::default(),
             front_entries: 0,
@@ -670,24 +688,16 @@ impl<M: BatteryModel> Search<'_, M> {
             return Err(SchedError::SearchBudgetExceeded { budget: self.budget });
         }
 
-        // One bound per node. The availability bound already includes the
-        // charge cap; the charge bound stands in only where the walk makes
-        // no claim (no envelopes, too many batteries, or switched off).
+        // One bound walk per node, counted by the capability it used.
         let margin = self.best_steps.saturating_sub(elapsed);
-        let bound = if self.availability {
-            self.availability_bound(epoch_index, offset, margin)
-        } else {
-            u64::MAX
-        };
-        if bound != u64::MAX {
-            #[cfg(test)]
-            self.audit_scan(epoch_index, offset, margin, bound);
-            if elapsed.saturating_add(bound) <= self.best_steps {
-                self.availability_bound_prunes += 1;
-                return Ok(false);
+        let (bound, capability) = self.bound(epoch_index, offset, margin, self.availability);
+        #[cfg(test)]
+        self.audit_scan(epoch_index, offset, margin, bound, capability);
+        if elapsed.saturating_add(bound) <= self.best_steps {
+            match capability {
+                Capability::Charge => self.charge_bound_prunes += 1,
+                Capability::Envelopes => self.availability_bound_prunes += 1,
             }
-        } else if elapsed + self.charge_bound(epoch_index, offset) <= self.best_steps {
-            self.charge_bound_prunes += 1;
             return Ok(false);
         }
 
@@ -803,14 +813,188 @@ impl<M: BatteryModel> Search<'_, M> {
         }
     }
 
-    /// Charge upper bound on the additional lifetime obtainable from this
-    /// position: walk the remaining load; the system cannot survive past
-    /// the point at which the load has requested more charge units than all
-    /// usable batteries jointly hold.
-    fn charge_bound(&self, epoch_index: usize, offset: u64) -> u64 {
-        let mut units_left = dkibam::checked::f64_to_u64(
+    /// The fleet's usable charge, in charge units.
+    fn usable_units(&self) -> u64 {
+        dkibam::checked::f64_to_u64(
             ((self.model.usable_charge() + 1e-9) / self.charge_unit).floor().max(0.0),
-        );
+        )
+    }
+
+    /// Fills every battery's envelope slot and returns the fleet's usable
+    /// charge by the envelope inputs (retired batteries report 0), or
+    /// `None` when the backend reports no envelopes.
+    fn load_envelopes(&mut self) -> Option<u64> {
+        let mut usable: u64 = 0;
+        for (battery, slot) in self.slots.iter_mut().enumerate() {
+            let (input, store) = self.model.envelope_input(battery)?;
+            usable += u64::from(input.charge_units);
+            *slot = self.envelopes.slot(input, store);
+        }
+        Some(usable)
+    }
+
+    /// Upper bound on the additional lifetime obtainable from this
+    /// position, and the capability it was walked against: the fleet's
+    /// service envelopes where `envelopes` is set and the backend reports
+    /// them, its usable charge `U` otherwise. Every survived draw instant
+    /// consumes its units from *some* battery, so the cumulative demand up
+    /// to any draw instant can never exceed what the fleet can serve over
+    /// that window. The walk checks that necessary condition at the last
+    /// draw of every remaining job epoch and, once it fails, locates the
+    /// last coverable draw inside the failing epoch.
+    ///
+    /// * **Envelopes** (the availability bound): the sum of the per-battery
+    ///   recovery-coupled service envelopes (shared by
+    ///   [`BatteryModel::envelope_input`]), each also paced by the demand
+    ///   delivered so far (a battery's recovery state only climbs by
+    ///   serving). An epoch also fails once its cumulative demand reaches
+    ///   the fleet's usable charge (the inputs' charge units).
+    /// * **Charge** (the charge bound): the fleet serves `U` units in any
+    ///   window. An epoch passes iff its cumulative demand is `< U`, and
+    ///   draw `d` of the failing epoch fits iff `demand + d·units ≤ U`, so
+    ///   the bound ends that epoch after `(⌊(U − demand)/units⌋ +
+    ///   1).min(draws_possible)` draws: the closed form of the usable
+    ///   charge argument.
+    ///
+    /// The envelope walk is exactly `min(A, C)`, with `A` the walk without
+    /// the usable-charge check and `C` the charge walk. Proof: envelopes
+    /// are capped at their battery's charge, so the fleet's units never
+    /// exceed the usable charge. `A` therefore passes an epoch that `C`
+    /// fails only when the epoch's demand equals the usable charge exactly.
+    /// `C` ends such an epoch at its last draw (Eq. 8 retires a battery at
+    /// the draw that empties it), and so does the death scan, whose last
+    /// draw is covered. The same cap means no draw past `(U −
+    /// demand)/units` fits in either case, so the death scan stops there.
+    ///
+    /// With `limit == u64::MAX` the value is the exact bound; otherwise it
+    /// is `≤ limit` exactly when the exact bound is, and then no smaller
+    /// than the exact bound. The caller only compares against `limit`, so
+    /// the walk stops once it has survived past `limit`, and the death scan
+    /// tries only the draws that could lift the bound past it.
+    fn bound(
+        &mut self,
+        epoch_index: usize,
+        offset: u64,
+        limit: u64,
+        envelopes: bool,
+    ) -> (u64, Capability) {
+        let loaded = if envelopes { self.load_envelopes() } else { None };
+        let (usable, capability) = match loaded {
+            Some(usable) => (usable, Capability::Envelopes),
+            None => (self.usable_units(), Capability::Charge),
+        };
+        let Search { epochs, envelopes: handles, slots, cursors, marks, .. } = self;
+        // Per-battery envelope cursors (windows and demands are queried in
+        // non-decreasing order, so each cursor only moves forward), and
+        // their marks at the start of the epoch under test, for the
+        // in-epoch death scan (whose windows restart below the epoch's end).
+        cursors.fill(EnvelopeCursor::default());
+        let fleet_units = |cursors: &mut [EnvelopeCursor], window: u64, demand: u64| -> u64 {
+            if capability == Capability::Charge {
+                return usable;
+            }
+            let mut total: u64 = 0;
+            for (&slot, cursor) in slots.iter().zip(cursors) {
+                let (table, envelope) = handles.get(slot);
+                #[cfg(debug_assertions)]
+                let cursor_before = *cursor;
+                total = total.saturating_add(table.units_within(envelope, cursor, window, demand));
+                // Cursor monotonicity: the walk queries windows and demands
+                // in non-decreasing order, so a cursor only advances; the
+                // only rewind is the explicit `marks` restore.
+                #[cfg(debug_assertions)]
+                debug_assert!(
+                    cursor_before <= *cursor,
+                    "envelope cursor moved backwards inside the walk"
+                );
+            }
+            total
+        };
+
+        let mut demand: u64 = 0;
+        let mut steps: u64 = 0;
+        let mut offset = offset;
+        for epoch in &epochs[epoch_index..] {
+            let duration = epoch.duration_steps() - offset;
+            offset = 0;
+            if epoch.is_idle() {
+                steps += duration;
+                continue;
+            }
+            if steps > limit {
+                // The walk has already survived past the pruning margin;
+                // the caller cannot use a larger bound, so stop walking.
+                return (steps, capability);
+            }
+            let interval = u64::from(epoch.draw_interval_steps());
+            let units = u64::from(epoch.units_per_draw());
+            let draws_possible = duration / interval;
+            let epoch_demand = demand + draws_possible * units;
+            // The binding check sits at the epoch's last draw instant:
+            // demand peaks there while the envelopes keep growing through
+            // the idle time that follows. The cursor marks let the death
+            // scan below rewind to the epoch's start. An epoch whose demand
+            // empties the fleet's charge is not survived either: Eq. 8
+            // retires a battery at the draw that empties it.
+            marks.copy_from_slice(cursors);
+            if epoch_demand < usable
+                && epoch_demand
+                    <= fleet_units(cursors, steps + draws_possible * interval, epoch_demand)
+            {
+                demand = epoch_demand;
+                steps += duration;
+                continue;
+            }
+            // The fleet cannot cover this epoch: the system dies at (or
+            // before) the first uncoverable draw. Envelopes regenerate
+            // stepwise, so the exact bound comes from the last draw whose
+            // cumulative demand still fits; serving through draw `d` bounds
+            // the lifetime by `steps + (d + 1).min(draws_possible) ·
+            // interval`, non-decreasing in `d`.
+            cursors.copy_from_slice(marks);
+            let exact = limit == u64::MAX;
+            // Below a limit, only the draws whose bound passes it can
+            // change the caller's decision: scan those (from `first`) and
+            // stop at the first that fits — the exact bound is at least its
+            // bound, so above `limit` too. If none fits, the last fitting
+            // draw lies below `first`, and the bound of `first − 1` is
+            // `≤ limit` and at least the exact one. (`steps ≤ limit` here.)
+            let first = if exact {
+                1
+            } else {
+                // Draw `d` passes `limit` iff `d ≥ k` and `draws_possible > k`.
+                let k = (limit - steps) / interval;
+                if k >= draws_possible {
+                    draws_possible + 1
+                } else {
+                    k.max(1)
+                }
+            };
+            // No draw past the usable charge fits (`demand ≤ usable`: every
+            // passed epoch's demand stayed below it).
+            let last = draws_possible.min((usable - demand) / units);
+            let mut draws_served = first - 1;
+            for draw in first..=last {
+                let at_draw = demand + draw * units;
+                if at_draw <= fleet_units(cursors, steps + draw * interval, at_draw) {
+                    draws_served = draw;
+                    if !exact {
+                        break;
+                    }
+                }
+            }
+            return (steps + (draws_served + 1).min(draws_possible) * interval, capability);
+        }
+        (steps, capability)
+    }
+
+    /// The charge bound in closed form: the system cannot survive past the
+    /// point at which the load has requested more charge units than all
+    /// usable batteries jointly hold. The reference the charge walk is
+    /// audited against.
+    #[cfg(test)]
+    fn charge_bound(&self, epoch_index: usize, offset: u64) -> u64 {
+        let mut units_left = self.usable_units();
         let mut steps: u64 = 0;
         let mut offset = offset;
         for epoch in &self.epochs[epoch_index..] {
@@ -836,163 +1020,29 @@ impl<M: BatteryModel> Search<'_, M> {
         steps
     }
 
-    /// Availability upper bound on the additional lifetime obtainable from
-    /// this position. Every survived draw instant consumes its units from
-    /// *some* battery, so the cumulative demand up to any draw instant can
-    /// never exceed the fleet's joint service capability over that window
-    /// — the sum of the per-battery recovery-coupled service envelopes
-    /// (shared by [`BatteryModel::envelope_input`]), each also paced by the
-    /// demand delivered so far (a battery's recovery state only climbs by
-    /// serving). The walk checks that necessary condition at the last draw
-    /// of every remaining job epoch and, once it fails, locates the last
-    /// coverable draw inside the failing epoch.
-    ///
-    /// An epoch also fails once its cumulative demand reaches the fleet's
-    /// usable charge (the inputs' charge units), so the bound is at most
-    /// [`Search::charge_bound`] and the search needs no second bound.
-    /// Proof that this is exactly `min(A, C)`, with `A` the walk without
-    /// that check and `C` the charge bound: envelopes are capped at their
-    /// battery's charge, so the fleet's units never exceed the usable
-    /// charge. `A` therefore passes an epoch that `C` fails only when the
-    /// epoch's demand equals the usable charge exactly. `C` ends such an
-    /// epoch at its last draw (Eq. 8 retires a battery at the draw that
-    /// empties it), and so does the death scan, whose last draw is covered.
-    ///
-    /// Returns `u64::MAX` (no claim) when the backend cannot bound
-    /// service. With `limit == u64::MAX` the value is the exact bound;
-    /// otherwise it is `≤ limit` exactly when the exact bound is, and then
-    /// no smaller than the exact bound. The caller only compares against
-    /// `limit`, so the walk stops once it has survived past `limit`, and the
-    /// death scan tries only the draws that could lift the bound past it.
-    fn availability_bound(&mut self, epoch_index: usize, offset: u64, limit: u64) -> u64 {
-        let battery_count = self.model.battery_count();
-        if battery_count > MAX_BOUND_BATTERIES {
-            return u64::MAX;
-        }
-        let mut slots: [Option<(&ServiceRateTable, usize)>; MAX_BOUND_BATTERIES] =
-            [None; MAX_BOUND_BATTERIES];
-        // The fleet's usable charge, in units: retired batteries report 0.
-        let mut usable: u64 = 0;
-        for (battery, entry) in slots.iter_mut().enumerate().take(battery_count) {
-            let Some((input, store)) = self.model.envelope_input(battery) else {
-                return u64::MAX;
-            };
-            usable += u64::from(input.charge_units);
-            *entry = Some((store.table(), self.envelopes.slot(input, store)));
-        }
-        let envelopes = &self.envelopes;
-        let envelope_of =
-            slots.map(|entry| entry.map(|(table, slot)| (table, envelopes.get(slot))));
-        // Per-battery envelope cursors (windows and demands are queried in
-        // non-decreasing order, so each cursor only moves forward), and
-        // their snapshot at the start of the epoch under test, for the
-        // in-epoch death scan (whose windows restart below the epoch's end).
-        let mut cursors = [EnvelopeCursor::default(); MAX_BOUND_BATTERIES];
-        let mut marks: [EnvelopeCursor; MAX_BOUND_BATTERIES];
-        let fleet_units = |cursors: &mut [EnvelopeCursor], window: u64, demand: u64| -> u64 {
-            let mut total: u64 = 0;
-            for (&(table, envelope), cursor) in envelope_of.iter().flatten().zip(cursors) {
-                #[cfg(debug_assertions)]
-                let cursor_before = *cursor;
-                total = total.saturating_add(table.units_within(envelope, cursor, window, demand));
-                // Cursor monotonicity: the availability walk queries windows
-                // and demands in non-decreasing order, so a cursor only
-                // advances; the only rewind is the explicit `marks` restore.
-                #[cfg(debug_assertions)]
-                debug_assert!(
-                    cursor_before <= *cursor,
-                    "envelope cursor moved backwards inside the walk"
-                );
-            }
-            total
-        };
-
-        let mut demand: u64 = 0;
-        let mut steps: u64 = 0;
-        let mut offset = offset;
-        for epoch in &self.epochs[epoch_index..] {
-            let duration = epoch.duration_steps() - offset;
-            offset = 0;
-            if epoch.is_idle() {
-                steps += duration;
-                continue;
-            }
-            if steps > limit {
-                // The walk has already survived past the pruning margin;
-                // the caller cannot use a larger bound, so stop walking.
-                return steps;
-            }
-            let interval = u64::from(epoch.draw_interval_steps());
-            let units = u64::from(epoch.units_per_draw());
-            let draws_possible = duration / interval;
-            let epoch_demand = demand + draws_possible * units;
-            // The binding check sits at the epoch's last draw instant:
-            // demand peaks there while the envelopes keep growing through
-            // the idle time that follows. The cursor snapshot lets the
-            // death scan below rewind to the epoch's start. An epoch whose
-            // demand empties the fleet's charge is not survived either: Eq. 8
-            // retires a battery at the draw that empties it.
-            marks = cursors;
-            if epoch_demand < usable
-                && epoch_demand
-                    <= fleet_units(&mut cursors, steps + draws_possible * interval, epoch_demand)
-            {
-                demand = epoch_demand;
-                steps += duration;
-                continue;
-            }
-            // The fleet cannot cover this epoch: the system dies at (or
-            // before) the first uncoverable draw. Envelopes regenerate
-            // stepwise, so the exact bound comes from the last draw whose
-            // cumulative demand still fits; serving through draw `d` bounds
-            // the lifetime by `steps + (d + 1).min(draws_possible) ·
-            // interval`, non-decreasing in `d`.
-            cursors = marks;
-            let exact = limit == u64::MAX;
-            // Below a limit, only the draws whose bound passes it can
-            // change the caller's decision: scan those (from `first`) and
-            // stop at the first that fits — the exact bound is at least its
-            // bound, so above `limit` too. If none fits, the last fitting
-            // draw lies below `first`, and the bound of `first − 1` is
-            // `≤ limit` and at least the exact one. (`steps ≤ limit` here.)
-            let first = if exact {
-                1
-            } else {
-                // Draw `d` passes `limit` iff `d ≥ k` and `draws_possible > k`.
-                let k = (limit - steps) / interval;
-                if k >= draws_possible {
-                    draws_possible + 1
-                } else {
-                    k.max(1)
-                }
-            };
-            let mut draws_served = first - 1;
-            for draw in first..=draws_possible {
-                let at_draw = demand + draw * units;
-                if at_draw <= fleet_units(&mut cursors, steps + draw * interval, at_draw) {
-                    draws_served = draw;
-                    if !exact {
-                        break;
-                    }
-                }
-            }
-            return steps + (draws_served + 1).min(draws_possible) * interval;
-        }
-        steps
-    }
-
-    /// Holds `bound`, the availability bound under `limit`, to the exact
-    /// scan's prune decision (and, when it prunes, never below the exact
-    /// value), and the exact bound to at most the charge bound, if auditing.
+    /// Holds `bound`, the walk under `limit`, to the exact walk's prune
+    /// decision (and, when it prunes, never below the exact value); the
+    /// charge walk to the closed-form charge bound; and the exact bound to
+    /// at most the charge bound, if auditing.
     #[cfg(test)]
-    fn audit_scan(&mut self, epoch_index: usize, offset: u64, limit: u64, bound: u64) {
+    fn audit_scan(
+        &mut self,
+        epoch_index: usize,
+        offset: u64,
+        limit: u64,
+        bound: u64,
+        capability: Capability,
+    ) {
         let Some(audits) = self.scan_audits else {
             return;
         };
-        let exact = self.availability_bound(epoch_index, offset, u64::MAX);
+        let by_envelopes = capability == Capability::Envelopes;
+        let (exact, used) = self.bound(epoch_index, offset, u64::MAX, by_envelopes);
+        assert_eq!(used, capability);
         assert_eq!(bound <= limit, exact <= limit, "limit {limit}: {bound} vs exact {exact}");
         assert!(bound > limit || bound >= exact, "{bound} is below the exact bound {exact}");
-        let charge = self.charge_bound(epoch_index, offset);
+        let (charge, _) = self.bound(epoch_index, offset, u64::MAX, false);
+        assert_eq!(charge, self.charge_bound(epoch_index, offset), "the charge walk");
         assert!(exact <= charge, "exact bound {exact} above the charge bound {charge}");
         self.scan_audits = Some(audits + 1);
     }
@@ -1037,7 +1087,8 @@ struct EnvelopeHandles {
     max_units_per_draw: u32,
     /// The slot of every input in `entries`.
     slots: FxMap<EnvelopeInput, usize>,
-    entries: Vec<Arc<ServiceEnvelope>>,
+    /// Each envelope with the table that queries it.
+    entries: Vec<(Arc<ServiceRateTable>, Arc<ServiceEnvelope>)>,
 }
 
 impl EnvelopeHandles {
@@ -1051,19 +1102,21 @@ impl EnvelopeHandles {
         match self.slots.entry(input) {
             std::collections::hash_map::Entry::Occupied(entry) => *entry.get(),
             std::collections::hash_map::Entry::Vacant(entry) => {
-                self.entries.push(store.envelope(EnvelopeKey {
+                let envelope = store.envelope(EnvelopeKey {
                     charge_units: input.charge_units,
                     height_units: input.height_units,
                     max_units_per_draw: self.max_units_per_draw,
-                }));
+                });
+                self.entries.push((store.shared_table(), envelope));
                 *entry.insert(self.entries.len() - 1)
             }
         }
     }
 
-    /// The envelope in `slot`.
-    fn get(&self, slot: usize) -> &ServiceEnvelope {
-        &self.entries[slot]
+    /// The envelope in `slot`, and its table.
+    fn get(&self, slot: usize) -> (&ServiceRateTable, &ServiceEnvelope) {
+        let (table, envelope) = &self.entries[slot];
+        (table, envelope)
     }
 }
 
@@ -1259,7 +1312,7 @@ mod tests {
                 max_units_per_draw,
                 &mut fresh,
             );
-            assert_eq!(handles.get(slot), &fresh, "{input:?}");
+            assert_eq!(handles.get(slot).1, &fresh, "{input:?}");
         }
         handles.slots.keys().copied().collect()
     }
@@ -1368,6 +1421,8 @@ mod tests {
             (fleet(vec![b1; 2]), TestLoad::IlsAlt.profile()),
             (fleet(vec![b1; 3]), TestLoad::IlsAlt.profile()),
             (fleet(vec![b1, BatteryParams::itsy_b2()]), TestLoad::IlsAlt.profile()),
+            // Nine batteries: the walk's buffers are sized to the fleet.
+            (fleet(vec![b1.with_capacity(1.0).unwrap(); 9]), TestLoad::Ils250.profile()),
         ];
         let random = workload::random::RandomLoadSpec::new(vec![0.25, 0.5], 1.0, 0.5, 20).unwrap();
         for seed in 0..10 {
@@ -1409,7 +1464,8 @@ mod tests {
             let mut search = Search::new(&config, &load, &mut model, OptimalScheduler::new());
             search.model.restore_state(&vec![dkibam::DiscreteBattery::from_units(1, 0); 2]);
             assert_eq!(search.charge_bound(0, 0), 68);
-            assert_eq!(search.availability_bound(0, 0, u64::MAX), 68);
+            assert_eq!(search.bound(0, 0, u64::MAX, false), (68, Capability::Charge));
+            assert_eq!(search.bound(0, 0, u64::MAX, true), (68, Capability::Envelopes));
         }
     }
 
@@ -1430,9 +1486,9 @@ mod tests {
     #[test]
     fn each_node_evaluates_one_bound() {
         // A node that both bounds prune counts once: as an availability
-        // prune where the walk makes a claim, and as a charge prune where
-        // it does not (switched off, more than `MAX_BOUND_BATTERIES`
-        // batteries, a backend without envelopes).
+        // prune where the walk has envelopes, and as a charge prune where
+        // it does not (switched off, a backend without envelopes). Fleet
+        // size does not matter.
         let profile = LoadProfileBuilder::new().idle(3.0).job(0.25, 0.5).build_finite().unwrap();
         let fleet = |count| {
             SystemConfig::new(BatteryParams::itsy_b1(), Discretization::coarse(), count).unwrap()
@@ -1444,9 +1500,9 @@ mod tests {
         assert_eq!(root_prunes(&pair, &load, &mut pair.discretized_model(), default), (0, 1));
         assert_eq!(root_prunes(&pair, &load, &mut pair.discretized_model(), charge_only), (1, 0));
         assert_eq!(root_prunes(&pair, &load, &mut pair.ideal_model(), default), (1, 0));
-        let large = fleet(MAX_BOUND_BATTERIES + 1);
+        let large = fleet(9);
         let load = large.discretize(&profile).unwrap();
-        assert_eq!(root_prunes(&large, &load, &mut large.discretized_model(), default), (1, 0));
+        assert_eq!(root_prunes(&large, &load, &mut large.discretized_model(), default), (0, 1));
     }
 
     #[test]

@@ -82,10 +82,10 @@ fn assert_admissible(config: &SystemConfig, profile: &LoadProfile, label: &str) 
     let load = config.discretize(profile).unwrap();
     let mut model = config.discretized_model();
     let bounds = OptimalScheduler::probe_root_bounds(config, &load, &mut model).unwrap();
+    let availability = bounds.availability.expect("the discretized backend has envelopes");
     assert!(
-        bounds.availability >= reference.lifetime_steps,
-        "{label}: availability root bound {} underestimates the optimum {}",
-        bounds.availability,
+        availability >= reference.lifetime_steps,
+        "{label}: availability root bound {availability} underestimates the optimum {}",
         reference.lifetime_steps
     );
     assert!(bounds.charge >= reference.lifetime_steps, "{label}: charge root bound underestimates");
@@ -131,6 +131,15 @@ fn three_battery_bound_is_admissible() {
     assert_admissible(&config, &TestLoad::Cl500.profile(), "3xB1 CL 500");
 }
 
+/// Nine small batteries: the bound walk has no fleet-size limit.
+#[test]
+fn nine_battery_bound_is_admissible() {
+    let small = BatteryParams::itsy_b1().with_capacity(1.0).unwrap();
+    let config =
+        SystemConfig::from_fleet(FleetSpec::uniform(small, 9).unwrap(), Discretization::coarse());
+    assert_admissible(&config, &TestLoad::Ils250.profile(), "9xB1 (1.0 A·min) ILs 250");
+}
+
 /// The frontier golden: 3×B1 on the alternating load. The charge bound
 /// never fires here, not even in the charge-only search (the load strands
 /// ~70 % of the charge), so the whole reduction against that search is the
@@ -158,13 +167,13 @@ fn three_b1_alternating_frontier_is_pinned() {
 
 /// The root bounds of `batteries` on coarse `ILs alt`, as
 /// `(charge, availability, warm start)`.
-fn alternating_root_bounds(batteries: Vec<BatteryParams>) -> [u64; 3] {
+fn alternating_root_bounds(batteries: Vec<BatteryParams>) -> (u64, Option<u64>, u64) {
     let config =
         SystemConfig::from_fleet(FleetSpec::new(batteries).unwrap(), Discretization::coarse());
     let load = config.discretize(&TestLoad::IlsAlt.profile()).unwrap();
     let mut model = config.discretized_model();
     let bounds = OptimalScheduler::probe_root_bounds(&config, &load, &mut model).unwrap();
-    [bounds.charge, bounds.availability, bounds.warm_start]
+    (bounds.charge, bounds.availability, bounds.warm_start)
 }
 
 // The alternating-load root bounds of the four frontier fleets are pinned
@@ -178,7 +187,7 @@ fn alternating_root_bounds(batteries: Vec<BatteryParams>) -> [u64; 3] {
 #[test]
 fn alternating_root_bounds_are_pinned() {
     let b1 = BatteryParams::itsy_b1();
-    assert_eq!(alternating_root_bounds(vec![b1; 2]), [1140, 650, 328], "2xB1 ILs alt");
+    assert_eq!(alternating_root_bounds(vec![b1; 2]), (1140, Some(650), 328), "2xB1 ILs alt");
     let full =
         OptimalScheduler::new().find_optimal(&coarse_uniform(2), &TestLoad::IlsAlt.profile());
     assert_eq!(full.unwrap().seeded_by, Some("best of two"));
@@ -189,7 +198,7 @@ fn alternating_root_bounds_are_pinned() {
 #[test]
 fn three_b1_alternating_root_bounds_are_pinned() {
     let b1 = BatteryParams::itsy_b1();
-    assert_eq!(alternating_root_bounds(vec![b1; 3]), [1740, 1368, 648], "3xB1 ILs alt");
+    assert_eq!(alternating_root_bounds(vec![b1; 3]), (1740, Some(1368), 648), "3xB1 ILs alt");
 }
 
 /// 2×B1+B2 and 4×B1: both bounds sit far above the warm start, which is
@@ -197,14 +206,18 @@ fn three_b1_alternating_root_bounds_are_pinned() {
 #[test]
 fn two_b1_plus_b2_alternating_root_bounds_are_pinned() {
     let (b1, b2) = (BatteryParams::itsy_b1(), BatteryParams::itsy_b2());
-    assert_eq!(alternating_root_bounds(vec![b1, b1, b2]), [2332, 2052, 1136], "2xB1+B2 ILs alt");
+    assert_eq!(
+        alternating_root_bounds(vec![b1, b1, b2]),
+        (2332, Some(2052), 1136),
+        "2xB1+B2 ILs alt"
+    );
 }
 
 /// See [`two_b1_plus_b2_alternating_root_bounds_are_pinned`].
 #[test]
 fn four_b1_alternating_root_bounds_are_pinned() {
     let b1 = BatteryParams::itsy_b1();
-    assert_eq!(alternating_root_bounds(vec![b1; 4]), [2332, 2020, 1020], "4xB1 ILs alt");
+    assert_eq!(alternating_root_bounds(vec![b1; 4]), (2332, Some(2020), 1020), "4xB1 ILs alt");
 }
 
 /// The root bounds against the default search's optimum on every paper
@@ -218,10 +231,10 @@ fn assert_root_bounds_dominate_on_paper_loads(config: &SystemConfig, fleet: &str
         let mut model = config.discretized_model();
         let bounds = OptimalScheduler::probe_root_bounds(config, &discretized, &mut model).unwrap();
         assert!(bounds.charge >= optimum.lifetime_steps, "{label}: charge bound underestimates");
+        let availability = bounds.availability.expect("the discretized backend has envelopes");
         assert!(
-            bounds.availability >= optimum.lifetime_steps,
-            "{label}: availability bound {} underestimates the optimum {}",
-            bounds.availability,
+            availability >= optimum.lifetime_steps,
+            "{label}: availability bound {availability} underestimates the optimum {}",
             optimum.lifetime_steps
         );
         assert!(bounds.warm_start <= optimum.lifetime_steps, "{label}: warm start above optimum");
@@ -253,7 +266,7 @@ fn bound_is_admissible_past_trailing_idle_time() {
 }
 
 /// The root bounds on a backend without service envelopes: no
-/// availability claim (`u64::MAX`), a charge bound at or above that
+/// availability bound (`None`), a charge bound at or above that
 /// backend's own optimum, and a warm start at or below it.
 fn assert_no_availability_claim<M: BatteryModel>(backend: &str, fresh_model: impl Fn() -> M) {
     let config = coarse_uniform(2);
@@ -262,7 +275,7 @@ fn assert_no_availability_claim<M: BatteryModel>(backend: &str, fresh_model: imp
         let discretized = config.discretize(&load.profile()).unwrap();
         let bounds =
             OptimalScheduler::probe_root_bounds(&config, &discretized, &mut fresh_model()).unwrap();
-        assert_eq!(bounds.availability, u64::MAX, "{label}: no envelopes, no availability claim");
+        assert_eq!(bounds.availability, None, "{label}: no envelopes, no availability bound");
         let optimum = OptimalScheduler::new()
             .find_optimal_with(&config, &discretized, &mut fresh_model())
             .unwrap();

@@ -416,7 +416,7 @@ pub struct EnvelopeKey {
 /// process never stops caching.
 #[derive(Debug)]
 pub struct EnvelopeStore {
-    table: ServiceRateTable,
+    table: Arc<ServiceRateTable>,
     capacity_bytes: usize,
     stored: Mutex<StoredEnvelopes>,
 }
@@ -439,13 +439,20 @@ impl EnvelopeStore {
     }
 
     fn with_capacity_bytes(table: ServiceRateTable, capacity_bytes: usize) -> Self {
-        Self { table, capacity_bytes, stored: Mutex::default() }
+        Self { table: Arc::new(table), capacity_bytes, stored: Mutex::default() }
     }
 
     /// The service-rate table the envelopes are built with.
     #[must_use]
     pub fn table(&self) -> &ServiceRateTable {
         &self.table
+    }
+
+    /// A handle on [`EnvelopeStore::table`], for holders of its envelopes
+    /// that outlive a borrow of the store.
+    #[must_use]
+    pub fn shared_table(&self) -> Arc<ServiceRateTable> {
+        Arc::clone(&self.table)
     }
 
     /// The envelope of `key`, built on the first request.

@@ -51,13 +51,13 @@ pub struct SearchStats {
     pub memo_hits: u64,
     /// Nodes pruned by state dominance.
     pub dominance_prunes: u64,
-    /// Nodes cut by the usable-charge upper bound, which a node evaluates
-    /// only where the availability bound makes no claim (0 on the
-    /// discretized backend, up to eight batteries).
+    /// Nodes cut by the bound walk over the usable charge: every bound
+    /// prune on a backend without service envelopes (0 on the discretized
+    /// backend).
     pub charge_bound_prunes: u64,
-    /// Nodes cut by the availability-aware (recovery-coupled) upper bound,
-    /// which includes the charge cap: on the discretized backend (up to
-    /// eight batteries), every bound prune.
+    /// Nodes cut by the bound walk over the service envelopes
+    /// (recovery-coupled, capped by the usable charge): on the discretized
+    /// backend, every bound prune.
     pub availability_bound_prunes: u64,
 }
 
@@ -154,22 +154,14 @@ impl ScenarioResult {
     }
 }
 
-/// Renders [`RootBounds`] as a JSON object. A bound of `u64::MAX` means
-/// "the backend cannot evaluate this bound" (the availability bound needs
-/// service envelopes, which only the discretized backend provides) and is
-/// rendered as `null`, not as a number.
+/// Renders [`RootBounds`] as a JSON object. A backend without service
+/// envelopes has no availability bound, rendered as `null`.
 fn root_bounds_to_json(bounds: RootBounds) -> JsonValue {
     #[allow(clippy::cast_precision_loss)]
-    let steps = |value: u64| {
-        if value == u64::MAX {
-            JsonValue::Null
-        } else {
-            JsonValue::Number(value as f64)
-        }
-    };
+    let steps = |value: u64| JsonValue::Number(value as f64);
     JsonValue::object(vec![
         ("charge", steps(bounds.charge)),
-        ("availability", steps(bounds.availability)),
+        ("availability", bounds.availability.map_or(JsonValue::Null, steps)),
         ("warm_start", steps(bounds.warm_start)),
     ])
 }
@@ -899,16 +891,12 @@ mod tests {
     fn unevaluable_root_bounds_render_as_null() {
         let render = |bounds: RootBounds| root_bounds_to_json(bounds).render().unwrap();
         assert_eq!(
-            render(RootBounds { charge: 1140, availability: 650, warm_start: 328 }),
+            render(RootBounds { charge: 1140, availability: Some(650), warm_start: 328 }),
             r#"{"charge":1140.0,"availability":650.0,"warm_start":328.0}"#
         );
         assert_eq!(
-            render(RootBounds { charge: 1140, availability: u64::MAX, warm_start: 328 }),
+            render(RootBounds { charge: 1140, availability: None, warm_start: 328 }),
             r#"{"charge":1140.0,"availability":null,"warm_start":328.0}"#
-        );
-        assert_eq!(
-            render(RootBounds { charge: u64::MAX, availability: u64::MAX, warm_start: 0 }),
-            r#"{"charge":null,"availability":null,"warm_start":0.0}"#
         );
     }
 

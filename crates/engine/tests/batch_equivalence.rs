@@ -370,9 +370,9 @@ fn concurrent_searches_on_one_cached_system_match_serial_ones() {
 
 /// The wire shape of `root_bounds` on one backend: exactly the charge and
 /// availability bounds plus the warm start. Only the discretized backend
-/// provides service envelopes, so the availability bound is `null` (no
-/// claim, `u64::MAX` in core) everywhere else; the warm start never exceeds
-/// a bound that makes a claim.
+/// provides service envelopes, so the availability bound is `null` (`None`
+/// in core) everywhere else; the warm start never exceeds a bound that is
+/// a number.
 fn assert_root_bounds_shape(backend: BackendKind) {
     let spec = ScenarioSpec {
         batteries: vec![],
@@ -399,7 +399,7 @@ fn assert_root_bounds_shape(backend: BackendKind) {
     if backend == BackendKind::Discretized {
         assert!(availability.as_u64().is_some(), "{context}: availability is a number");
     } else {
-        assert_eq!(availability, &JsonValue::Null, "{context}: no availability claim");
+        assert_eq!(availability, &JsonValue::Null, "{context}: no availability bound");
     }
     let warm_start = bounds[2].1.as_u64().expect("the warm start is a number");
     for (key, bound) in &bounds[..2] {

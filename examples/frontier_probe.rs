@@ -70,9 +70,10 @@ fn main() {
         let discretized = config.discretize(&load).unwrap();
         let mut model = config.discretized_model();
         let bounds = OptimalScheduler::probe_root_bounds(config, &discretized, &mut model).unwrap();
+        let availability = bounds.availability.map_or("none".to_owned(), |steps| steps.to_string());
         println!(
-            "  {name:>8}: charge {}, availability {}, warm start {}",
-            bounds.charge, bounds.availability, bounds.warm_start
+            "  {name:>8}: charge {}, availability {availability}, warm start {}",
+            bounds.charge, bounds.warm_start
         );
     }
 
