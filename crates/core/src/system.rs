@@ -258,6 +258,7 @@ pub fn simulate_policy_with<M: BatteryModel>(
     let mut schedule = Schedule::default();
     let mut trace = SystemTrace::default();
     let mut charges = Vec::with_capacity(battery_count);
+    let mut available = Vec::with_capacity(battery_count);
     let sampling = config.sample_interval_steps;
 
     record_sample(&mut trace, sampling, elapsed, model, None, config.disc());
@@ -279,7 +280,7 @@ pub fn simulate_policy_with<M: BatteryModel>(
         let mut remaining = epoch.duration_steps();
         let mut continuation = false;
         while remaining > 0 {
-            let available = model.available();
+            model.available_into(&mut available);
             if available.is_empty() {
                 // All batteries are empty: the system died at `elapsed`.
                 return Ok(finish(Some(elapsed), config, model, schedule, trace));
@@ -331,7 +332,7 @@ pub fn simulate_policy_with<M: BatteryModel>(
             });
             decision_index += 1;
             if battery_died {
-                if model.available().is_empty() {
+                if !model.any_available() {
                     // The last battery died while serving: system lifetime.
                     return Ok(finish(Some(elapsed), config, model, schedule, trace));
                 }

@@ -1,6 +1,7 @@
+use crate::table::MomentGrid;
 use crate::MAX_STEP_TERMS;
 
-/// Number of bits per packed field of an [`RvCell::state_word`] (consumed
+/// Number of bits per packed field of a [state word](RvCell::state_word) (consumed
 /// units and each fixed-point diffusion moment).
 const FIELD_BITS: u32 = 24;
 /// Largest value a packed field can hold.
@@ -15,7 +16,7 @@ const FIELD_MAX: u64 = (1 << FIELD_BITS) - 1;
 /// [`crate::RvStepTable`] re-aligns them after every draw and recovery
 /// advance). Keeping every component on a finite grid is what makes the
 /// state exactly packable into a canonical search key
-/// ([`RvCell::state_word`]) — the diffusion analogue of
+/// ([`crate::RvStepTable::state_word`]) — the diffusion analogue of
 /// `dkibam::DiscreteBattery`'s integer `(n_gamma, m_delta)` state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RvCell {
@@ -58,16 +59,10 @@ impl RvCell {
         self.observed_empty = true;
     }
 
-    /// Packs the dynamic state into a single 128-bit word, or `None` if a
-    /// component exceeds its 24-bit field (batteries beyond ~167 A·min at
-    /// the paper's `Γ`; such systems simply opt out of memoization).
-    ///
-    /// Equal words are equal states — the moments are grid-aligned, so
-    /// `moments[m] / quantum` is an exact integer — which is what makes the
-    /// packing sound as a transposition-table key. `quantum` is the
-    /// moment grid spacing ([`crate::RvStepTable::moment_quantum`]).
-    #[must_use]
-    pub fn state_word(&self, quantum: f64) -> Option<u128> {
+    /// Packs the dynamic state into a single 128-bit word, counting each
+    /// moment in whole quanta of `grid`; see
+    /// [`crate::RvStepTable::state_word`].
+    pub(crate) fn state_word(&self, grid: &MomentGrid) -> Option<u128> {
         let consumed = u64::from(self.consumed_units);
         if consumed > FIELD_MAX {
             return None;
@@ -75,7 +70,7 @@ impl RvCell {
         let mut word = (u128::from(consumed) << 1) | u128::from(self.observed_empty);
         let mut shift = 1 + FIELD_BITS;
         for &moment in &self.moments {
-            let quanta = (moment / quantum).round();
+            let quanta = grid.quanta(moment);
             #[allow(clippy::cast_precision_loss)]
             if !(quanta >= 0.0 && quanta <= FIELD_MAX as f64) {
                 return None;
@@ -87,7 +82,8 @@ impl RvCell {
         Some(word)
     }
 
-    /// Component-wise dominance on packed [state words](RvCell::state_word):
+    /// Component-wise dominance on packed
+    /// [state words](crate::RvStepTable::state_word):
     /// `a` dominates `b` when it has consumed no more charge, carries no
     /// larger diffusion deficit in *every* moment, and is not retired unless
     /// `b` is retired too.
@@ -109,7 +105,7 @@ impl RvCell {
     }
 }
 
-/// Unpacks a [`RvCell::state_word`] into
+/// Unpacks a [state word](RvCell::state_word) into
 /// `(consumed_units, moment_quanta, observed_empty)`.
 fn unpack(word: u128) -> (u64, [u64; MAX_STEP_TERMS], bool) {
     let empty = word & 1 == 1;
@@ -134,6 +130,10 @@ mod tests {
 
     const QUANTUM: f64 = 0.01 / crate::MOMENT_SCALE;
 
+    fn grid() -> MomentGrid {
+        MomentGrid::new(QUANTUM)
+    }
+
     fn cell(consumed: u32, quanta: [u64; MAX_STEP_TERMS]) -> RvCell {
         let mut moments = [0.0; MAX_STEP_TERMS];
         for (slot, &q) in moments.iter_mut().zip(&quanta) {
@@ -149,29 +149,29 @@ mod tests {
     fn state_words_are_injective_over_the_grid_state() {
         let a = cell(10, [1, 2, 3, 4]);
         let mut b = a;
-        assert_eq!(a.state_word(QUANTUM), b.state_word(QUANTUM));
+        assert_eq!(a.state_word(&grid()), b.state_word(&grid()));
         b.consumed_units += 1;
-        assert_ne!(a.state_word(QUANTUM), b.state_word(QUANTUM));
+        assert_ne!(a.state_word(&grid()), b.state_word(&grid()));
         let mut c = a;
         c.moments[3] += QUANTUM;
-        assert_ne!(a.state_word(QUANTUM), c.state_word(QUANTUM));
+        assert_ne!(a.state_word(&grid()), c.state_word(&grid()));
         let mut d = a;
         d.mark_observed_empty();
-        assert_ne!(a.state_word(QUANTUM), d.state_word(QUANTUM));
+        assert_ne!(a.state_word(&grid()), d.state_word(&grid()));
     }
 
     #[test]
     fn oversized_components_opt_out_of_packing() {
-        assert!(cell(u32::MAX, [0; MAX_STEP_TERMS]).state_word(QUANTUM).is_none());
+        assert!(cell(u32::MAX, [0; MAX_STEP_TERMS]).state_word(&grid()).is_none());
         let mut huge = cell(0, [0; MAX_STEP_TERMS]);
         huge.moments[0] = 1e9;
-        assert!(huge.state_word(QUANTUM).is_none());
-        assert!(cell(100, [5, 5, 5, 5]).state_word(QUANTUM).is_some());
+        assert!(huge.state_word(&grid()).is_none());
+        assert!(cell(100, [5, 5, 5, 5]).state_word(&grid()).is_some());
     }
 
     #[test]
     fn dominance_is_component_wise() {
-        let word = |c: &RvCell| c.state_word(QUANTUM).unwrap();
+        let word = |c: &RvCell| c.state_word(&grid()).unwrap();
         let fresh = cell(0, [0, 0, 0, 0]);
         let used = cell(50, [9, 4, 2, 1]);
         assert!(RvCell::word_dominates(word(&fresh), word(&used)));

@@ -9,9 +9,12 @@
 //! `(consumed_units, moments, observed_empty)` — and hence its state word —
 //! is bit-identical to the scalar reference after every epoch.
 //!
-//! The kernel's one saving is hoisting: the recovery decay factors
-//! `e^{-β²m²·T·steps}` are computed once per battery type per call instead
-//! of once per cell (same inputs, same `powi`, same bits).
+//! The kernel's one saving over that reference is hoisting: the recovery
+//! decay factors `e^{-β²m²·T·steps}` are computed once per battery type per
+//! call instead of once per cell (same inputs, same `powi`, same bits).
+//! Both share the moment grid's alignment after every draw and recovery:
+//! the table's division-free quantizer, bit-equal to
+//! `(x / q).round() * q`.
 
 use crate::{RvCell, RvFleet, StepAdvance};
 
@@ -72,13 +75,13 @@ fn recover_except(cells: &mut [RvCell], skip: Option<usize>, steps: u64, fleet: 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dkibam::Discretization;
     use kibam::{BatteryParams, FleetSpec};
 
     /// SplitMix64 — deterministic seeded epochs without external crates.
-    struct SplitMix64(u64);
+    pub(crate) struct SplitMix64(pub(crate) u64);
 
     impl SplitMix64 {
         fn next(&mut self) -> u64 {
@@ -89,7 +92,7 @@ mod tests {
             z ^ (z >> 31)
         }
 
-        fn below(&mut self, bound: u64) -> u64 {
+        pub(crate) fn below(&mut self, bound: u64) -> u64 {
             self.next() % bound
         }
     }

@@ -46,8 +46,8 @@ pub struct RvStepTable {
     step_decays: [f64; MAX_STEP_TERMS],
     /// Charge units of a full battery, `round(α / Γ)`.
     capacity_units: u32,
-    /// Fixed-point grid spacing of the moments, `Γ /` [`MOMENT_SCALE`].
-    moment_quantum: f64,
+    /// Fixed-point grid of the moments, spacing `Γ /` [`MOMENT_SCALE`].
+    grid: MomentGrid,
     /// σ at or above this value means empty (`α` minus a relative slack).
     empty_threshold: f64,
 }
@@ -78,7 +78,7 @@ impl RvStepTable {
             rates,
             step_decays,
             capacity_units: disc.charge_units(params.alpha()),
-            moment_quantum: disc.charge_unit() / MOMENT_SCALE,
+            grid: MomentGrid::new(disc.charge_unit() / MOMENT_SCALE),
             empty_threshold: params.alpha() * (1.0 - 1e-9),
         })
     }
@@ -104,7 +104,7 @@ impl RvStepTable {
     /// The fixed-point grid spacing of the diffusion moments, in A·min.
     #[must_use]
     pub fn moment_quantum(&self) -> f64 {
-        self.moment_quantum
+        self.grid.quantum
     }
 
     /// A freshly charged cell.
@@ -229,21 +229,115 @@ impl RvStepTable {
         StepAdvance { steps_consumed: consumed, completed: true }
     }
 
-    /// Packs a cell into a canonical state word
-    /// ([`RvCell::state_word`] with this table's grid), or `None` for
-    /// oversized components.
+    /// Packs a cell into a canonical 128-bit state word, or `None` if a
+    /// component exceeds its 24-bit field (batteries beyond ~167 A·min at
+    /// the paper's `Γ`; such systems simply opt out of memoization).
+    ///
+    /// Equal words are equal states: the moments are grid-aligned, so each
+    /// one is a whole number of quanta, counted by the same quantizer that
+    /// aligned it. That is what makes the packing sound as a
+    /// transposition-table key.
     #[must_use]
     pub fn state_word(&self, cell: &RvCell) -> Option<u128> {
-        cell.state_word(self.moment_quantum)
+        cell.state_word(&self.grid)
     }
 
     /// Rounds every moment to the fixed-point grid. Called after every state
     /// transition, so cells are always grid-aligned (which makes
     /// [`state_word`](RvStepTable::state_word) exact).
+    ///
+    /// Inlined into every caller: as an out-of-line call, the moments make
+    /// a round trip through memory around it and the quantizer's
+    /// fast-path checks cost as much as the division they replace.
+    #[inline(always)]
     fn align(&self, cell: &mut RvCell) {
         for moment in cell.moments.iter_mut().take(self.params.terms()) {
-            *moment = (*moment / self.moment_quantum).round() * self.moment_quantum;
+            #[cfg(test)]
+            tests::record_alignment(*moment);
+            *moment = self.grid.align(*moment);
         }
+    }
+}
+
+/// `2^52`: adding and subtracting it rounds a double in `[0, 2^51)` to the
+/// nearest integer, ties to even (the spacing of doubles in `[2^52, 2^53)`
+/// is exactly one).
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+/// `2^51`: the fast path takes quotients below it only.
+const TWO_POW_51: f64 = 2_251_799_813_685_248.0;
+/// Relative distance from a half-quantum inside which the fast path defers
+/// to the division (see [`MomentGrid`]): about three times the proven
+/// worst case of `3.34·10⁻¹⁶`.
+const TIE_MARGIN: f64 = 1e-15;
+
+/// The fixed-point grid of the diffusion moments and its exact quantizer.
+///
+/// [`quanta`](MomentGrid::quanta) returns `(x / q).round()` bit for bit,
+/// but on the common path without the division and without the call to
+/// `round` (the baseline x86-64 target has no rounding instruction, so
+/// `f64::round` is a library call). It multiplies by the stored reciprocal
+/// `r = fl(1/q)` and rounds `p = fl(x·r)` to the nearest integer `k` with
+/// the `2^52` constant, then accepts `k` when `p` is clear of a
+/// half-quantum.
+///
+/// **Why `k` equals the reference.** Let `u = 2^-53` and `t = x/q` exactly.
+/// Rounding gives `r = (1/q)(1 + δ₁)`, `p = x·r·(1 + δ₂)` and the
+/// reference's `d = fl(x/q) = t(1 + δ₃)` with each `|δᵢ| ≤ u`, so
+/// `|p − d| ≤ (3u + u²)·t ≤ 3.34·10⁻¹⁶·p`. For `p < 2^51` the constant
+/// rounds exactly and `p − k` is exact, so `½ − |p − k|` is the distance
+/// from `p` to the nearest half-integer up to one rounding. The fast path
+/// requires it to exceed `TIE_MARGIN·p`, about three times the bound even
+/// after the check's own roundings. Then no half-integer lies between `p`
+/// and `d`: `d` rounds to the same `k` and is not itself a tie, the one
+/// case where round-half-even (the constant) and round-half-away
+/// (`f64::round`) disagree. The product `k·q` is then the reference's
+/// product too.
+///
+/// **Where it defers.** `p` must be a double in `[+0.0, 2^51)`, tested as
+/// one integer compare on its bits: that rejects negatives, `-0.0` (the
+/// constant would return `+0.0`), NaN, infinities and quotients too large
+/// for the constant. Below the normal range the relative bounds give way to
+/// an absolute error under `2^-1074`, but then `p` and `d` are both far
+/// below ½ and both round to zero. A quantum `q = Γ / 1024` cannot exceed
+/// `f64::MAX / 1024`, so `1/q` is normal or, for a tiny `Γ`, infinite; then
+/// every `p` is infinite or NaN and takes the division.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct MomentGrid {
+    /// The grid spacing `q`, in A·min.
+    pub(crate) quantum: f64,
+    /// `fl(1/q)`.
+    reciprocal: f64,
+}
+
+impl MomentGrid {
+    /// The grid of spacing `quantum`.
+    pub(crate) fn new(quantum: f64) -> Self {
+        Self { quantum, reciprocal: 1.0 / quantum }
+    }
+
+    /// `(x / q).round()`, bit for bit: the whole quanta nearest `x`.
+    #[inline]
+    pub(crate) fn quanta(&self, x: f64) -> f64 {
+        self.fast_quanta(x).unwrap_or_else(|| (x / self.quantum).round())
+    }
+
+    /// `(x / q).round() * q`, bit for bit: `x` moved to the nearest grid
+    /// point.
+    #[inline]
+    pub(crate) fn align(&self, x: f64) -> f64 {
+        self.quanta(x) * self.quantum
+    }
+
+    /// The division-free path of [`quanta`](MomentGrid::quanta), or `None`
+    /// where it cannot prove its result equal to the division's.
+    #[inline]
+    fn fast_quanta(&self, x: f64) -> Option<f64> {
+        let p = x * self.reciprocal;
+        if p.to_bits() >= TWO_POW_51.to_bits() {
+            return None;
+        }
+        let k = (p + TWO_POW_52) - TWO_POW_52;
+        (0.5 - (p - k).abs() > TIE_MARGIN * p).then_some(k)
     }
 }
 
@@ -263,9 +357,167 @@ fn decay_pow(decay: f64, steps: u64) -> f64 {
 mod tests {
     use super::*;
     use crate::analytic::{evolve, DiffusionState};
+    use crate::kernel::tests::SplitMix64;
+    use crate::RvFleet;
+    use kibam::{BatteryParams, FleetSpec};
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// Every value [`RvStepTable::align`] quantizes on this thread while
+        /// a [`recording`] runs.
+        static ALIGNED: RefCell<Option<Vec<f64>>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn record_alignment(x: f64) {
+        ALIGNED.with(|aligned| {
+            if let Some(values) = aligned.borrow_mut().as_mut() {
+                values.push(x);
+            }
+        });
+    }
+
+    /// Runs `walk` and returns every value it sent through the quantizer.
+    fn recording(walk: impl FnOnce()) -> Vec<f64> {
+        ALIGNED.with(|aligned| *aligned.borrow_mut() = Some(Vec::new()));
+        walk();
+        ALIGNED.with(|aligned| aligned.borrow_mut().take()).unwrap()
+    }
+
+    /// The expression the quantizer replaces.
+    fn reference_align(x: f64, quantum: f64) -> f64 {
+        (x / quantum).round() * quantum
+    }
+
+    fn assert_exact(grid: &MomentGrid, x: f64) {
+        let expected = reference_align(x, grid.quantum);
+        assert_eq!(
+            grid.align(x).to_bits(),
+            expected.to_bits(),
+            "x = {x:e} ({:#018x}), q = {:e}: got {:e}, expected {expected:e}",
+            x.to_bits(),
+            grid.quantum,
+            grid.align(x),
+        );
+        assert_eq!(grid.quanta(x).to_bits(), (x / grid.quantum).round().to_bits());
+    }
 
     fn table() -> RvStepTable {
         RvStepTable::new(&RvParams::itsy_b1(), &Discretization::paper_default()).unwrap()
+    }
+
+    /// A seeded walk of scalar `serve`/`recover` and the kernel over
+    /// `fleet`, starting over from fresh cells whenever every battery has
+    /// died.
+    fn walk(fleet: &RvFleet, seed: u64) {
+        let mut rng = SplitMix64(seed);
+        let mut cells = vec![RvCell::fresh(); fleet.len()];
+        for _ in 0..4_000 {
+            if cells.iter().all(RvCell::is_observed_empty) {
+                cells.fill(RvCell::fresh());
+            }
+            let index = usize::try_from(rng.below(fleet.len() as u64)).unwrap();
+            let steps = rng.below(1_500);
+            let interval = u32::try_from(1 + rng.below(4)).unwrap();
+            let units = u32::try_from(1 + rng.below(2)).unwrap();
+            match rng.below(4) {
+                0 => {
+                    fleet.table_of(index).serve(&mut cells[index], steps, interval, units);
+                }
+                1 => fleet.table_of(index).recover(&mut cells[index], steps),
+                2 => crate::kernel::recover(&mut cells, steps, fleet),
+                _ => {
+                    crate::kernel::advance_job(&mut cells, index, steps, interval, units, fleet);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_quantizer_matches_the_division_on_every_walked_moment() {
+        let b1 = BatteryParams::itsy_b1();
+        let b2 = BatteryParams::itsy_b2();
+        let mut total = 0;
+        let mut deferred = 0;
+        for disc in [Discretization::paper_default(), Discretization::coarse()] {
+            let grid = MomentGrid::new(disc.charge_unit() / MOMENT_SCALE);
+            let fleets = [
+                RvFleet::uniform(&b1, &disc, 2),
+                RvFleet::uniform(&b1, &disc, 8),
+                RvFleet::new(FleetSpec::new(vec![b1, b2]).unwrap(), disc),
+            ];
+            for (seed, fleet) in (1..).zip(&fleets) {
+                for moment in recording(|| walk(fleet, seed)) {
+                    assert_exact(&grid, moment);
+                    total += 1;
+                    deferred += usize::from(grid.fast_quanta(moment).is_none());
+                }
+            }
+        }
+        assert!(total > 1_000_000, "the walk quantized only {total} moments");
+        assert!(deferred * 100_000 <= total, "{deferred} of {total} moments took the division");
+    }
+
+    /// ±32 ulps around `(k + ½)·q` for every `k` below 2000 and a
+    /// geometric spread of `k` up to `10¹⁵`. Where `fl(1/q)` rounds up
+    /// (`Γ = 0.01`, `0.05`), `p` never falls below the reference's tie;
+    /// `Γ = 0.003` and `0.09` round it down, which is where a missing or
+    /// too small margin shows.
+    #[test]
+    fn the_quantizer_matches_the_division_around_half_quanta() {
+        for charge_unit in [0.01, 0.05, 0.001, 0.003, 0.09, 0.3, 1.0] {
+            let grid = MomentGrid::new(charge_unit / MOMENT_SCALE);
+            let mut k: f64 = 0.0;
+            while k < 1e15 {
+                let half = (k + 0.5) * grid.quantum;
+                for offset in -32_i64..=32 {
+                    let bits = half.to_bits().checked_add_signed(offset).unwrap();
+                    assert_exact(&grid, f64::from_bits(bits));
+                }
+                k = if k < 2_000.0 { k + 1.0 } else { (k * 1.013).floor() };
+            }
+        }
+    }
+
+    #[test]
+    fn the_quantizer_matches_the_division_on_special_values() {
+        let grid = MomentGrid::new(0.01 / MOMENT_SCALE);
+        let quotient = |q: f64| q * grid.quantum;
+        let specials = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+            -1e-300,
+            -grid.quantum,
+            -0.5 * grid.quantum,
+            -1.5 * grid.quantum,
+            -3.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            quotient(TWO_POW_51) * (1.0 - f64::EPSILON),
+            quotient(TWO_POW_51),
+            quotient(TWO_POW_51 + 0.5),
+            quotient(TWO_POW_52),
+            quotient(TWO_POW_52 + 1.5),
+            quotient(1e18),
+            1e300,
+            f64::MAX,
+        ];
+        for x in specials {
+            assert_exact(&grid, x);
+        }
+        assert!(grid.fast_quanta(-0.0).is_none(), "-0.0 keeps its sign through the division");
+        // A quantum whose reciprocal overflows: every value takes the
+        // division.
+        let grid = MomentGrid::new(1e-310);
+        for x in [0.0, 1e-300, 1.0, 1e300] {
+            assert!(grid.fast_quanta(x).is_none());
+            assert_exact(&grid, x);
+        }
     }
 
     #[test]
